@@ -231,10 +231,16 @@ impl SearchDirectives {
     /// Adds a priority directive (replacing an earlier one for the same
     /// pair).
     pub fn add_priority(&mut self, p: PriorityDirective) {
-        self.priority_index
+        // The index holds exactly the pairs in `priorities` (only this
+        // and `remove_by_line` change either), so the linear sweep for
+        // the directive being replaced runs only when there is one.
+        let replaced = self
+            .priority_index
             .insert((p.hypothesis.clone(), p.focus.clone()), p.level);
-        self.priorities
-            .retain(|q| !(q.hypothesis == p.hypothesis && q.focus == p.focus));
+        if replaced.is_some() {
+            self.priorities
+                .retain(|q| !(q.hypothesis == p.hypothesis && q.focus == p.focus));
+        }
         self.priorities.push(p);
     }
 
@@ -776,6 +782,39 @@ mod tests {
         });
         assert_eq!(d.priorities.len(), 1);
         assert_eq!(d.priority_of("CPUbound", &f), PriorityLevel::Low);
+    }
+
+    #[test]
+    fn add_priority_replacement_order_survives_removals() {
+        // `add_priority` only sweeps `priorities` when its index says
+        // the pair is already there, so the index must track every
+        // mutation: a replaced pair moves to the back, a revoked one
+        // can be re-added without a stale index entry hiding it.
+        let pri = |file: &str, level| PriorityDirective {
+            hypothesis: "CPUbound".into(),
+            focus: Focus::whole_program(["Code"]).with_selection(n(&format!("/Code/{file}"))),
+            level,
+        };
+        let mut d = SearchDirectives::none();
+        d.add_priority(pri("a.c", PriorityLevel::High));
+        d.add_priority(pri("b.c", PriorityLevel::Low));
+        d.add_priority(pri("c.c", PriorityLevel::High));
+        d.add_priority(pri("a.c", PriorityLevel::Low));
+        assert!(d.remove_by_line("priority high CPUbound </Code/c.c>"));
+        d.add_priority(pri("c.c", PriorityLevel::Low));
+        d.add_priority(pri("b.c", PriorityLevel::High));
+        assert_eq!(
+            d.to_text(),
+            "# histpc search directives v1\n\
+             priority low CPUbound </Code/a.c>\n\
+             priority low CPUbound </Code/c.c>\n\
+             priority high CPUbound </Code/b.c>\n"
+        );
+        for p in &d.priorities {
+            assert_eq!(d.priority_of(&p.hypothesis, &p.focus), p.level);
+        }
+        let reparsed = SearchDirectives::parse(&d.to_text()).unwrap();
+        assert_eq!(reparsed.priorities, d.priorities);
     }
 
     #[test]

@@ -30,6 +30,9 @@ pub enum SessionError {
     Lint(LintReport),
     /// The backing execution store failed.
     Store(StoreError),
+    /// The operation reads history, but the session has no store (it
+    /// was built with [`Session::new`], not [`Session::with_store`]).
+    NoStore,
 }
 
 impl fmt::Display for SessionError {
@@ -49,6 +52,7 @@ impl fmt::Display for SessionError {
                 }
             }
             SessionError::Store(e) => write!(f, "execution store error: {e}"),
+            SessionError::NoStore => write!(f, "this session has no execution store"),
         }
     }
 }
@@ -361,10 +365,7 @@ impl Session {
         opts: &ExtractionOptions,
         tenant: Option<&str>,
     ) -> Result<SearchDirectives, SessionError> {
-        let store = self
-            .store
-            .as_ref()
-            .expect("harvest from store requires Session::with_store");
+        let store = self.store.as_ref().ok_or(SessionError::NoStore)?;
         let rec = store.load(app, label)?;
         let mut harvested = extract(&rec, opts);
         let source = match tenant {
@@ -378,10 +379,10 @@ impl Session {
 
         let mut ledger = TrustLedger::load(store.root());
         let mut ledger_dirty = false;
-        let analysis = histpc_lint::CorpusAnalyzer::new(store).analyze()?;
+        let verdicts = histpc_lint::CorpusAnalyzer::new(store).conflict_verdicts()?;
         // Every HL030 conflict decays both sides' trust, once per
         // distinct contradicted pair.
-        for v in analysis.verdicts.iter() {
+        for v in verdicts.iter() {
             let key = format!("{}/{} {} {}", v.app, v.version, v.hypothesis, v.focus);
             for src_label in [&v.prune_source, &v.priority_source] {
                 let src = match tenant {
@@ -391,10 +392,7 @@ impl Session {
                 ledger_dirty |= ledger.record_conflict(&src, &key);
             }
         }
-        let (mut vetted, dropped) =
-            analysis
-                .verdicts
-                .down_rank(&harvested, &rec.app_name, &rec.app_version);
+        let (mut vetted, dropped) = verdicts.down_rank(&harvested, &rec.app_name, &rec.app_version);
         vetted.adopt_provenance(&harvested);
         if dropped > 0 {
             eprintln!(
@@ -861,7 +859,51 @@ mod tests {
         let raw1 = extract(&store.load("app", "r1").unwrap(), &opts);
         let vetted1 = session.harvest("app", "r1", &opts).unwrap();
         assert_eq!(vetted1.prunes.len(), raw1.prunes.len() - 1);
+
+        // The vetting is a function of the store, not of the FACTS
+        // cache: a damaged cache entry and a deleted cache give the
+        // same directives as the warm cache above.
+        let facts = dir.join(histpc_history::factcache::FACTCACHE_FILE);
+        let want = [vetted1.to_text(), vetted2.to_text()];
+        let harvest_both =
+            || ["r1", "r2"].map(|label| session.harvest("app", label, &opts).unwrap().to_text());
+        let warm = std::fs::read(&facts).unwrap();
+        let mut damaged = warm.clone();
+        let at = damaged.windows(4).position(|w| w == b"\nd p").unwrap();
+        damaged[at + 3] ^= 1;
+        std::fs::write(&facts, &damaged).unwrap();
+        assert_eq!(harvest_both(), want);
+        assert_eq!(std::fs::read(&facts).unwrap(), warm, "damage not repaired");
+        std::fs::remove_file(&facts).unwrap();
+        assert_eq!(harvest_both(), want);
+
+        // A harvest against a warm, unchanged store writes nothing: it
+        // works on a read-only store root and leaves FACTS (bytes,
+        // mtime, inode) exactly as it found it.
+        use std::os::unix::fs::{MetadataExt, PermissionsExt};
+        let stamp = || {
+            let meta = std::fs::metadata(&facts).unwrap();
+            (
+                std::fs::read(&facts).unwrap(),
+                meta.modified().unwrap(),
+                meta.ino(),
+            )
+        };
+        let before = stamp();
+        std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o555)).unwrap();
+        let read_only = harvest_both();
+        std::fs::set_permissions(&dir, std::fs::Permissions::from_mode(0o755)).unwrap();
+        assert_eq!(read_only, want);
+        assert_eq!(stamp(), before, "a warm harvest rewrote FACTS");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn harvest_without_a_store_is_an_error_not_a_panic() {
+        let err = Session::new()
+            .harvest("app", "r1", &ExtractionOptions::priorities_only())
+            .unwrap_err();
+        assert!(matches!(err, SessionError::NoStore), "got {err}");
     }
 
     #[test]

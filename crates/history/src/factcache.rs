@@ -35,6 +35,8 @@ pub const FACTCACHE_HEADER: &str = "histpc-factcache v1";
 #[derive(Debug, Clone, Default)]
 pub struct FactCache {
     entries: BTreeMap<String, (u64, String)>,
+    /// True once an entry was added, replaced or dropped.
+    dirty: bool,
 }
 
 impl FactCache {
@@ -66,12 +68,21 @@ impl FactCache {
     /// Inserts (or replaces) the cached payload for a record.
     pub fn insert(&mut self, rel_path: &str, key: u64, payload: String) {
         self.entries.insert(rel_path.to_string(), (key, payload));
+        self.dirty = true;
     }
 
     /// Drops entries for records that no longer exist, so deleted runs
     /// do not pin stale facts forever.
     pub fn retain_paths(&mut self, live: &BTreeSet<String>) {
+        let before = self.entries.len();
         self.entries.retain(|rel, _| live.contains(rel));
+        self.dirty |= self.entries.len() != before;
+    }
+
+    /// True when the entries differ from what was loaded or parsed —
+    /// an unchanged cache need not be saved again.
+    pub fn is_dirty(&self) -> bool {
+        self.dirty
     }
 
     /// Number of cached records.
@@ -125,7 +136,10 @@ impl FactCache {
             entries.insert(rel, (key, payload));
             pos = payload_end + 1;
         }
-        Some(FactCache { entries })
+        Some(FactCache {
+            entries,
+            dirty: false,
+        })
     }
 
     /// Writes the sidecar atomically (tmp + rename) under a store root.

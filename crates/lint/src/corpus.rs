@@ -6,12 +6,14 @@
 //! 41 marks a high-priority bottleneck. The corpus analyzer can. It
 //! runs in two stages:
 //!
-//! 1. **Lowering** — every stored record is distilled into a
-//!    [`RecordFacts`] table ([`crate::facts`]). Extraction is cached in
-//!    the store's `FACTS` sidecar keyed on the record's FNV-64 payload
+//! 1. **Lowering** — every stored record is distilled into a fact
+//!    payload and read back as [`RecordFacts`], ids into one interned
+//!    [`FactTable`] ([`crate::facts`]). Payloads are cached in the
+//!    store's `FACTS` sidecar keyed on the record's FNV-64 payload
 //!    checksum (the same one the store manifest tracks), so a
 //!    re-analysis only lowers records whose bytes changed —
-//!    O(changed records), not O(store).
+//!    O(changed records), not O(store) — and the sidecar is rewritten
+//!    only when an entry changed.
 //! 2. **Passes** — cross-run analyses over the fact tables
 //!    ([`crate::passes`]): directive conflicts (`HL030`), staleness
 //!    (`HL031`), threshold drift (`HL032`), and prune dominance
@@ -21,14 +23,17 @@
 //!
 //! The conflict pass additionally returns [`ConflictVerdicts`], which
 //! `Session::harvest` consults to down-rank contradictory directives
-//! before they ever reach the consultant. A corpus with no conflicts
-//! yields an empty verdict set and a bit-identical harvest.
+//! before they ever reach the consultant — it runs lowering and that
+//! one pass ([`CorpusAnalyzer::conflict_verdicts`]), nothing else. A
+//! corpus with no conflicts yields an empty verdict set and a
+//! bit-identical harvest.
 
-use crate::facts::{self, RecordFacts};
+use crate::facts::{self, FactTable, RecordFacts};
 use crate::passes;
 use crate::LintReport;
 use histpc_consultant::directive::{PriorityLevel, SearchDirectives};
 use histpc_history::factcache::FactCache;
+use histpc_history::frame::fnv64;
 use histpc_history::manifest::{Manifest, ManifestState};
 use histpc_history::{ExecutionStore, ExtractionOptions, StoreError};
 use histpc_resources::intern::Interner;
@@ -188,19 +193,19 @@ impl<'a> CorpusAnalyzer<'a> {
         CorpusAnalyzer { store, opts }
     }
 
-    /// Runs the full analysis: load (or lower) facts for every record,
-    /// refresh the sidecar cache, then run every pass. Only storewide
-    /// listing failures error out; an individual record that fails to
-    /// load is skipped (it is `fsck`'s job to report it, and one torn
-    /// record must not hide corpus findings about the rest).
-    pub fn analyze(&self) -> Result<CorpusAnalysis, StoreError> {
+    /// Stage one: load (or lower) the facts of every record through
+    /// one [`FactTable`], and write the sidecar back if — and only if —
+    /// an entry was added, replaced or dropped. Only storewide listing
+    /// failures error out; an individual record that fails to load is
+    /// skipped (it is `fsck`'s job to report it, and one torn record
+    /// must not hide corpus findings about the rest).
+    fn lower(&self) -> Result<Lowered, StoreError> {
         let mut cache = FactCache::load(self.store.root());
         let mut interner = Interner::new();
-        let fingerprint = options_fingerprint(&self.opts.extraction);
-        let mut all: Vec<RecordFacts> = Vec::new();
+        let fingerprint =
+            fnv64(format!("{}|{:?}", facts::FACTS_HEADER, self.opts.extraction).as_bytes());
+        let mut lowered = Lowered::default();
         let mut live = BTreeSet::new();
-        let mut hits = 0usize;
-        let mut misses = 0usize;
         // One manifest read for the whole corpus; per-record
         // `record_checksum` would re-parse it per call. Records the
         // manifest misses (v0 stores, drift) fall back to hashing.
@@ -210,12 +215,12 @@ impl<'a> CorpusAnalyzer<'a> {
         };
 
         for app in self.store.applications()? {
-            for (seq, label) in self.store.labels(&app)?.iter().enumerate() {
+            for (seq, label) in self.store.labels(&app)?.into_iter().enumerate() {
                 let rel = format!("{app}/{label}.record");
                 let indexed = manifest.as_ref().and_then(|m| m.lookup(&rel));
                 let checksum = match indexed {
                     Some(c) => c,
-                    None => match self.store.record_checksum(&app, label) {
+                    None => match self.store.record_checksum(&app, &label) {
                         Ok(c) => c,
                         Err(_) => continue,
                     },
@@ -223,41 +228,68 @@ impl<'a> CorpusAnalyzer<'a> {
                 let key = checksum ^ fingerprint;
                 let cached = cache
                     .lookup(&rel, key)
-                    .and_then(|payload| RecordFacts::parse(payload).ok());
-                let mut facts = match cached {
+                    .and_then(|payload| lowered.table.load(payload).ok());
+                let facts = match cached {
                     Some(f) => {
-                        hits += 1;
+                        lowered.hits += 1;
                         f
                     }
                     None => {
-                        let Ok(rec) = self.store.load(&app, label) else {
+                        let Ok(rec) = self.store.load(&app, &label) else {
                             continue;
                         };
-                        let f = facts::lower(&rec, &mut interner, &self.opts.extraction);
-                        cache.insert(&rel, key, f.to_text());
-                        misses += 1;
+                        let payload = facts::lower(&rec, &mut interner, &self.opts.extraction);
+                        // Cold and warm analyses read facts back through
+                        // the same loader, so they cannot disagree.
+                        let Ok(f) = lowered.table.load(&payload) else {
+                            continue;
+                        };
+                        cache.insert(&rel, key, payload);
+                        lowered.misses += 1;
                         f
                     }
                 };
-                facts.app = app.clone();
-                facts.label = label.clone();
-                facts.seq = seq;
-                facts.checksum = checksum;
                 live.insert(rel);
-                all.push(facts);
+                lowered.facts.push(RecordFacts {
+                    app: app.clone(),
+                    label,
+                    seq,
+                    checksum,
+                    ..facts
+                });
             }
         }
 
-        // Refresh the sidecar: drop entries for deleted records, then
-        // persist best-effort (a read-only store must still analyze).
+        // Drop entries for deleted records; a warm pass over an
+        // unchanged store leaves the sidecar file alone. The write is
+        // best-effort (a read-only store must still analyze).
         cache.retain_paths(&live);
-        let _ = cache.save(self.store.root());
+        if cache.is_dirty() {
+            let _ = cache.save(self.store.root());
+        }
+        Ok(lowered)
+    }
 
+    /// Lowering plus the conflict pass alone — all `Session::harvest`
+    /// needs from the corpus.
+    pub fn conflict_verdicts(&self) -> Result<ConflictVerdicts, StoreError> {
+        let lowered = self.lower()?;
+        Ok(passes::conflicts::check(
+            &lowered.table,
+            &lowered.facts,
+            &mut Vec::new(),
+        ))
+    }
+
+    /// Runs the full analysis: lowering, then every pass.
+    pub fn analyze(&self) -> Result<CorpusAnalysis, StoreError> {
+        let lowered = self.lower()?;
+        let (table, facts) = (&lowered.table, &lowered.facts);
         let mut diags = Vec::new();
-        let verdicts = passes::conflicts::check(&all, &mut diags);
-        passes::stale::check(&all, self.opts.recent_window, &mut diags);
-        passes::drift::check(&all, &mut diags);
-        passes::dominance::check(&all, &mut diags);
+        let verdicts = passes::conflicts::check(table, facts, &mut diags);
+        passes::stale::check(table, facts, self.opts.recent_window, &mut diags);
+        passes::drift::check(table, facts, &mut diags);
+        passes::dominance::check(table, facts, &mut diags);
         diags.extend(crate::checks::check_abandoned_checkpoints(
             self.store.root(),
         ));
@@ -266,24 +298,20 @@ impl<'a> CorpusAnalyzer<'a> {
         Ok(CorpusAnalysis {
             report: LintReport::from(diags),
             verdicts,
-            records: all.len(),
-            cache_hits: hits,
-            cache_misses: misses,
+            records: facts.len(),
+            cache_hits: lowered.hits,
+            cache_misses: lowered.misses,
         })
     }
 }
 
-/// A fingerprint of the extraction options folded into every cache key,
-/// so analyses with different derivation settings never share cached
-/// facts. The `Debug` form is hashed — any representational change
-/// costs at most one cold re-derivation.
-fn options_fingerprint(opts: &ExtractionOptions) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut hash = FNV_OFFSET;
-    for b in format!("{}|{opts:?}", facts::FACTS_HEADER).bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
+/// What lowering hands the passes.
+#[derive(Debug, Default)]
+struct Lowered {
+    table: FactTable,
+    facts: Vec<RecordFacts>,
+    /// Records whose payload came from the sidecar cache.
+    hits: usize,
+    /// Records lowered from scratch.
+    misses: usize,
 }

@@ -6,82 +6,77 @@
 //! while run 41 — after a workload change — finds the same function a
 //! bottleneck (high priority). A consultant steered by the merged
 //! corpus would then prune its own best lead. This pass cross-products
-//! the *unique* prunes and high priorities of each `(app, version)`
+//! the *distinct* prunes and high priorities of each `(app, version)`
 //! group, reports each contradicted pair once, and records a
 //! [`ConflictVerdict`](crate::corpus::ConflictVerdict) so harvesting
 //! can down-rank both sides.
 
-use super::{priority_line, prune_line};
+use super::{by_version, first_sources};
 use crate::corpus::{ConflictVerdict, ConflictVerdicts};
-use crate::facts::RecordFacts;
+use crate::facts::{FactTable, RecordFacts};
 use crate::Diagnostic;
-use histpc_consultant::directive::{PriorityDirective, PriorityLevel, Prune};
-use std::collections::BTreeMap;
+use histpc_consultant::directive::{Directive, PriorityLevel};
 
 /// Stable code for a cross-run prune/priority conflict.
 pub const CODE_CONFLICT: &str = "HL030";
 
 /// Runs the pass, returning the verdicts for harvest-time vetting.
-pub fn check(facts: &[RecordFacts], diags: &mut Vec<Diagnostic>) -> ConflictVerdicts {
+pub fn check(
+    table: &FactTable,
+    facts: &[RecordFacts],
+    diags: &mut Vec<Diagnostic>,
+) -> ConflictVerdicts {
     let mut verdicts = ConflictVerdicts::default();
-    let mut groups: BTreeMap<(&str, &str), Vec<&RecordFacts>> = BTreeMap::new();
-    for f in facts {
-        groups.entry((&f.app, &f.version)).or_default().push(f);
-    }
-    for ((app, version), runs) in groups {
-        // Dedupe directives by their serialized line before the cross
-        // product: a thousand near-identical runs contribute each
-        // distinct directive once, keyed to its first (oldest) run.
-        let mut prunes: BTreeMap<String, (&Prune, &RecordFacts)> = BTreeMap::new();
-        let mut highs: BTreeMap<String, (&PriorityDirective, &RecordFacts)> = BTreeMap::new();
-        for rf in &runs {
-            for p in &rf.directives.prunes {
-                prunes.entry(prune_line(p)).or_insert((p, rf));
-            }
-            for p in &rf.directives.priorities {
-                if p.level == PriorityLevel::High {
-                    highs.entry(priority_line(p)).or_insert((p, rf));
+    for ((app, version), runs) in by_version(facts) {
+        let mut prunes = Vec::new();
+        let mut highs = Vec::new();
+        for (id, src) in first_sources(table, &runs) {
+            match table.directive(id) {
+                Directive::Prune(p) => prunes.push((id, p, src)),
+                Directive::Priority(p) if p.level == PriorityLevel::High => {
+                    highs.push((id, p, src))
                 }
+                _ => {}
             }
         }
-        let mut seen_pairs: BTreeMap<String, ()> = BTreeMap::new();
-        for (pri_text, (pri, pri_src)) in &highs {
-            for (prune_text, (prune, prune_src)) in &prunes {
-                if prune_src.label == pri_src.label {
-                    continue; // within-run consistency is extraction's job
-                }
-                if !prune.matches(&pri.hypothesis, &pri.focus) {
-                    continue;
-                }
-                let pair_key = format!("{} {}", pri.hypothesis, pri.focus);
-                if seen_pairs.insert(pair_key, ()).is_some() {
-                    continue;
-                }
-                diags.push(
-                    Diagnostic::warning(
-                        CODE_CONFLICT,
-                        format!(
-                            "directive conflict in {app} v{version}: run {} harvests \
-                             `{prune_text}` but run {} harvests `{pri_text}` — the corpus \
-                             both prunes and prioritizes ({}, {})",
-                            prune_src.label, pri_src.label, pri.hypothesis, pri.focus
-                        ),
-                    )
-                    .with_file(pri_src.rel_path())
-                    .with_suggestion(
-                        "the runs disagree about this pair; harvesting down-ranks both sides \
-                         until a re-run or `histpc store delete` of the stale run resolves it",
+        for (pri_id, pri, pri_src) in highs {
+            // Each contradicted pair is reported once, against the
+            // first prune (in line order) from another run; within-run
+            // consistency is extraction's job.
+            let Some(&(prune_id, _, prune_src)) = prunes.iter().find(|(_, prune, src)| {
+                src.label != pri_src.label && prune.matches(&pri.hypothesis, &pri.focus)
+            }) else {
+                continue;
+            };
+            diags.push(
+                Diagnostic::warning(
+                    CODE_CONFLICT,
+                    format!(
+                        "directive conflict in {app} v{version}: run {} harvests \
+                         `{}` but run {} harvests `{}` — the corpus \
+                         both prunes and prioritizes ({}, {})",
+                        prune_src.label,
+                        table.line(prune_id),
+                        pri_src.label,
+                        table.line(pri_id),
+                        pri.hypothesis,
+                        pri.focus
                     ),
-                );
-                verdicts.push(ConflictVerdict {
-                    app: app.to_string(),
-                    version: version.to_string(),
-                    hypothesis: pri.hypothesis.clone(),
-                    focus: pri.focus.clone(),
-                    prune_source: prune_src.label.clone(),
-                    priority_source: pri_src.label.clone(),
-                });
-            }
+                )
+                .with_file(pri_src.rel_path())
+                .with_suggestion(
+                    "the runs disagree about this pair; harvesting down-ranks both sides \
+                     until a re-run or `histpc store delete` of the stale run resolves it",
+                ),
+            );
+            verdicts.push(ConflictVerdict {
+                app: app.to_string(),
+                version: version.to_string(),
+                hypothesis: pri.hypothesis.clone(),
+                focus: pri.focus.clone(),
+                prune_source: prune_src.label.clone(),
+                priority_source: pri_src.label.clone(),
+            });
         }
     }
     verdicts

@@ -11,123 +11,102 @@
 //! alone.) Within one run the per-file checks `HL005`/`HL006` already
 //! cover shadowing; this pass only reports cross-run dominance.
 
-use super::prune_line;
-use crate::facts::RecordFacts;
+use super::{by_version, first_sources};
+use crate::facts::{FactTable, RecordFacts};
 use crate::Diagnostic;
-use histpc_consultant::directive::{PriorityLevel, Prune, PruneTarget};
-use histpc_resources::Focus;
-use std::collections::{BTreeMap, BTreeSet};
+use histpc_consultant::directive::{Directive, PriorityLevel, Prune, PruneTarget};
 
 /// Stable code for a directive dominated by another run's prune.
 pub const CODE_DOMINATED: &str = "HL033";
 
+/// A group's distinct subtree prunes (id, prune, first run), in line
+/// order.
+type Subtrees<'a> = Vec<(usize, &'a Prune, &'a RecordFacts)>;
+
 /// Runs the pass.
-pub fn check(facts: &[RecordFacts], diags: &mut Vec<Diagnostic>) {
-    let mut groups: BTreeMap<(&str, &str), Vec<&RecordFacts>> = BTreeMap::new();
-    for f in facts {
-        groups.entry((&f.app, &f.version)).or_default().push(f);
-    }
-    for ((app, version), runs) in groups {
-        // Unique subtree prunes across the group, keyed to their first
-        // (oldest) run.
-        let mut subtrees: BTreeMap<String, (&Prune, &RecordFacts)> = BTreeMap::new();
-        for rf in &runs {
-            for p in &rf.directives.prunes {
-                if matches!(p.target, PruneTarget::Resource(_)) {
-                    subtrees.entry(prune_line(p)).or_insert((p, rf));
+pub fn check(table: &FactTable, facts: &[RecordFacts], diags: &mut Vec<Diagnostic>) {
+    for ((app, version), runs) in by_version(facts) {
+        let subtrees: Subtrees = first_sources(table, &runs)
+            .into_iter()
+            .filter_map(|(id, src)| match table.directive(id) {
+                Directive::Prune(p) if matches!(p.target, PruneTarget::Resource(_)) => {
+                    Some((id, p, src))
                 }
-            }
-        }
+                _ => None,
+            })
+            .collect();
         if subtrees.is_empty() {
             continue;
         }
-        let mut seen: BTreeSet<String> = BTreeSet::new();
+        // Which subtree prunes cover a directive does not depend on the
+        // run asking, so it is worked out once per distinct directive.
+        let mut covering: Vec<Option<Vec<(usize, &RecordFacts)>>> =
+            vec![None; table.directive_count()];
+        let mut reported = vec![false; table.directive_count()];
         for rf in &runs {
-            for p in &rf.directives.priorities {
-                if p.level != PriorityLevel::Low {
-                    continue; // High under a prune is HL030's conflict
-                }
-                let Some((dom_text, dom_src)) =
-                    dominating(&subtrees, Some(&p.hypothesis), &p.focus, &rf.label)
-                else {
-                    continue;
-                };
-                let line = format!("priority low {} {}", p.hypothesis, p.focus);
-                if !seen.insert(format!("{app} {version} {line}")) {
+            for &id in &rf.directives {
+                if reported[id] {
                     continue;
                 }
-                push_dominated(diags, app, version, rf, &line, dom_text, dom_src);
-            }
-            for p in &rf.directives.prunes {
-                let PruneTarget::Pair(focus) = &p.target else {
+                // The first covering prune from a *different* run.
+                let dominating = covering[id]
+                    .get_or_insert_with(|| covered_by(&subtrees, table.directive(id)))
+                    .iter()
+                    .find(|(_, src)| src.label != rf.label);
+                let Some(&(dom_id, dom_src)) = dominating else {
                     continue;
                 };
-                let Some((dom_text, dom_src)) =
-                    dominating(&subtrees, p.hypothesis.as_deref(), focus, &rf.label)
-                else {
-                    continue;
-                };
-                let line = prune_line(p);
-                if !seen.insert(format!("{app} {version} {line}")) {
-                    continue;
-                }
-                push_dominated(diags, app, version, rf, &line, dom_text, dom_src);
+                reported[id] = true;
+                diags.push(
+                    Diagnostic::warning(
+                        CODE_DOMINATED,
+                        format!(
+                            "dominated directive in {app} v{version}: `{}` from run {} can \
+                             never fire — `{}` from run {} already removes that region of \
+                             the search history graph",
+                            table.line(id),
+                            rf.label,
+                            table.line(dom_id),
+                            dom_src.label
+                        ),
+                    )
+                    .with_file(rf.rel_path())
+                    .with_suggestion(
+                        "drop the dominated directive, or delete the pruning run if its \
+                         conclusion no longer holds",
+                    ),
+                );
             }
         }
     }
 }
 
-/// The first subtree prune from a *different* run that makes
-/// (`hypothesis`, `focus`) unreachable. A directive scoped to one
-/// hypothesis is dominated by a prune covering that hypothesis; a
-/// wildcard pair prune is only dominated by a wildcard subtree prune.
-fn dominating<'a>(
-    subtrees: &'a BTreeMap<String, (&Prune, &'a RecordFacts)>,
-    hypothesis: Option<&str>,
-    focus: &Focus,
-    own_label: &str,
-) -> Option<(&'a str, &'a RecordFacts)> {
-    for (text, (prune, src)) in subtrees {
-        if src.label == own_label {
-            continue;
+/// The subtree prunes (id, first run) that make a low priority or a
+/// pair prune unreachable (nothing else can be dominated). A directive
+/// scoped to one hypothesis is covered by a prune covering that
+/// hypothesis; a wildcard pair prune only by a wildcard subtree prune.
+fn covered_by<'a>(subtrees: &Subtrees<'a>, directive: &Directive) -> Vec<(usize, &'a RecordFacts)> {
+    let (hypothesis, focus) = match directive {
+        // High under a prune is HL030's conflict.
+        Directive::Priority(p) if p.level == PriorityLevel::Low => {
+            (Some(p.hypothesis.as_str()), &p.focus)
         }
-        let covered = match hypothesis {
-            Some(h) => prune.matches(h, focus),
-            // `Prune::matches` scoping: a wildcard prune matches any
-            // hypothesis, so probing with an impossible name checks
-            // pure structural coverage.
-            None => prune.hypothesis.is_none() && prune.matches("\u{0}", focus),
-        };
-        if covered {
-            return Some((text.as_str(), src));
-        }
-    }
-    None
-}
-
-fn push_dominated(
-    diags: &mut Vec<Diagnostic>,
-    app: &str,
-    version: &str,
-    rf: &RecordFacts,
-    line: &str,
-    dom_text: &str,
-    dom_src: &RecordFacts,
-) {
-    diags.push(
-        Diagnostic::warning(
-            CODE_DOMINATED,
-            format!(
-                "dominated directive in {app} v{version}: `{line}` from run {} can never \
-                 fire — `{dom_text}` from run {} already removes that region of the \
-                 search history graph",
-                rf.label, dom_src.label
-            ),
-        )
-        .with_file(rf.rel_path())
-        .with_suggestion(
-            "drop the dominated directive, or delete the pruning run if its conclusion \
-             no longer holds",
-        ),
-    );
+        Directive::Prune(Prune {
+            hypothesis,
+            target: PruneTarget::Pair(focus),
+        }) => (hypothesis.as_deref(), focus),
+        _ => return Vec::new(),
+    };
+    let covers = |prune: &Prune| match hypothesis {
+        Some(h) => prune.matches(h, focus),
+        // `Prune::matches` scoping: a wildcard prune matches any
+        // hypothesis, so probing with an impossible name checks
+        // pure structural coverage.
+        None => prune.hypothesis.is_none() && prune.matches("\u{0}", focus),
+    };
+    subtrees
+        .iter()
+        .filter(|(_, prune, _)| covers(prune))
+        .map(|&(id, _, src)| (id, src))
+        .collect()
 }

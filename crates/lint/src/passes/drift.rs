@@ -9,10 +9,15 @@
 //! declare run 12's very real bottleneck "not a problem". This pass
 //! compares every run's harvested thresholds against the well-observed
 //! (≥ [`MIN_THRESHOLD_SAMPLES`](histpc_history::MIN_THRESHOLD_SAMPLES))
-//! true magnitudes of every *other* run of the same application.
+//! true magnitudes of every *other* run of the same application — in
+//! one sweep: per hypothesis only the two smallest minima can ever be
+//! "the smallest in another run" (the second stands in when a run is
+//! its own minimum).
 
-use crate::facts::RecordFacts;
+use super::by_app;
+use crate::facts::{FactTable, RecordFacts};
 use crate::Diagnostic;
+use histpc_consultant::directive::Directive;
 use std::collections::BTreeMap;
 
 /// Stable code for a threshold inconsistent with observed magnitudes.
@@ -23,28 +28,33 @@ pub const CODE_DRIFT: &str = "HL032";
 const DRIFT_EPSILON: f64 = 1e-9;
 
 /// Runs the pass.
-pub fn check(facts: &[RecordFacts], diags: &mut Vec<Diagnostic>) {
-    let mut apps: BTreeMap<&str, Vec<&RecordFacts>> = BTreeMap::new();
-    for f in facts {
-        apps.entry(&f.app).or_default().push(f);
-    }
-    for (app, runs) in apps {
+pub fn check(table: &FactTable, facts: &[RecordFacts], diags: &mut Vec<Diagnostic>) {
+    for (app, runs) in by_app(facts) {
+        // Per hypothesis, the smallest and second-smallest well-observed
+        // minima with their runs; ties keep the first in label order.
+        let mut lowest: BTreeMap<usize, [Option<(f64, &RecordFacts)>; 2]> = BTreeMap::new();
         for rf in &runs {
-            for t in &rf.directives.thresholds {
+            for &(hypothesis, m) in &rf.minima {
+                let slots = lowest.entry(hypothesis).or_default();
+                if slots[0].is_none_or(|(best, _)| m < best) {
+                    slots[1] = slots[0].replace((m, rf));
+                } else if slots[1].is_none_or(|(second, _)| m < second) {
+                    slots[1] = Some((m, rf));
+                }
+            }
+        }
+        for rf in &runs {
+            for &id in &rf.directives {
+                let Directive::Threshold(t) = table.directive(id) else {
+                    continue;
+                };
                 // The smallest well-observed magnitude for this
                 // hypothesis in any *other* run, with its source run.
-                let mut hidden: Option<(f64, &str)> = None;
-                for other in &runs {
-                    if other.label == rf.label {
-                        continue;
-                    }
-                    if let Some(m) = other.min_well_observed(&t.hypothesis) {
-                        if hidden.is_none_or(|(best, _)| m < best) {
-                            hidden = Some((m, &other.label));
-                        }
-                    }
-                }
-                let Some((magnitude, source)) = hidden else {
+                let hidden = table
+                    .name_id(&t.hypothesis)
+                    .and_then(|h| lowest.get(&h))
+                    .and_then(|slots| slots.iter().flatten().find(|(_, o)| o.label != rf.label));
+                let Some(&(magnitude, source)) = hidden else {
                     continue;
                 };
                 if magnitude >= t.value - DRIFT_EPSILON {
@@ -55,9 +65,9 @@ pub fn check(facts: &[RecordFacts], diags: &mut Vec<Diagnostic>) {
                         CODE_DRIFT,
                         format!(
                             "threshold drift: run {} of {app} harvests threshold {} for \
-                             {}, but run {source} observed that bottleneck at only \
+                             {}, but run {} observed that bottleneck at only \
                              {magnitude} — applying the higher threshold would hide it",
-                            rf.label, t.value, t.hypothesis
+                            rf.label, t.value, t.hypothesis, source.label
                         ),
                     )
                     .with_file(rf.rel_path())

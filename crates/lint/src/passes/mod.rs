@@ -1,12 +1,15 @@
 //! Corpus analysis passes.
 //!
-//! Each pass is a pure function over the lowered fact tables
-//! ([`crate::facts::RecordFacts`]) — no store access, no I/O — pushing
-//! [`Diagnostic`](crate::Diagnostic)s into a shared sink. Passes
-//! iterate `BTreeMap`-grouped facts so their output order is fully
-//! deterministic; the surrounding [`LintReport`](crate::LintReport)
-//! sorts and dedupes anyway, but determinism here keeps "first run
-//! mentioned wins" choices stable too.
+//! Each pass is a pure function over the lowered facts
+//! ([`RecordFacts`], ids into one [`FactTable`]) — no store access, no
+//! I/O — pushing [`Diagnostic`](crate::Diagnostic)s into a shared
+//! sink. Passes iterate `BTreeMap`-grouped facts so their output order
+//! is fully deterministic; the surrounding
+//! [`LintReport`](crate::LintReport) sorts and dedupes anyway, but
+//! determinism here keeps "first run mentioned wins" choices stable
+//! too. Near-identical runs are collapsed *before* they are compared:
+//! every pass does its string and focus work once per distinct
+//! directive and only id lookups per (run, directive).
 //!
 //! | pass | code | finding |
 //! |------|-------|---------|
@@ -20,19 +23,42 @@ pub mod dominance;
 pub mod drift;
 pub mod stale;
 
-use histpc_consultant::directive::{PriorityDirective, Prune, PruneTarget};
+use crate::facts::{FactTable, RecordFacts};
+use std::collections::BTreeMap;
 
-/// The `prune ...` line a prune would serialize to — the stable text
-/// key passes dedupe and report on.
-pub(crate) fn prune_line(p: &Prune) -> String {
-    let hyp = p.hypothesis.as_deref().unwrap_or("*");
-    match &p.target {
-        PruneTarget::Resource(r) => format!("prune {hyp} resource {r}"),
-        PruneTarget::Pair(f) => format!("prune {hyp} pair {f}"),
+/// The runs of each application, in corpus (label) order.
+fn by_app(facts: &[RecordFacts]) -> BTreeMap<&str, Vec<&RecordFacts>> {
+    let mut apps: BTreeMap<&str, Vec<&RecordFacts>> = BTreeMap::new();
+    for f in facts {
+        apps.entry(&f.app).or_default().push(f);
     }
+    apps
 }
 
-/// The `priority ...` line a priority directive would serialize to.
-pub(crate) fn priority_line(p: &PriorityDirective) -> String {
-    format!("priority {} {} {}", p.level.name(), p.hypothesis, p.focus)
+/// The runs of each `(app, version)` group, in corpus (label) order.
+fn by_version(facts: &[RecordFacts]) -> BTreeMap<(&str, &str), Vec<&RecordFacts>> {
+    let mut groups: BTreeMap<(&str, &str), Vec<&RecordFacts>> = BTreeMap::new();
+    for f in facts {
+        groups.entry((&f.app, &f.version)).or_default().push(f);
+    }
+    groups
+}
+
+/// Every distinct directive a group of runs harvests, keyed to its
+/// first (oldest) run and sorted by canonical line — a thousand
+/// near-identical runs contribute each directive once.
+fn first_sources<'a>(table: &FactTable, runs: &[&'a RecordFacts]) -> Vec<(usize, &'a RecordFacts)> {
+    let mut first: Vec<Option<&RecordFacts>> = vec![None; table.directive_count()];
+    for rf in runs {
+        for &id in &rf.directives {
+            first[id].get_or_insert(rf);
+        }
+    }
+    let mut out: Vec<(usize, &RecordFacts)> = first
+        .into_iter()
+        .enumerate()
+        .filter_map(|(id, src)| Some((id, src?)))
+        .collect();
+    out.sort_by_key(|&(id, _)| table.line(id));
+    out
 }

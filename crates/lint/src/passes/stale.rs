@@ -9,36 +9,46 @@
 //! it. Runs inside the window are never flagged: their resources are
 //! the definition of live.
 
-use crate::facts::RecordFacts;
+use super::by_app;
+use crate::facts::{FactTable, RecordFacts};
 use crate::Diagnostic;
-use histpc_consultant::directive::{PruneTarget, SearchDirectives};
-use std::collections::{BTreeMap, BTreeSet};
+use histpc_consultant::directive::{Directive, PruneTarget};
+use histpc_resources::Focus;
+use std::collections::BTreeSet;
 
 /// Stable code for a directive naming a vanished resource.
 pub const CODE_STALE: &str = "HL031";
 
 /// Runs the pass. `window` is the number of most-recent runs (per
 /// application) whose resource union defines liveness.
-pub fn check(facts: &[RecordFacts], window: usize, diags: &mut Vec<Diagnostic>) {
+pub fn check(table: &FactTable, facts: &[RecordFacts], window: usize, diags: &mut Vec<Diagnostic>) {
     let window = window.max(1);
-    let mut apps: BTreeMap<&str, Vec<&RecordFacts>> = BTreeMap::new();
-    for f in facts {
-        apps.entry(&f.app).or_default().push(f);
-    }
-    for (app, mut runs) in apps {
+    for (app, mut runs) in by_app(facts) {
         runs.sort_by_key(|f| f.seq);
         if runs.len() <= window {
             continue; // every run is recent; nothing can be stale
         }
         let cutoff = runs.len() - window;
-        let live: BTreeSet<&str> = runs[cutoff..]
-            .iter()
-            .flat_map(|f| f.resources.iter().map(String::as_str))
-            .collect();
+        let mut live = vec![false; table.name_count()];
+        for &r in runs[cutoff..].iter().flat_map(|f| &f.resources) {
+            live[r] = true;
+        }
+        // A directive an older run of this app already answered for
+        // has every vanished resource it names in `seen`.
+        let mut examined = vec![false; table.directive_count()];
         let mut seen: BTreeSet<String> = BTreeSet::new();
         for rf in &runs[..cutoff] {
-            for name in mentioned_resources(&rf.directives) {
-                if live.contains(name.as_str()) || !seen.insert(name.clone()) {
+            let mut gone: BTreeSet<String> = BTreeSet::new();
+            for &id in &rf.directives {
+                if !std::mem::replace(&mut examined[id], true) {
+                    gone.extend(
+                        mentioned_resources(table.directive(id))
+                            .filter(|name| !table.name_id(name).is_some_and(|n| live[n])),
+                    );
+                }
+            }
+            for name in gone {
+                if !seen.insert(name.clone()) {
                     continue;
                 }
                 diags.push(
@@ -61,34 +71,21 @@ pub fn check(facts: &[RecordFacts], window: usize, diags: &mut Vec<Diagnostic>) 
     }
 }
 
-/// Every non-root resource name a directive set mentions: subtree-prune
-/// targets plus all pair-prune and priority focus selections. Roots
+/// Every non-root resource name a directive mentions: a subtree-prune
+/// target, or the selections of a pair-prune or priority focus. Roots
 /// (`/Code`, `/Machine`, ...) are structural and always live.
-fn mentioned_resources(directives: &SearchDirectives) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for p in &directives.prunes {
-        match &p.target {
-            PruneTarget::Resource(r) => {
-                if !r.is_root() {
-                    out.insert(r.to_string());
-                }
-            }
-            PruneTarget::Pair(f) => {
-                out.extend(
-                    f.selections()
-                        .filter(|s| !s.is_root())
-                        .map(|s| s.to_string()),
-                );
-            }
-        }
-    }
-    for p in &directives.priorities {
-        out.extend(
-            p.focus
-                .selections()
-                .filter(|s| !s.is_root())
-                .map(|s| s.to_string()),
-        );
-    }
-    out
+fn mentioned_resources(directive: &Directive) -> impl Iterator<Item = String> + '_ {
+    let (resource, focus): (_, Option<&Focus>) = match directive {
+        Directive::Prune(p) => match &p.target {
+            PruneTarget::Resource(r) => (Some(r), None),
+            PruneTarget::Pair(f) => (None, Some(f)),
+        },
+        Directive::Priority(p) => (None, Some(&p.focus)),
+        Directive::Threshold(_) => (None, None),
+    };
+    resource
+        .into_iter()
+        .chain(focus.into_iter().flat_map(Focus::selections))
+        .filter(|r| !r.is_root())
+        .map(|r| r.to_string())
 }

@@ -3,6 +3,7 @@
 
 use histpc_consultant::directive::PriorityLevel;
 use histpc_consultant::{NodeOutcome, Outcome};
+use histpc_history::factcache::FACTCACHE_FILE;
 use histpc_history::{ExecutionRecord, ExecutionStore};
 use histpc_lint::{CorpusAnalyzer, CorpusOptions};
 use histpc_resources::{Focus, ResourceName};
@@ -268,6 +269,110 @@ fn hl033_directive_dominated_by_foreign_prune() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Saves the conflict (HL030), drift (HL032) and dominance (HL033)
+/// fixtures, two runs each, under apps `confl`, `drift` and `dom`.
+fn save_pair_fixtures(store: &ExecutionStore) {
+    let cpu_f = |v: f64, oc| vec![o("CPUbound", &["/Code/a.c/f"], oc, v)];
+    let cpu_g = |v: f64| vec![o("CPUbound", &["/Code/a.c/g"], Outcome::False, v)];
+    let sync = |v: f64| vec![o("ExcessiveSyncWaitingTime", &[], Outcome::True, v)];
+    for r in [
+        rec("confl", "A", "c1", &[], cpu_f(0.001, Outcome::False)),
+        rec("confl", "A", "c2", &[], cpu_f(0.4, Outcome::True)),
+        rec("drift", "A", "d1", &[], sync(0.5)),
+        rec("drift", "A", "d2", &[], sync(0.1)),
+        rec("dom", "A", "g1", &[], cpu_g(0.05)),
+        rec("dom", "A", "g2", &[], cpu_g(0.001)),
+    ] {
+        store.save(&r).unwrap();
+    }
+}
+
+/// What identifies one write of the FACTS sidecar: its bytes, its
+/// mtime and (a rewrite renames a new file into place) its inode.
+fn facts_stamp(dir: &std::path::Path) -> (Vec<u8>, std::time::SystemTime, u64) {
+    use std::os::unix::fs::MetadataExt;
+    let path = dir.join(FACTCACHE_FILE);
+    let meta = std::fs::metadata(&path).unwrap();
+    (
+        std::fs::read(&path).unwrap(),
+        meta.modified().unwrap(),
+        meta.ino(),
+    )
+}
+
+/// Findings, verdicts and the JSON report are a function of the store
+/// alone: a cold cache, a warm one, one with a damaged entry and a
+/// deleted one all give the same answer, and only a changed cache is
+/// ever written back.
+#[test]
+fn analysis_does_not_depend_on_cache_state() {
+    let dir = scratch("cache-states");
+    let store = ExecutionStore::open(&dir).unwrap();
+    save_pair_fixtures(&store);
+    // The stale fixture (HL031) of `hl031_stale_resource_outside_recent_window`.
+    let old = ["/Code/old.c", "/Code/old.c/h"];
+    let in_old = vec![o("CPUbound", &["/Code/old.c/h"], Outcome::True, 0.4)];
+    store.save(&rec("stale", "A", "r1", &old, in_old)).unwrap();
+    for label in ["r2", "r3", "r4"] {
+        let whole = vec![o("CPUbound", &[], Outcome::True, 0.4)];
+        store.save(&rec("stale", "A", label, &[], whole)).unwrap();
+    }
+    let total = 10;
+    let analyze = || {
+        let opts = CorpusOptions {
+            recent_window: 2,
+            ..CorpusOptions::default()
+        };
+        CorpusAnalyzer::with_options(&store, opts)
+            .analyze()
+            .unwrap()
+    };
+    let answer = |a: &histpc_lint::CorpusAnalysis| {
+        (
+            histpc_lint::report_to_json(&a.report),
+            format!("{:?}", a.verdicts.iter().collect::<Vec<_>>()),
+        )
+    };
+
+    let cold = analyze();
+    assert_eq!((cold.cache_hits, cold.cache_misses), (0, total));
+    for code in ["HL030", "HL031", "HL032", "HL033"] {
+        assert!(!cold.report.with_code(code).is_empty(), "{code} missing");
+    }
+    let want = answer(&cold);
+    let written = facts_stamp(&dir);
+
+    // Warm: same answer, and the sidecar is not written again.
+    let warm = analyze();
+    assert_eq!((warm.cache_hits, warm.cache_misses), (total, 0));
+    assert_eq!(answer(&warm), want);
+    assert_eq!(warm.report.diagnostics, cold.report.diagnostics);
+    assert_eq!(facts_stamp(&dir), written, "a warm pass rewrote FACTS");
+
+    // One byte flipped inside a `d` line: that entry alone is
+    // re-lowered, never half-trusted, and the repaired sidecar is
+    // byte-identical to the original.
+    let mut damaged = written.0.clone();
+    let at = damaged
+        .windows(4)
+        .position(|w| w == b"\nd p")
+        .expect("a cached directive line");
+    damaged[at + 3] ^= 1;
+    std::fs::write(dir.join(FACTCACHE_FILE), &damaged).unwrap();
+    let repaired = analyze();
+    assert_eq!((repaired.cache_hits, repaired.cache_misses), (total - 1, 1));
+    assert_eq!(answer(&repaired), want);
+    assert_eq!(facts_stamp(&dir).0, written.0);
+
+    // Deleted: everything is lowered again.
+    std::fs::remove_file(dir.join(FACTCACHE_FILE)).unwrap();
+    let relowered = analyze();
+    assert_eq!((relowered.cache_hits, relowered.cache_misses), (0, total));
+    assert_eq!(answer(&relowered), want);
+    assert_eq!(facts_stamp(&dir).0, written.0);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The acceptance scenario: a 1k-run synthetic store with all four
 /// fixture classes seeded, analyzed cold, warm, and after touching one
 /// record.
@@ -300,63 +405,7 @@ fn thousand_run_store_detects_fixtures_and_reanalyzes_incrementally() {
         };
         store.save(&r).unwrap();
     }
-    // Conflict fixture (HL030).
-    store
-        .save(&rec(
-            "confl",
-            "A",
-            "c1",
-            &[],
-            vec![o("CPUbound", &["/Code/a.c/f"], Outcome::False, 0.001)],
-        ))
-        .unwrap();
-    store
-        .save(&rec(
-            "confl",
-            "A",
-            "c2",
-            &[],
-            vec![o("CPUbound", &["/Code/a.c/f"], Outcome::True, 0.4)],
-        ))
-        .unwrap();
-    // Drift fixture (HL032).
-    store
-        .save(&rec(
-            "drift",
-            "A",
-            "d1",
-            &[],
-            vec![o("ExcessiveSyncWaitingTime", &[], Outcome::True, 0.5)],
-        ))
-        .unwrap();
-    store
-        .save(&rec(
-            "drift",
-            "A",
-            "d2",
-            &[],
-            vec![o("ExcessiveSyncWaitingTime", &[], Outcome::True, 0.1)],
-        ))
-        .unwrap();
-    // Dominance fixture (HL033).
-    store
-        .save(&rec(
-            "dom",
-            "A",
-            "g1",
-            &[],
-            vec![o("CPUbound", &["/Code/a.c/g"], Outcome::False, 0.05)],
-        ))
-        .unwrap();
-    store
-        .save(&rec(
-            "dom",
-            "A",
-            "g2",
-            &[],
-            vec![o("CPUbound", &["/Code/a.c/g"], Outcome::False, 0.001)],
-        ))
-        .unwrap();
+    save_pair_fixtures(&store);
 
     let total = BULK + 6;
 
@@ -394,6 +443,14 @@ fn thousand_run_store_detects_fixtures_and_reanalyzes_incrementally() {
     assert_eq!(incremental.cache_misses, 1);
     assert_eq!(incremental.cache_hits, total - 1);
     assert_eq!(incremental.report.diagnostics, cold.report.diagnostics);
+
+    // The re-lowered entry was written back: the next pass is fully
+    // warm again and leaves the sidecar alone.
+    let written = facts_stamp(&dir);
+    let settled = analyze(&store);
+    assert_eq!(settled.cache_misses, 0);
+    assert_eq!(settled.cache_hits, total);
+    assert_eq!(facts_stamp(&dir), written, "a warm pass rewrote FACTS");
     let _ = std::fs::remove_dir_all(&dir);
 }
 

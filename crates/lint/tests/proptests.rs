@@ -5,7 +5,8 @@ use histpc_consultant::directive::parse_with_spans;
 use histpc_consultant::{
     PriorityDirective, PriorityLevel, Prune, PruneTarget, SearchDirectives, ThresholdDirective,
 };
-use histpc_lint::Linter;
+use histpc_lint::facts::{FactTable, RecordFacts, FACTS_HEADER};
+use histpc_lint::{Diagnostic, Linter};
 use histpc_resources::{Focus, ResourceName};
 use proptest::prelude::*;
 
@@ -79,7 +80,126 @@ fn clean_directives() -> impl Strategy<Value = SearchDirectives> {
         })
 }
 
+/// One generated run: which app it belongs to, and per hypothesis an
+/// optional well-observed minimum and an optional harvested threshold,
+/// both in tenths so ties are common.
+type DriftRun = (bool, Vec<(Option<u32>, Option<u32>)>);
+
+const DRIFT_HYPOTHESES: [&str; 3] = [
+    "CPUbound",
+    "ExcessiveSyncWaitingTime",
+    "ExcessiveIOBlockingTime",
+];
+
+/// Loads generated runs through a fact table, labelled in corpus order
+/// (apps sorted, labels sorted within an app).
+fn drift_corpus(runs: &[DriftRun]) -> (FactTable, Vec<RecordFacts>) {
+    let mut table = FactTable::default();
+    let mut facts = Vec::new();
+    for app in ["a", "b"] {
+        let of_app = runs.iter().filter(|(is_b, _)| *is_b == (app == "b"));
+        for (seq, (_, per_hypothesis)) in of_app.enumerate() {
+            let mut payload = format!("{FACTS_HEADER}\nversion A\nsig 0000000000000000\n");
+            for (h, (min, _)) in DRIFT_HYPOTHESES.iter().zip(per_hypothesis) {
+                if let Some(m) = min {
+                    payload.push_str(&format!("min {h} {}\n", f64::from(*m) / 10.0));
+                }
+            }
+            for (h, (_, threshold)) in DRIFT_HYPOTHESES.iter().zip(per_hypothesis) {
+                if let Some(t) = threshold {
+                    payload.push_str(&format!("d threshold {h} {}\n", f64::from(*t) / 10.0));
+                }
+            }
+            facts.push(RecordFacts {
+                app: app.to_string(),
+                label: format!("run-{seq:03}"),
+                seq,
+                ..table.load(&payload).unwrap()
+            });
+        }
+    }
+    (table, facts)
+}
+
+/// The drift pass as it was before it became linear: for every run and
+/// threshold, scan every other run of the app for the smallest minimum
+/// (first in label order on ties). Kept as the reference the one-sweep
+/// pass must agree with, message text included.
+fn quadratic_drift(table: &FactTable, facts: &[RecordFacts]) -> Vec<Diagnostic> {
+    use histpc_consultant::directive::Directive;
+    let mut diags = Vec::new();
+    for rf in facts {
+        for &id in &rf.directives {
+            let Directive::Threshold(t) = table.directive(id) else {
+                continue;
+            };
+            let mut hidden: Option<(f64, &str)> = None;
+            for other in facts {
+                if other.app != rf.app || other.label == rf.label {
+                    continue;
+                }
+                let min = other
+                    .minima
+                    .iter()
+                    .find(|(h, _)| table.name(*h) == t.hypothesis);
+                if let Some(&(_, m)) = min {
+                    if hidden.is_none_or(|(best, _)| m < best) {
+                        hidden = Some((m, &other.label));
+                    }
+                }
+            }
+            let Some((magnitude, source)) = hidden else {
+                continue;
+            };
+            if magnitude >= t.value - 1e-9 {
+                continue;
+            }
+            diags.push(
+                Diagnostic::warning(
+                    "HL032",
+                    format!(
+                        "threshold drift: run {} of {} harvests threshold {} for \
+                         {}, but run {source} observed that bottleneck at only \
+                         {magnitude} — applying the higher threshold would hide it",
+                        rf.label, rf.app, t.value, t.hypothesis
+                    ),
+                )
+                .with_file(rf.rel_path())
+                .with_suggestion(
+                    "harvest thresholds from the run with the smallest observed \
+                     magnitudes, or combine the runs (`histpc combine`) so the \
+                     threshold reflects the whole corpus",
+                ),
+            );
+        }
+    }
+    diags
+}
+
 proptest! {
+    /// The one-sweep drift pass finds exactly what the all-pairs scan
+    /// did — same runs blamed, same source run on ties, same text —
+    /// over corpora with ties, runs that are their own minimum,
+    /// single-run apps and two apps side by side.
+    #[test]
+    fn linear_drift_matches_the_quadratic_reference(
+        runs in prop::collection::vec(
+            (
+                prop_oneof![Just(false), Just(false), Just(false), Just(true)],
+                prop::collection::vec(
+                    (prop::option::of(1u32..=5), prop::option::of(1u32..=8)),
+                    3..=3,
+                ),
+            ),
+            0..12,
+        )
+    ) {
+        let (table, facts) = drift_corpus(&runs);
+        let mut linear = Vec::new();
+        histpc_lint::passes::drift::check(&table, &facts, &mut linear);
+        prop_assert_eq!(linear, quadratic_drift(&table, &facts));
+    }
+
     /// parse(format(d)) == d for well-formed directive sets.
     #[test]
     fn directive_format_parse_roundtrip(d in clean_directives()) {
