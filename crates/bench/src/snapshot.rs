@@ -728,13 +728,16 @@ pub fn measure_sim_throughput(
 ) -> SimMeasurement {
     let wl = PoissonWorkload::new(version);
     let mut engine = wl.build_engine();
+    // The path the diagnosis drivers take: per-key aggregates, no raw
+    // interval capture.
+    engine.set_raw_capture(false);
     let max = SimTime::ZERO + horizon;
     let t = Instant::now();
     let mut now = SimTime::ZERO;
     loop {
         now += step;
         let status = engine.run_until(now);
-        let _ = engine.drain_intervals();
+        let _ = engine.drain_deltas();
         if status != EngineStatus::Running || now >= max {
             break;
         }

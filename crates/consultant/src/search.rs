@@ -1365,7 +1365,11 @@ impl Consultant {
 /// Runs a full online diagnosis session: drives the engine in sampling
 /// steps, feeds intervals to the collector, ticks the consultant, and
 /// applies instrumentation perturbation back to the application.
+///
+/// The loop consumes the engine's per-key aggregates, so it switches the
+/// engine's raw interval capture off.
 pub fn drive_diagnosis(engine: &mut Engine, config: &SearchConfig) -> DiagnosisReport {
+    engine.set_raw_capture(false);
     let mut collector = Collector::new(engine.app().clone(), config.collector.clone());
     let mut consultant = Consultant::new(
         HypothesisTree::standard(),
@@ -1522,6 +1526,11 @@ pub fn drive_diagnosis_faulted(
         };
     }
 
+    // Dropping, delaying and reordering act on individual samples; every
+    // other fault leaves the sample stream alone, so the engine's own
+    // aggregates are the batch.
+    let lossy_samples = config.faults.touches_samples();
+    engine.set_raw_capture(lossy_samples);
     let mut injector = FaultInjector::new(config.faults.clone());
     let mut collector = Collector::new(engine.app().clone(), config.collector.clone());
     let mut consultant = Consultant::new(
@@ -1579,10 +1588,14 @@ pub fn drive_diagnosis_faulted(
             consultant.note_dead(&victims, resources);
         }
         let status = engine.run_until(now);
-        let batch = SampleBatch::new(
-            injector.filter_intervals(engine.drain_intervals(), now),
-            engine.app().process_count(),
-        );
+        let batch = if lossy_samples {
+            SampleBatch::new(
+                injector.filter_intervals(engine.drain_intervals(), now),
+                engine.app().process_count(),
+            )
+        } else {
+            SampleBatch::drain(engine)
+        };
         // Overload faults press on the admission layer: flood units
         // compete with the real stream for the sample budget, storm
         // requests occupy in-flight slots. Both draws happen even with

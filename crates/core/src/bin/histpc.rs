@@ -118,6 +118,35 @@ use histpc::supervise::SessionDriver;
 use std::collections::HashMap;
 use std::process::ExitCode;
 
+/// Writes report output to stdout. All of the CLI's stdout goes through
+/// here because `print!` panics (exit 101) when the reader has gone away
+/// — `histpc run … | head -1`. A closed pipe is a reader that has seen
+/// enough: the rest of the output is dropped quietly and the command
+/// carries on to its usual exit code.
+fn write_out(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    // Only a statistic-like latch: publishes no other data.
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("error: cannot write to stdout: {e}");
+        }
+    }
+}
+
+macro_rules! out {
+    ($($arg:tt)*) => { write_out(format_args!($($arg)*)) };
+}
+
+macro_rules! outln {
+    ($($arg:tt)*) => { write_out(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
 fn usage() -> ! {
     eprintln!(
         "usage:\n  histpc run --app APP [--label L] [--store DIR] [--directives FILE]\n\
@@ -270,7 +299,7 @@ fn supervision_exit_code(report: &SupervisionReport) -> u8 {
 /// Prints a supervision report and maps it to an exit code via the
 /// worst-wins precedence of [`supervision_exit_code`].
 fn report_supervision(report: &SupervisionReport) -> ExitCode {
-    print!("{}", report.render());
+    out!("{}", report.render());
     for s in &report.sessions {
         for note in &s.notes {
             eprintln!("  [{}] {note}", s.label);
@@ -396,17 +425,17 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
                 let ckpt = dd
                     .checkpoint
                     .expect("an interrupted run leaves a checkpoint");
-                println!(
+                outln!(
                     "diagnosis interrupted by injected tool crash at t = {}",
                     ckpt.at
                 );
                 if flags.contains_key("store") {
-                    println!(
+                    outln!(
                         "checkpoint stored as {label}.ckpt under the application's \
                          store directory; rerun the same command with --resume FILE"
                     );
                 } else {
-                    println!("no store attached: rerun with --store to keep the checkpoint");
+                    outln!("no store attached: rerun with --store to keep the checkpoint");
                 }
                 return Ok(ExitCode::SUCCESS);
             }
@@ -422,11 +451,12 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         eprint!("{}", histpc::lint::render_all(&d.lint_warnings, &sources));
     }
 
-    println!(
+    outln!(
         "application: {} (version {})",
-        d.record.app_name, d.record.app_version
+        d.record.app_name,
+        d.record.app_version
     );
-    println!(
+    outln!(
         "diagnosis {} at t = {} with {} pairs tested (peak cost {:.1}%)",
         if d.report.quiescent {
             "completed"
@@ -437,7 +467,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         d.report.pairs_tested,
         d.report.peak_cost * 100.0
     );
-    println!("samples delivered through the collector: {}", d.events);
+    outln!("samples delivered through the collector: {}", d.events);
     let unknowns = d
         .report
         .outcomes
@@ -445,7 +475,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         .filter(|o| o.outcome == Outcome::Unknown)
         .count();
     if unknowns > 0 {
-        println!("unresolved (Unknown) pairs: {unknowns}");
+        outln!("unresolved (Unknown) pairs: {unknowns}");
     }
     let saturated_pairs = d
         .report
@@ -454,17 +484,17 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         .filter(|o| o.outcome == Outcome::Saturated)
         .count();
     if saturated_pairs > 0 {
-        println!("overloaded (Saturated) pairs: {saturated_pairs}");
+        outln!("overloaded (Saturated) pairs: {saturated_pairs}");
     }
     for r in &d.report.unreachable {
-        println!("unreachable: {r}");
+        outln!("unreachable: {r}");
     }
     for r in &d.report.saturated {
-        println!("saturated: {r}");
+        outln!("saturated: {r}");
     }
     let adm = &d.report.admission;
     if adm.admitted > 0 || adm.shed_requests > 0 || adm.shed_samples > 0 {
-        println!(
+        outln!(
             "admission: {} request(s) admitted (peak {} in flight), {} shed, \
              {} saturated refusal(s); {} sample(s) shed; {} breaker(s) opened, {} readmitted",
             adm.admitted,
@@ -478,14 +508,14 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     }
     if !d.report.audits.is_empty() {
         let revoked = d.report.revocations();
-        println!(
+        outln!(
             "shadow audits: {} probe(s), {} pass(es), {} directive(s) revoked",
             d.report.audits.len(),
             d.report.audits.len() - revoked.len(),
             revoked.len()
         );
         for a in &revoked {
-            println!(
+            outln!(
                 "  revoked `{}` from {}@{} (probe observed {:.1}% at t={})",
                 a.directive,
                 a.source_run,
@@ -495,9 +525,9 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
             );
         }
     }
-    println!("bottlenecks found: {}", d.report.bottleneck_count());
+    outln!("bottlenecks found: {}", d.report.bottleneck_count());
     for b in d.report.bottlenecks().iter().take(15) {
-        println!(
+        outln!(
             "  t={:<9} {:>6.1}%  {}  {}",
             b.first_true_at.map(|t| t.to_string()).unwrap_or_default(),
             b.last_value * 100.0,
@@ -506,7 +536,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         );
     }
     if flags.contains_key("store") {
-        println!("record stored as {}/{}", d.record.app_name, label);
+        outln!("record stored as {}/{}", d.record.app_name, label);
     }
     let unreachables = d
         .report
@@ -593,7 +623,7 @@ fn cmd_run_remote(sock: &str, flags: &HashMap<String, String>) -> Result<ExitCod
         .expect_ok(&Request::new("report").arg("label", &label))
         .map_err(|e| e.to_string())?;
     for line in report.body() {
-        println!("{line}");
+        outln!("{line}");
     }
     let detail = report.get("detail").unwrap_or_default();
     if detail.is_empty() {
@@ -658,7 +688,7 @@ fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
             if !sock_path.exists() {
                 return Err(format!("daemon did not bind {sock} within 10s"));
             }
-            println!("histpcd started (pid {}) serving {sock}", child.id());
+            outln!("histpcd started (pid {}) serving {sock}", child.id());
             Ok(ExitCode::SUCCESS)
         }
         "stop" => {
@@ -667,7 +697,7 @@ fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
             client
                 .expect_ok(&Request::new("shutdown"))
                 .map_err(|e| e.to_string())?;
-            println!("{sock}: shutting down");
+            outln!("{sock}: shutting down");
             Ok(ExitCode::SUCCESS)
         }
         "status" => {
@@ -676,7 +706,7 @@ fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
             let health = client
                 .expect_ok(&Request::new("health"))
                 .map_err(|e| e.to_string())?;
-            println!(
+            outln!(
                 "{sock}: {} (epoch {}, {} active, {} done, {} adopted)",
                 health.get("state").unwrap_or("?"),
                 health.get("epoch").unwrap_or("?"),
@@ -799,7 +829,7 @@ fn cmd_harvest(flags: HashMap<String, String>) -> Result<(), String> {
                 directives.thresholds.len()
             );
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -820,7 +850,7 @@ fn cmd_map(flags: HashMap<String, String>) -> Result<(), String> {
             std::fs::write(path, &text).map_err(|e| e.to_string())?;
             eprintln!("wrote {} mappings to {path}", mappings.len());
         }
-        None => print!("{text}"),
+        None => out!("{text}"),
     }
     Ok(())
 }
@@ -836,7 +866,7 @@ fn cmd_compare(flags: HashMap<String, String>) -> Result<(), String> {
         .map_err(|e| e.to_string())?;
     let mappings = MappingSet::suggest(&a.resources, &b.resources);
     let report = history::compare(&a, &b, Some(&mappings));
-    print!("{}", report.render());
+    out!("{}", report.render());
     Ok(())
 }
 
@@ -858,7 +888,7 @@ fn cmd_profile(flags: HashMap<String, String>) -> Result<(), String> {
     let mut engine = workload.build_engine();
     engine.run_until(histpc::sim::SimTime::ZERO + SimDuration::from_secs_f64(secs));
     let pm = PostmortemData::from_totals(engine.app().clone(), engine.totals());
-    print!("{}", pm.render_profile());
+    out!("{}", pm.render_profile());
     Ok(())
 }
 
@@ -868,7 +898,7 @@ fn cmd_shg(flags: HashMap<String, String>) -> Result<(), String> {
     let text = store
         .load_artifact(require(&flags, "app"), require(&flags, "label"), "shg")
         .map_err(|e| e.to_string())?;
-    print!("{text}");
+    out!("{text}");
     Ok(())
 }
 
@@ -879,7 +909,7 @@ fn cmd_ls(flags: HashMap<String, String>) -> Result<(), String> {
         Some(app) => {
             for label in store.labels(app).map_err(|e| e.to_string())? {
                 let rec = store.load(app, &label).map_err(|e| e.to_string())?;
-                println!(
+                outln!(
                     "{label}: version {} — {} outcomes, {} pairs, ended {}",
                     rec.app_version,
                     rec.outcomes.len(),
@@ -891,7 +921,7 @@ fn cmd_ls(flags: HashMap<String, String>) -> Result<(), String> {
         None => {
             for app in store.applications().map_err(|e| e.to_string())? {
                 let labels = store.labels(&app).map_err(|e| e.to_string())?;
-                println!("{app}: {} run(s) — {}", labels.len(), labels.join(", "));
+                outln!("{app}: {} run(s) — {}", labels.len(), labels.join(", "));
             }
         }
     }
@@ -904,7 +934,7 @@ fn cmd_ls(flags: HashMap<String, String>) -> Result<(), String> {
         if wanted.is_some_and(|w| *w != app) {
             continue;
         }
-        println!(
+        outln!(
             "abandoned checkpoint: {app}/{label}.ckpt — interrupted session, \
              never resumed (resume it or delete the artifact; lint HL034)"
         );
@@ -915,7 +945,7 @@ fn cmd_ls(flags: HashMap<String, String>) -> Result<(), String> {
     let leases = history::lease::orphaned_leases_at(std::path::Path::new(store_dir))
         .map_err(|e| e.to_string())?;
     for (file, why) in leases {
-        println!(
+        outln!(
             "orphaned lease: {}/{file} — {why} (a restarting daemon classifies \
              it abandoned; lint HL035)",
             history::lease::LEASE_DIR
@@ -1021,7 +1051,7 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
     }
     let report = linter.run();
     if format == "json" {
-        print!("{}", histpc::lint::report_to_json(&report));
+        out!("{}", histpc::lint::report_to_json(&report));
     } else if !report.is_clean() {
         eprint!("{}", report.render(&linter.sources()));
         if let Some(trailer) = histpc::lint::summary(&report.diagnostics) {
@@ -1058,7 +1088,7 @@ fn cmd_lint_corpus(
         .map_err(|e| e.to_string())?;
     let report = &analysis.report;
     if format == "json" {
-        print!("{}", histpc::lint::report_to_json(report));
+        out!("{}", histpc::lint::report_to_json(report));
     } else if !report.is_clean() {
         // Corpus diagnostics point at store records, not local artifact
         // files; there is no source text to quote under a caret.
@@ -1127,7 +1157,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
             // recovery that ExecutionStore::open would perform.
             let diags = history::fsck::fsck(std::path::Path::new(&store_dir));
             if diags.is_empty() {
-                println!("{store_dir}: clean");
+                outln!("{store_dir}: clean");
                 return Ok(ExitCode::SUCCESS);
             }
             eprint!(
@@ -1156,9 +1186,9 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
             let store = ExecutionStore::open(&store_dir).map_err(|e| e.to_string())?;
             let notes = store.repair().map_err(|e| e.to_string())?;
             for note in &notes {
-                println!("{note}");
+                outln!("{note}");
             }
-            println!(
+            outln!(
                 "{store_dir}: repaired ({findings} finding(s) addressed, {} further action(s))",
                 notes.len()
             );
@@ -1168,14 +1198,14 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
             let store = ExecutionStore::open(&store_dir).map_err(|e| e.to_string())?;
             let notes = store.compact().map_err(|e| e.to_string())?;
             for note in &notes {
-                println!("{note}");
+                outln!("{note}");
             }
             Ok(ExitCode::SUCCESS)
         }
         "migrate" => {
             let store = ExecutionStore::open(&store_dir).map_err(|e| e.to_string())?;
             let n = store.migrate().map_err(|e| e.to_string())?;
-            println!("{store_dir}: migrated {n} record(s) to the v1 framed layout");
+            outln!("{store_dir}: migrated {n} record(s) to the v1 framed layout");
             Ok(ExitCode::SUCCESS)
         }
         "trust" => {
@@ -1224,16 +1254,22 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
                 // Ledger iteration is BTreeMap-ordered, so the report
                 // is already deterministic.
                 let report = histpc::lint::LintReport { diagnostics: diags };
-                print!("{}", histpc::lint::report_to_json(&report));
+                out!("{}", histpc::lint::report_to_json(&report));
                 return Ok(ExitCode::SUCCESS);
             }
             if ledger.is_empty() {
-                println!("{store_dir}: no trust entries (every source at full trust)");
+                outln!("{store_dir}: no trust entries (every source at full trust)");
                 return Ok(ExitCode::SUCCESS);
             }
-            println!(
+            outln!(
                 "{:<40} {:>5}  {:<12} {:>6} {:>6} {:>9} {:>7}",
-                "source", "score", "verdict", "passed", "failed", "conflicts", "revoked"
+                "source",
+                "score",
+                "verdict",
+                "passed",
+                "failed",
+                "conflicts",
+                "revoked"
             );
             for (source, e) in ledger.sources() {
                 let verdict = match ledger.verdict(source) {
@@ -1241,7 +1277,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
                     history::trust::TrustVerdict::Downweighted => "down-weighted",
                     history::trust::TrustVerdict::Quarantined => "quarantined",
                 };
-                println!(
+                outln!(
                     "{source:<40} {:>5}  {verdict:<12} {:>6} {:>6} {:>9} {:>7}",
                     e.score,
                     e.audits_passed,
@@ -1250,7 +1286,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
                     e.revoked.len()
                 );
                 for line in &e.revoked {
-                    println!("  revoked: {line}");
+                    outln!("  revoked: {line}");
                 }
             }
             Ok(ExitCode::SUCCESS)

@@ -1,23 +1,29 @@
 //! Per-tick sample batches from the simulator to the collector.
 //!
 //! The driver loop drains the engine once per tick and hands the whole
-//! tick's intervals over as one [`SampleBatch`]. The batch carries
-//! per-process counts computed once at the boundary, so admission
-//! budgeting can rank and shed whole per-process groups without
-//! re-examining individual samples, and the collector can route the
-//! batch per pair (see [`crate::Collector::ingest`]).
+//! tick over as one [`SampleBatch`]: normally the engine's own per-key
+//! deltas ([`SampleBatch::drain`]), or — when something had to look at
+//! individual samples first, like the fault injector — the raw intervals
+//! ([`SampleBatch::new`]), which the collector aggregates on arrival.
+//! Either way the batch carries per-process interval counts, so admission
+//! budgeting can rank and shed whole per-process groups (see
+//! [`crate::Collector::ingest`]).
 
+use crate::delta::Delta;
 use histpc_sim::{Engine, Interval};
 
-/// One driver tick's worth of drained engine intervals.
+/// One driver tick's worth of engine output.
 #[derive(Debug, Clone, Default)]
 pub struct SampleBatch {
     intervals: Vec<Interval>,
+    /// The engine's aggregates, in first-touch order; `None` for a raw
+    /// batch.
+    deltas: Option<Vec<Delta>>,
     per_proc: Vec<u64>,
 }
 
 impl SampleBatch {
-    /// Wraps a tick's intervals; `proc_count` sizes the per-process
+    /// Wraps a tick's raw intervals; `proc_count` sizes the per-process
     /// count table (processes beyond it grow the table as needed).
     pub fn new(intervals: Vec<Interval>, proc_count: usize) -> SampleBatch {
         let mut per_proc = vec![0u64; proc_count];
@@ -30,30 +36,41 @@ impl SampleBatch {
         }
         SampleBatch {
             intervals,
+            deltas: None,
             per_proc,
         }
     }
 
-    /// Drains `engine` and wraps the result — the canonical driver-tick
-    /// handoff from the simulator to the collector.
+    /// Drains `engine`'s per-key aggregates — the canonical driver-tick
+    /// handoff from the simulator to the collector. Any raw intervals the
+    /// engine captured for the tick are discarded.
     pub fn drain(engine: &mut Engine) -> SampleBatch {
-        let proc_count = engine.app().process_count();
-        SampleBatch::new(engine.drain_intervals(), proc_count)
+        let step = engine.drain_deltas();
+        SampleBatch {
+            intervals: Vec::new(),
+            deltas: Some(step.deltas),
+            per_proc: step.per_proc,
+        }
     }
 
-    /// Number of intervals in the batch.
+    /// Number of intervals the batch stands for.
     pub fn len(&self) -> usize {
-        self.intervals.len()
+        self.per_proc.iter().sum::<u64>() as usize
     }
 
-    /// True when the batch holds no intervals.
+    /// True when the batch holds no samples.
     pub fn is_empty(&self) -> bool {
-        self.intervals.is_empty()
+        self.len() == 0
     }
 
-    /// The intervals, in engine emission order.
+    /// The raw intervals, in delivery order (empty for a drained batch).
     pub fn intervals(&self) -> &[Interval] {
         &self.intervals
+    }
+
+    /// The engine's aggregates in first-touch order, for a drained batch.
+    pub fn deltas(&self) -> Option<&[Delta]> {
+        self.deltas.as_deref()
     }
 
     /// Interval count per process rank.
@@ -103,6 +120,10 @@ mod tests {
         let b = SampleBatch::drain(&mut e);
         assert!(!b.is_empty());
         assert_eq!(b.per_proc().len(), 2);
+        // The batch counts intervals, not the deltas standing for them.
+        assert_eq!(b.len() as u64, e.events_drained());
+        assert_eq!(b.len() as u64, b.per_proc().iter().sum::<u64>());
+        assert!(b.deltas().is_some_and(|d| d.len() < b.len()));
         // The engine was drained: a second batch is empty.
         assert!(SampleBatch::drain(&mut e).is_empty());
     }

@@ -3,14 +3,15 @@
 //!
 //! The collector is the boundary between the Performance Consultant and
 //! the application: the PC requests and releases (metric, focus) pairs;
-//! the driver feeds drained engine intervals into [`Collector::observe`];
+//! the driver feeds each tick's engine output into [`Collector::ingest`];
 //! the cost model's slowdown factors are pushed back into the engine so
 //! instrumentation perturbation is physically real in the simulation.
 
 use crate::admission::{AdmissionConfig, AdmissionController, AdmitVerdict, RequestClass};
+use crate::batch::SampleBatch;
 use crate::binder::{Binder, CompiledFocus};
 use crate::cost::{CostConfig, CostModel};
-use crate::delta::DeltaAggregator;
+use crate::delta::{sort_by_key, Delta, DeltaTable};
 use crate::histogram::TimeHistogram;
 use crate::metric::Metric;
 use crate::pair::Pair;
@@ -101,8 +102,9 @@ pub struct Collector {
     /// whose compiled focus covers it. Entries for deleted pairs are
     /// pruned lazily as batches pass their deletion time.
     route: Vec<Vec<u32>>,
-    /// Reusable dense per-batch delta aggregation state.
-    aggregator: DeltaAggregator,
+    /// Aggregates raw interval batches (the engine's own aggregates
+    /// arrive ready-made).
+    table: DeltaTable,
 }
 
 impl Collector {
@@ -131,7 +133,7 @@ impl Collector {
             interner: Interner::new(),
             compiled_foci: Vec::new(),
             route: vec![Vec::new(); proc_count],
-            aggregator: DeltaAggregator::new(proc_count, func_count, tag_count),
+            table: DeltaTable::new(proc_count, func_count, tag_count),
         }
     }
 
@@ -323,17 +325,7 @@ impl Collector {
     /// Feeds one engine interval to every pair and discovers new
     /// SyncObject resources.
     pub fn observe(&mut self, iv: &Interval) {
-        self.note_data(iv);
-        if let Some(tag) = iv.tag {
-            let idx = tag.0 as usize;
-            if idx < self.discovered_tags.len() && !self.discovered_tags[idx] {
-                self.discovered_tags[idx] = true;
-                let name = self.binder.tag_name(tag);
-                self.space
-                    .add_resource(&name)
-                    .expect("tag labels are valid resource segments");
-            }
-        }
+        self.note_data(iv.proc, iv.end, iv.tag);
         for pair in &mut self.pairs {
             pair.observe(iv, &self.binder);
         }
@@ -347,64 +339,61 @@ impl Collector {
         }
     }
 
-    /// Feeds a batch of intervals via per-key aggregation: tag discovery
-    /// stays exact, metric values are spread uniformly over each key's
-    /// span within the batch (see [`crate::delta`]).
+    /// Feeds a batch of raw intervals via per-key aggregation: tag
+    /// discovery stays exact, metric values are spread uniformly over
+    /// each key's span within the batch (see [`crate::delta`]).
+    pub fn observe_batch(&mut self, ivs: &[Interval]) {
+        ivs.iter().for_each(|iv| self.table.fold(iv));
+        let step = self.table.drain();
+        self.ingest_deltas(&step.deltas, &step.per_proc);
+    }
+
+    /// Feeds one driver tick's [`SampleBatch`] — the canonical
+    /// sim-to-collector handoff. A raw batch is aggregated here, through
+    /// the same table the engine uses; from there on both kinds are the
+    /// same per-key deltas.
     ///
     /// With admission enabled the batch first passes the per-batch
-    /// sample budget: real intervals beyond the quota are shed (highest
-    /// process ranks first, deterministically) and never observed — shed
-    /// data also does not count as stream freshness, so a fully starved
-    /// process eventually trips the existing starvation timeout.
-    pub fn observe_batch(&mut self, ivs: &[Interval]) {
-        let batch = crate::batch::SampleBatch::new(ivs.to_vec(), self.last_data_at.len());
-        self.ingest(&batch);
-    }
-
-    /// Feeds one driver tick's [`SampleBatch`](crate::batch::SampleBatch)
-    /// — the canonical sim-to-collector handoff. Admission budgeting
-    /// works on the batch's precomputed per-process groups: under
-    /// pressure, whole groups are shed in descending rank order instead
-    /// of re-evaluating sample by sample. With no pressure the batch is
-    /// delivered exactly as [`Collector::observe_batch`] always has.
-    pub fn ingest(&mut self, batch: &crate::batch::SampleBatch) {
-        match self.admission.sample_quota(batch.len() as u64) {
-            None => {
-                if self.admission.config().enabled {
-                    self.note_batch_delivered(batch.per_proc());
-                }
-                self.observe_batch_inner(batch.intervals());
-            }
-            Some(keep) => {
-                let kept = self.shed_batch(batch, keep);
-                self.observe_batch_inner(&kept);
-            }
+    /// sample budget, which works on the batch's per-process groups:
+    /// under pressure, whole groups are shed in descending rank order and
+    /// never observed — shed data also does not count as stream
+    /// freshness, so a fully starved process eventually trips the
+    /// existing starvation timeout.
+    pub fn ingest(&mut self, batch: &SampleBatch) {
+        match batch.deltas() {
+            Some(deltas) => self.ingest_deltas(deltas, batch.per_proc()),
+            None => self.observe_batch(batch.intervals()),
         }
     }
 
-    fn observe_batch_inner(&mut self, ivs: &[Interval]) {
-        for iv in ivs {
-            self.note_data(iv);
-            if let Some(tag) = iv.tag {
-                let idx = tag.0 as usize;
-                if idx < self.discovered_tags.len() && !self.discovered_tags[idx] {
-                    self.discovered_tags[idx] = true;
-                    let name = self.binder.tag_name(tag);
-                    self.space
-                        .add_resource(&name)
-                        .expect("tag labels are valid resource segments");
-                }
-            }
+    /// One tick's deltas, in first-touch order, standing for `per_proc`
+    /// intervals of each process: through the admission budget, then
+    /// freshness and tag discovery, then on to the routed pairs.
+    fn ingest_deltas(&mut self, deltas: &[Delta], per_proc: &[u64]) {
+        let now = deltas.iter().map(|d| d.end).max().unwrap_or(SimTime::ZERO);
+        let keep = self.admission.sample_quota(per_proc.iter().sum());
+        // Processes of rank `cut` and above are shed.
+        let cut = self.shed_groups(per_proc, keep.unwrap_or(u64::MAX), now);
+        let mut deltas: Vec<Delta> = deltas
+            .iter()
+            .filter(|d| (d.proc.0 as usize) < cut)
+            .copied()
+            .collect();
+        // First-touch order is the order tags first showed up in the
+        // interval stream, so the resource space grows exactly as it
+        // would fed interval by interval.
+        for d in &deltas {
+            self.note_data(d.proc, d.end, d.tag);
         }
-        let deltas = self.aggregator.aggregate(ivs);
         let Some(batch_start) = deltas.iter().map(|d| d.start).min() else {
             return;
         };
+        sort_by_key(&mut deltas);
         // Deltas sort leading with proc, so consecutive runs partition
         // the slice per process; each run is delivered only to the pairs
         // routed to that process. Per pair this replays the deltas in
-        // exactly the old every-pair-scans-everything order, because the
-        // run order *is* the sorted order.
+        // exactly the every-pair-scans-everything order, because the run
+        // order *is* the sorted order.
         let pairs = &mut self.pairs;
         let binder = &self.binder;
         let route = &self.route;
@@ -432,18 +421,14 @@ impl Collector {
         }
     }
 
-    /// Sheds a batch down to the `keep` sample quota in whole per-process
-    /// groups: allowance is granted in ascending rank order, and the
-    /// first group that does not fit — plus every higher rank — is shed
-    /// entirely. Per-process health is recorded as it goes.
-    fn shed_batch(&mut self, batch: &crate::batch::SampleBatch, keep: u64) -> Vec<Interval> {
-        let per_proc = batch.per_proc();
-        let now = batch
-            .intervals()
-            .iter()
-            .map(|iv| iv.end)
-            .max()
-            .unwrap_or(SimTime::ZERO);
+    /// Decides what a batch loses to its `keep` sample quota, in whole
+    /// per-process groups: allowance is granted in ascending rank order,
+    /// and the first group that does not fit — plus every higher rank —
+    /// is shed entirely. Returns that first shed rank (the group count if
+    /// everything fits). Per-process health is recorded as it goes: a
+    /// clean delivery resets the sample-path breaker streak, a shed group
+    /// is a strike.
+    fn shed_groups(&mut self, per_proc: &[u64], keep: u64, now: SimTime) -> usize {
         let mut left = keep;
         let mut cut = per_proc.len();
         for (p, &count) in per_proc.iter().enumerate() {
@@ -458,32 +443,27 @@ impl Collector {
                 self.admission.note_batch_shed(ProcId(p as u16), now);
             }
         }
-        batch
-            .intervals()
-            .iter()
-            .filter(|iv| (iv.proc.0 as usize) < cut)
-            .cloned()
-            .collect()
+        cut
     }
 
-    /// Records an unshed batch as clean delivery for every process that
-    /// contributed data (resets sample-path breaker streaks).
-    fn note_batch_delivered(&mut self, per_proc: &[u64]) {
-        for (p, &count) in per_proc.iter().enumerate() {
-            if count > 0 {
-                self.admission.note_batch_ok(ProcId(p as u16));
-            }
+    /// Records that `proc` delivered data ending at `end`, and adds a
+    /// first-seen message `tag` to the SyncObject hierarchy. Freshness is
+    /// tracked on the raw stream, before metric filtering, so a process
+    /// emitting *any* intervals counts as alive even for pairs whose
+    /// metric it never feeds (a zero-IO process genuinely measures zero
+    /// IO, it is not starved).
+    fn note_data(&mut self, proc: ProcId, end: SimTime, tag: Option<histpc_sim::TagId>) {
+        let i = proc.0 as usize;
+        self.last_data_at[i] = self.last_data_at[i].max(end);
+        let Some(tag) = tag else { return };
+        let idx = tag.0 as usize;
+        if idx < self.discovered_tags.len() && !self.discovered_tags[idx] {
+            self.discovered_tags[idx] = true;
+            let name = self.binder.tag_name(tag);
+            self.space
+                .add_resource(&name)
+                .expect("tag labels are valid resource segments");
         }
-    }
-
-    /// Records that `iv`'s process delivered data. Tracked on the raw
-    /// stream, before metric filtering, so a process emitting *any*
-    /// intervals counts as alive even for pairs whose metric it never
-    /// feeds (a zero-IO process genuinely measures zero IO, it is not
-    /// starved).
-    fn note_data(&mut self, iv: &Interval) {
-        let i = iv.proc.0 as usize;
-        self.last_data_at[i] = self.last_data_at[i].max(iv.end);
     }
 
     /// Pushes the current perturbation slowdowns into the engine.
@@ -631,6 +611,48 @@ mod tests {
             &ResourceName::parse("/SyncObject/Message/3_-1")
                 .expect("literal tag resource name is valid")
         ));
+    }
+
+    #[test]
+    fn batches_discover_tags_in_stream_order() {
+        // Version C's three tags, met by rank 1 before rank 0 and in
+        // descending tag order: neither sorted by key nor by tag id.
+        let wl = PoissonWorkload::new(PoissonVersion::C);
+        let ivs: Vec<Interval> = [(1, 2), (0, 2), (1, 0), (0, 1)]
+            .into_iter()
+            .enumerate()
+            .map(|(n, (proc, tag))| Interval {
+                proc: ProcId(proc),
+                func: histpc_sim::FuncId(0),
+                kind: histpc_sim::ActivityKind::SyncWait,
+                tag: Some(histpc_sim::TagId(tag)),
+                start: SimTime::from_millis(n as u64),
+                end: SimTime::from_millis(n as u64 + 1),
+                bytes: 8,
+            })
+            .collect();
+        let tags = |c: &Collector| {
+            c.space()
+                .hierarchy("SyncObject")
+                .expect("standard hierarchy")
+                .all_names()
+                .iter()
+                .map(|n| n.to_string())
+                .collect::<Vec<_>>()
+        };
+        let mut one_by_one = Collector::new(wl.app_spec(), CollectorConfig::default());
+        one_by_one.observe_all(&ivs);
+        let mut batched = Collector::new(wl.app_spec(), CollectorConfig::default());
+        batched.observe_batch(&ivs);
+        assert_eq!(tags(&batched), tags(&one_by_one));
+        assert_eq!(
+            tags(&batched)[2..],
+            [
+                "/SyncObject/Message/3_-1",
+                "/SyncObject/Message/3_0",
+                "/SyncObject/Message/3_1"
+            ]
+        );
     }
 
     #[test]

@@ -1,181 +1,49 @@
 //! Aggregated observation deltas.
 //!
-//! A long online diagnosis processes millions of engine intervals; feeding
-//! each one to every active metric-focus pair would dominate the run time
-//! of the *tool*, not the application. Within one driver step the
-//! attribution key space is tiny (tens of distinct (process, function,
-//! activity, tag) keys), so the collector first aggregates the step's
-//! intervals into [`Delta`]s and feeds those to the pairs. Values are
-//! spread uniformly over the delta's time span, a distortion bounded by
-//! the driver's sampling step — far below the conclusion window.
+//! Pairs are fed one [`Delta`] per attribution key per driver step, not
+//! one call per engine interval. The fold lives with the simulator
+//! ([`histpc_sim::delta`], which also says why its order matters): the
+//! engine aggregates as it emits, and the collector puts raw interval
+//! batches through the same [`DeltaTable`]. This module re-exports it
+//! and keeps the map-based [`aggregate`] as the reference the tests
+//! compare the table against.
 
-use histpc_sim::{ActivityKind, FuncId, Interval, ProcId, SimTime, TagId};
+pub use histpc_sim::delta::{Delta, DeltaTable, StepDeltas};
+use histpc_sim::{ActivityKind, FuncId, Interval, ProcId, TagId};
 use std::collections::HashMap;
 
-/// One step's aggregate for a single attribution key.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Delta {
-    /// Process.
-    pub proc: ProcId,
-    /// Function.
-    pub func: FuncId,
-    /// Activity kind.
-    pub kind: ActivityKind,
-    /// Message tag, if any.
-    pub tag: Option<TagId>,
-    /// Earliest interval start in the aggregate.
-    pub start: SimTime,
-    /// Latest interval end in the aggregate.
-    pub end: SimTime,
-    /// Total seconds of the activity.
-    pub seconds: f64,
-    /// Total message bytes.
-    pub bytes: u64,
-    /// Number of messages.
-    pub msgs: u64,
-}
-
-/// Reusable dense aggregation state sized to one application's
-/// attribution-key space.
-///
-/// [`aggregate`] hashes every interval; over a long run that hashing is
-/// a measurable slice of the tool's own overhead. The aggregator
-/// replaces the map with a flat slot table indexed by
-/// `((proc * nfuncs + func) * 3 + kind) * (ntags + 1) + tagcode`,
-/// reusing the allocation across batches. Results are identical to
-/// [`aggregate`] (same per-key fold order, same output order).
-#[derive(Debug)]
-pub struct DeltaAggregator {
-    nprocs: usize,
-    nfuncs: usize,
-    ntags: usize,
-    slots: Vec<Delta>,
-    live: Vec<bool>,
-    touched: Vec<u32>,
-}
-
-impl DeltaAggregator {
-    /// An aggregator for an app with the given dimensions.
-    pub fn new(nprocs: usize, nfuncs: usize, ntags: usize) -> DeltaAggregator {
-        let size = nprocs * nfuncs * 3 * (ntags + 1);
-        let empty = Delta {
-            proc: ProcId(0),
-            func: FuncId(0),
-            kind: ActivityKind::Cpu,
-            tag: None,
-            start: SimTime::ZERO,
-            end: SimTime::ZERO,
-            seconds: 0.0,
-            bytes: 0,
-            msgs: 0,
-        };
-        DeltaAggregator {
-            nprocs,
-            nfuncs,
-            ntags,
-            slots: vec![empty; size],
-            live: vec![false; size],
-            touched: Vec::new(),
-        }
-    }
-
-    fn index(&self, iv: &Interval) -> Option<usize> {
-        let p = iv.proc.0 as usize;
-        let f = iv.func.0 as usize;
-        let t = match iv.tag {
-            None => 0,
-            Some(tag) => 1 + tag.0 as usize,
-        };
-        if p >= self.nprocs || f >= self.nfuncs || t > self.ntags {
-            return None;
-        }
-        Some(((p * self.nfuncs + f) * 3 + iv.kind.index()) * (self.ntags + 1) + t)
-    }
-
-    /// Aggregates a batch, equivalent to [`aggregate`].
-    pub fn aggregate(&mut self, intervals: &[Interval]) -> Vec<Delta> {
-        for iv in intervals {
-            let Some(i) = self.index(iv) else {
-                // A key outside the app's tables (never produced by the
-                // engine for its own app): take the general path.
-                self.reset();
-                return aggregate(intervals);
-            };
-            if !self.live[i] {
-                self.live[i] = true;
-                self.touched.push(i as u32);
-                self.slots[i] = Delta {
-                    proc: iv.proc,
-                    func: iv.func,
-                    kind: iv.kind,
-                    tag: iv.tag,
-                    start: iv.start,
-                    end: iv.end,
-                    seconds: 0.0,
-                    bytes: 0,
-                    msgs: 0,
-                };
-            }
-            let e = &mut self.slots[i];
-            e.start = e.start.min(iv.start);
-            e.end = e.end.max(iv.end);
-            e.seconds += iv.duration().as_secs_f64();
-            if iv.tag.is_some() && iv.bytes > 0 {
-                e.bytes += iv.bytes;
-                e.msgs += 1;
-            }
-        }
-        let mut out: Vec<Delta> = self
-            .touched
-            .iter()
-            .map(|&i| self.slots[i as usize])
-            .collect();
-        out.sort_by_key(|d| (d.proc, d.func, d.kind, d.tag, d.start));
-        self.reset();
-        out
-    }
-
-    fn reset(&mut self) {
-        for &i in &self.touched {
-            self.live[i as usize] = false;
-        }
-        self.touched.clear();
-    }
-}
-
-/// Aggregates a batch of intervals into deltas keyed by attribution.
+/// Aggregates a batch of intervals into deltas sorted by attribution
+/// key — what [`DeltaTable`] yields once its first-touch order is
+/// sorted away.
 pub fn aggregate(intervals: &[Interval]) -> Vec<Delta> {
     let mut map: HashMap<(ProcId, FuncId, ActivityKind, Option<TagId>), Delta> = HashMap::new();
     for iv in intervals {
-        let key = (iv.proc, iv.func, iv.kind, iv.tag);
-        let e = map.entry(key).or_insert(Delta {
-            proc: iv.proc,
-            func: iv.func,
-            kind: iv.kind,
-            tag: iv.tag,
-            start: iv.start,
-            end: iv.end,
-            seconds: 0.0,
-            bytes: 0,
-            msgs: 0,
-        });
-        e.start = e.start.min(iv.start);
-        e.end = e.end.max(iv.end);
-        e.seconds += iv.duration().as_secs_f64();
-        if iv.tag.is_some() && iv.bytes > 0 {
-            e.bytes += iv.bytes;
-            e.msgs += 1;
-        }
+        map.entry((iv.proc, iv.func, iv.kind, iv.tag))
+            .or_insert_with(|| Delta::opening(iv))
+            .fold(iv);
     }
     let mut out: Vec<Delta> = map.into_values().collect();
-    // Deterministic order for reproducible histograms.
-    out.sort_by_key(|d| (d.proc, d.func, d.kind, d.tag, d.start));
+    sort_by_key(&mut out);
     out
+}
+
+/// Sorts deltas by attribution key: the order pairs consume them in, so
+/// histograms are reproducible.
+pub fn sort_by_key(deltas: &mut [Delta]) {
+    deltas.sort_by_key(|d| (d.proc, d.func, d.kind, d.tag, d.start));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use histpc_sim::SimTime;
+
+    fn sorted(table: &mut DeltaTable, ivs: &[Interval]) -> Vec<Delta> {
+        ivs.iter().for_each(|iv| table.fold(iv));
+        let mut deltas = table.drain().deltas;
+        sort_by_key(&mut deltas);
+        deltas
+    }
 
     fn iv(
         proc: u16,
@@ -226,7 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn dense_aggregator_matches_general_path() {
+    fn table_matches_the_reference() {
         let ivs = vec![
             iv(0, 1, ActivityKind::Cpu, None, 0, 100, 0),
             iv(1, 0, ActivityKind::SyncWait, Some(1), 10, 60, 32),
@@ -235,23 +103,23 @@ mod tests {
             iv(0, 2, ActivityKind::IoWait, None, 100, 200, 0),
             iv(1, 1, ActivityKind::SyncWait, None, 0, 50, 0),
         ];
-        let mut agg = DeltaAggregator::new(2, 3, 2);
-        assert_eq!(agg.aggregate(&ivs), aggregate(&ivs));
-        // Reusable: a second batch through the same aggregator.
-        assert_eq!(agg.aggregate(&ivs[..3]), aggregate(&ivs[..3]));
-        assert!(agg.aggregate(&[]).is_empty());
+        let mut table = DeltaTable::new(2, 3, 2);
+        assert_eq!(sorted(&mut table, &ivs), aggregate(&ivs));
+        // Reusable: a second batch through the same table.
+        assert_eq!(sorted(&mut table, &ivs[..3]), aggregate(&ivs[..3]));
+        assert!(sorted(&mut table, &[]).is_empty());
     }
 
     #[test]
-    fn dense_aggregator_spills_out_of_range_keys() {
+    fn table_spills_out_of_range_keys() {
         let ivs = vec![
             iv(0, 0, ActivityKind::Cpu, None, 0, 10, 0),
             iv(7, 9, ActivityKind::Cpu, None, 0, 10, 0),
         ];
-        let mut agg = DeltaAggregator::new(1, 1, 0);
-        assert_eq!(agg.aggregate(&ivs), aggregate(&ivs));
+        let mut table = DeltaTable::new(1, 1, 0);
+        assert_eq!(sorted(&mut table, &ivs), aggregate(&ivs));
         // The spill must not leave stale state behind.
-        assert_eq!(agg.aggregate(&ivs[..1]), aggregate(&ivs[..1]));
+        assert_eq!(sorted(&mut table, &ivs[..1]), aggregate(&ivs[..1]));
     }
 
     #[test]

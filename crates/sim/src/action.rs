@@ -136,6 +136,22 @@ impl Action {
 pub trait ProcessScript {
     /// The next action, or `None` when the process has finished.
     fn next_action(&mut self) -> Option<Action>;
+
+    /// Appends the next run of actions (at least one) to `out` and
+    /// returns `true`, or appends nothing and returns `false` when the
+    /// process has finished. How the engine reads scripts: a script that
+    /// produces an iteration at a time hands it over in one call into a
+    /// buffer the caller reuses. Interleaves freely with
+    /// [`ProcessScript::next_action`]; the action sequence is the same.
+    fn next_batch(&mut self, out: &mut Vec<Action>) -> bool {
+        match self.next_action() {
+            Some(a) => {
+                out.push(a);
+                true
+            }
+            None => false,
+        }
+    }
 }
 
 /// A script backed by a fixed action list; convenient in tests.
@@ -161,43 +177,60 @@ impl ProcessScript for VecScript {
 
 /// A script that repeats one iteration body forever (or `max_iters` times),
 /// useful for modelling fixed-iteration loops.
-pub struct LoopScript<F: FnMut(u64) -> Vec<Action>> {
+pub struct LoopScript<F: FnMut(u64, &mut Vec<Action>)> {
     body: F,
     iter: u64,
     max_iters: Option<u64>,
-    buffer: std::collections::VecDeque<Action>,
+    /// The rest of the current iteration when it is being handed out one
+    /// action at a time, last action first.
+    rest: Vec<Action>,
 }
 
-impl<F: FnMut(u64) -> Vec<Action>> LoopScript<F> {
-    /// Creates a loop script; `body(i)` yields the actions of iteration `i`.
+impl<F: FnMut(u64, &mut Vec<Action>)> LoopScript<F> {
+    /// Creates a loop script; `body(i, out)` appends the actions of
+    /// iteration `i` to `out`.
     pub fn new(max_iters: Option<u64>, body: F) -> Self {
         LoopScript {
             body,
             iter: 0,
             max_iters,
-            buffer: std::collections::VecDeque::new(),
+            rest: Vec::new(),
         }
     }
 }
 
-impl<F: FnMut(u64) -> Vec<Action>> ProcessScript for LoopScript<F> {
+impl<F: FnMut(u64, &mut Vec<Action>)> ProcessScript for LoopScript<F> {
     fn next_action(&mut self) -> Option<Action> {
-        loop {
-            if let Some(a) = self.buffer.pop_front() {
-                return Some(a);
-            }
-            if let Some(max) = self.max_iters {
-                if self.iter >= max {
-                    return None;
-                }
-            }
-            let batch = (self.body)(self.iter);
-            self.iter += 1;
-            if batch.is_empty() && self.max_iters.is_none() {
-                // An empty infinite body would spin forever.
+        if self.rest.is_empty() {
+            let mut iteration = std::mem::take(&mut self.rest);
+            if !self.next_batch(&mut iteration) {
                 return None;
             }
-            self.buffer.extend(batch);
+            iteration.reverse();
+            self.rest = iteration;
+        }
+        self.rest.pop()
+    }
+
+    fn next_batch(&mut self, out: &mut Vec<Action>) -> bool {
+        if !self.rest.is_empty() {
+            out.extend(self.rest.drain(..).rev());
+            return true;
+        }
+        let before = out.len();
+        loop {
+            if self.max_iters.is_some_and(|max| self.iter >= max) {
+                return false;
+            }
+            (self.body)(self.iter, out);
+            self.iter += 1;
+            if out.len() > before {
+                return true;
+            }
+            if self.max_iters.is_none() {
+                // An empty infinite body would spin forever.
+                return false;
+            }
         }
     }
 }
@@ -238,11 +271,11 @@ mod tests {
 
     #[test]
     fn loop_script_repeats_body() {
-        let mut s = LoopScript::new(Some(3), |i| {
-            vec![Action::Compute {
+        let mut s = LoopScript::new(Some(3), |i, out: &mut Vec<Action>| {
+            out.push(Action::Compute {
                 func: FuncId(i as u16),
                 dur: SimDuration(1),
-            }]
+            })
         });
         let mut funcs = vec![];
         while let Some(a) = s.next_action() {
@@ -253,7 +286,7 @@ mod tests {
 
     #[test]
     fn loop_script_stops_on_empty_infinite_body() {
-        let mut s = LoopScript::new(None, |_| Vec::new());
+        let mut s = LoopScript::new(None, |_, _: &mut Vec<Action>| {});
         assert!(s.next_action().is_none());
     }
 }

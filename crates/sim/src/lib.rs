@@ -10,7 +10,8 @@
 //! * an [`engine::Engine`] executing per-process [`action::ProcessScript`]s
 //!   with eager/rendezvous message semantics, barriers and non-blocking
 //!   communication;
-//! * online interval emission and per-process perturbation slowdown, the
+//! * online interval emission — aggregated per attribution key at the
+//!   source ([`delta`]) — and per-process perturbation slowdown, the
 //!   hooks the dynamic-instrumentation layer (`histpc-instr`) builds on;
 //! * the paper's workloads ([`workloads`]): the four versions A–D of the
 //!   iterative Poisson decomposition application, a PVM-style
@@ -21,6 +22,7 @@
 #![warn(missing_docs)]
 
 pub mod action;
+pub mod delta;
 pub mod engine;
 pub mod machine;
 pub mod program;
@@ -30,6 +32,7 @@ pub mod trace;
 pub mod workloads;
 
 pub use action::{Action, LoopScript, ProcessScript, ReqId, VecScript};
+pub use delta::{Delta, DeltaTable, StepDeltas};
 pub use engine::{Engine, EngineStatus};
 pub use machine::MachineModel;
 pub use program::{AppSpec, FuncId, ModuleSpec, ProcId, TagId};

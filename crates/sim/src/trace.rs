@@ -73,6 +73,16 @@ impl Interval {
         self.end - self.start
     }
 
+    /// The attribution key.
+    pub fn key(&self) -> TotalsKey {
+        TotalsKey {
+            proc: self.proc,
+            func: self.func,
+            kind: self.kind,
+            tag: self.tag,
+        }
+    }
+
     /// The part of this interval overlapping `[from, to)`, as a duration.
     pub fn overlap(&self, from: SimTime, to: SimTime) -> SimDuration {
         let s = self.start.max(from);
@@ -129,8 +139,25 @@ impl TraceAccumulator {
 
     /// Folds one interval into the totals.
     pub fn observe(&mut self, iv: &Interval) {
-        let p = iv.proc.0 as usize;
-        let f = iv.func.0 as usize;
+        match iv.tag {
+            Some(_) if iv.bytes > 0 => self.add(iv.key(), iv.duration(), 1, iv.bytes, iv.end),
+            _ => self.add(iv.key(), iv.duration(), 0, 0, iv.end),
+        }
+    }
+
+    /// Folds an aggregate of intervals sharing `key`: their summed
+    /// `duration`, the `msgs` messages and `bytes` they moved (tagged
+    /// intervals with a payload only), and the latest `end` among them.
+    pub fn add(
+        &mut self,
+        key: TotalsKey,
+        duration: SimDuration,
+        msgs: u64,
+        bytes: u64,
+        end: SimTime,
+    ) {
+        let p = key.proc.0 as usize;
+        let f = key.func.0 as usize;
         if p >= self.totals.len() {
             self.totals.resize_with(p + 1, Vec::new);
         }
@@ -139,10 +166,10 @@ impl TraceAccumulator {
             by_func.resize_with(f + 1, FuncCell::default);
         }
         let cell = &mut by_func[f];
-        let k = iv.kind.index();
-        match iv.tag {
+        let k = key.kind.index();
+        match key.tag {
             None => {
-                cell.none[k] += iv.duration();
+                cell.none[k] += duration;
                 cell.none_seen |= 1 << k;
             }
             Some(tag) => {
@@ -154,28 +181,26 @@ impl TraceAccumulator {
                         &mut cell.tagged[at]
                     }
                 };
-                slot.1[k] += iv.duration();
+                slot.1[k] += duration;
                 slot.2 |= 1 << k;
-            }
-        }
-        if let Some(tag) = iv.tag {
-            if iv.bytes > 0 {
-                let t = tag.0 as usize;
-                if p >= self.msgs.len() {
-                    self.msgs.resize_with(p + 1, Vec::new);
+                if msgs > 0 {
+                    let t = tag.0 as usize;
+                    if p >= self.msgs.len() {
+                        self.msgs.resize_with(p + 1, Vec::new);
+                    }
+                    let by_tag = &mut self.msgs[p];
+                    if t >= by_tag.len() {
+                        by_tag.resize(t + 1, (0, 0));
+                    }
+                    by_tag[t].0 += msgs;
+                    by_tag[t].1 += bytes;
                 }
-                let by_tag = &mut self.msgs[p];
-                if t >= by_tag.len() {
-                    by_tag.resize(t + 1, (0, 0));
-                }
-                by_tag[t].0 += 1;
-                by_tag[t].1 += iv.bytes;
             }
         }
         if p >= self.proc_end.len() {
             self.proc_end.resize(p + 1, SimTime::ZERO);
         }
-        self.proc_end[p] = self.proc_end[p].max(iv.end);
+        self.proc_end[p] = self.proc_end[p].max(end);
     }
 
     /// All (key, total) pairs in deterministic key order.

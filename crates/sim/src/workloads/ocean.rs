@@ -100,8 +100,7 @@ impl Workload for OceanWorkload {
                 let wl = self.clone();
                 let mut rng = root.substream(rank as u64);
                 let rate = machine.flops_per_sec;
-                let body = move |iter: u64| {
-                    let mut acts = Vec::with_capacity(12);
+                let body = move |iter: u64, acts: &mut Vec<Action>| {
                     let jit = rng.jitter(wl.jitter);
                     // A heavier per-iteration block than Poisson: the NOW
                     // network is slow, so iterations are coarser.
@@ -167,7 +166,6 @@ impl Workload for OceanWorkload {
                             bytes: 900,
                         });
                     }
-                    acts
                 };
                 Box::new(LoopScript::new(self.max_iters, body)) as Box<dyn ProcessScript>
             })

@@ -295,8 +295,7 @@ impl Workload for PoissonWorkload {
                 let x = rank % px;
                 let y = rank / px;
                 let nonblocking = wl.version == PoissonVersion::B;
-                let body = move |iter: u64| {
-                    let mut acts: Vec<Action> = Vec::with_capacity(16);
+                let body = move |iter: u64, acts: &mut Vec<Action>| {
                     let jit = rng.jitter(wl.jitter);
                     let sweep_time = SimDuration::from_secs_f64(flops * jit / rate);
 
@@ -380,25 +379,11 @@ impl Workload for PoissonWorkload {
                         });
                         // x-dimension ghost exchange, tag 3_0.
                         for peer in [left, right].into_iter().flatten() {
-                            blocking_exchange(
-                                &mut acts,
-                                f_exch,
-                                rank,
-                                peer,
-                                tag_x,
-                                wl.ghost_bytes(0),
-                            );
+                            blocking_exchange(acts, f_exch, rank, peer, tag_x, wl.ghost_bytes(0));
                         }
                         // y-dimension ghost exchange, tag 3_1 (2-D only).
                         for peer in [down, up].into_iter().flatten() {
-                            blocking_exchange(
-                                &mut acts,
-                                f_exch,
-                                rank,
-                                peer,
-                                tag_y,
-                                wl.ghost_bytes(1),
-                            );
+                            blocking_exchange(acts, f_exch, rank, peer, tag_y, wl.ghost_bytes(1));
                         }
                     }
 
@@ -450,7 +435,6 @@ impl Workload for PoissonWorkload {
                             bytes: 64 * 1024,
                         });
                     }
-                    acts
                 };
                 Box::new(LoopScript::new(self.max_iters, body)) as Box<dyn ProcessScript>
             })

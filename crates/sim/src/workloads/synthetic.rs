@@ -117,8 +117,7 @@ impl Workload for SyntheticWorkload {
                 let ring = self.ring_bytes;
                 let io = self.io;
                 let phase_change = self.phase_change;
-                let body = move |iter: u64| {
-                    let mut acts = Vec::new();
+                let body = move |iter: u64, acts: &mut Vec<Action>| {
                     for &(f, ms) in &profile {
                         acts.push(Action::Compute {
                             func: crate::program::FuncId(f as u16),
@@ -171,7 +170,6 @@ impl Workload for SyntheticWorkload {
                             });
                         }
                     }
-                    acts
                 };
                 Box::new(LoopScript::new(self.max_iters, body)) as Box<dyn ProcessScript>
             })

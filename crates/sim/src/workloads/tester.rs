@@ -84,10 +84,10 @@ impl Workload for TesterWorkload {
         (0..4)
             .map(|rank| {
                 let mut rng = root.substream(rank as u64);
-                let body = move |iter: u64| {
+                let body = move |iter: u64, acts: &mut Vec<Action>| {
                     let jit = rng.jitter(0.1);
                     let ms = |f: f64| SimDuration::from_secs_f64(f * jit / 1e3);
-                    let mut acts = vec![
+                    acts.extend([
                         Action::Compute {
                             func: f_main,
                             dur: ms(0.2),
@@ -108,7 +108,7 @@ impl Workload for TesterWorkload {
                             func: f_verify_b,
                             dur: ms(0.3),
                         },
-                    ];
+                    ]);
                     if iter % 10 == 9 {
                         acts.push(Action::Compute {
                             func: f_print,
@@ -116,7 +116,6 @@ impl Workload for TesterWorkload {
                         });
                         acts.push(Action::Barrier { func: f_main });
                     }
-                    acts
                 };
                 Box::new(LoopScript::new(self.max_iters, body)) as Box<dyn ProcessScript>
             })

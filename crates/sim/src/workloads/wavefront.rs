@@ -102,8 +102,7 @@ impl Workload for WavefrontWorkload {
                 let mut rng = root.substream(rank as u64);
                 let rate = machine.flops_per_sec;
                 let jitter = self.jitter;
-                let body = move |_iter: u64| {
-                    let mut acts = Vec::with_capacity(4 + angles * 4);
+                let body = move |_iter: u64, acts: &mut Vec<Action>| {
                     let jit = rng.jitter(jitter);
                     let cell_flops = 9_000.0 * jit; // one angle-block of work
                     let block = SimDuration::from_secs_f64(cell_flops / rate);
@@ -164,7 +163,6 @@ impl Workload for WavefrontWorkload {
                         func: f_main,
                         bytes: 16 * 1024,
                     });
-                    acts
                 };
                 Box::new(LoopScript::new(self.max_iters, body)) as Box<dyn ProcessScript>
             })

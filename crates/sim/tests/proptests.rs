@@ -116,4 +116,60 @@ proptest! {
             prop_assert_eq!(e.totals().msg_byte_total(ProcId(p), tag), 2 * iters * 256);
         }
     }
+
+    /// A loop script yields one action sequence however it is read: one
+    /// action at a time, an iteration at a time (how the engine reads
+    /// it), or any interleaving of the two — iterations of every length,
+    /// empty ones included, finite or endless.
+    #[test]
+    fn loop_script_sequence_is_independent_of_how_it_is_read(
+        lens in prop::collection::vec(0usize..5, 1..12),
+        finite in 0u8..2,
+        batch_mask in 0u64..u64::MAX,
+    ) {
+        use histpc_sim::{Action, FuncId, LoopScript, ProcessScript, SimDuration};
+        let script = || {
+            let lens = lens.clone();
+            // An endless script stops at its first empty iteration.
+            let max = (finite == 1).then_some(lens.len() as u64);
+            LoopScript::new(max, move |i, out: &mut Vec<Action>| {
+                let n = lens[i as usize % lens.len()];
+                out.extend((0..n).map(|k| Action::Compute {
+                    func: FuncId(k as u16),
+                    dur: SimDuration(i),
+                }));
+            })
+        };
+        // Bounded: an endless script with no empty iteration never ends.
+        let limit = 200;
+        let mut one_by_one = script();
+        let mut want = Vec::new();
+        while want.len() < limit {
+            match one_by_one.next_action() {
+                Some(a) => want.push(a),
+                None => break,
+            }
+        }
+        for mask in [u64::MAX, batch_mask] {
+            let mut mixed = script();
+            let mut got = Vec::new();
+            let mut turn = 0;
+            while got.len() < limit {
+                let before = got.len();
+                let more = if mask >> (turn % 64) & 1 == 1 {
+                    mixed.next_batch(&mut got)
+                } else {
+                    mixed.next_action().map(|a| got.push(a)).is_some()
+                };
+                turn += 1;
+                // A read either delivers something or ends the script.
+                prop_assert_eq!(more, got.len() > before);
+                if !more {
+                    break;
+                }
+            }
+            got.truncate(limit);
+            prop_assert_eq!(&got, &want);
+        }
+    }
 }
