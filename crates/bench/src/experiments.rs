@@ -1012,6 +1012,130 @@ impl OverloadSoak {
 }
 
 // ---------------------------------------------------------------------
+// Ablation: which mechanism each part of the paper's effect depends on
+// ---------------------------------------------------------------------
+
+/// One setting of an ablation sweep: a base and a directed diagnosis of
+/// Poisson 2-D (version C) under that setting.
+#[derive(Debug, Clone)]
+pub struct AblationRow {
+    /// The setting, as printed.
+    pub label: String,
+    /// Time for the base run to find the whole reference set.
+    pub base: Option<SimTime>,
+    /// Same for the run directed by the base run's harvest.
+    pub directed: Option<SimTime>,
+    /// Pairs the base run tested.
+    pub pairs_base: usize,
+    /// Pairs the directed run tested.
+    pub pairs_directed: usize,
+}
+
+/// The ablation study over the design parameters DESIGN.md calls out:
+/// titled sweeps, one row per setting.
+#[derive(Debug, Clone)]
+pub struct Ablation {
+    /// `(title, rows)` per swept parameter, in print order.
+    pub sweeps: Vec<(&'static str, Vec<AblationRow>)>,
+}
+
+fn ablation_row(label: String, config: &SearchConfig) -> AblationRow {
+    let wl = PoissonWorkload::new(PoissonVersion::C);
+    let session = Session::new();
+    let base = session
+        .diagnose(&wl, config, "base")
+        .expect("default directives lint clean");
+    let truth = truth_of(&base);
+    let directives = history::extract(
+        &base.record,
+        &ExtractionOptions::priorities_and_safe_prunes(),
+    );
+    let directed = session
+        .diagnose(&wl, &config.clone().with_directives(directives), "directed")
+        .expect("harvested directives lint clean");
+    AblationRow {
+        label,
+        base: base.report.time_to_find(&truth, 1.0),
+        directed: directed.report.time_to_find(&truth, 1.0),
+        pairs_base: base.report.pairs_tested,
+        pairs_directed: directed.report.pairs_tested,
+    }
+}
+
+/// Runs the ablation study: instrumentation insertion delay, the
+/// cost-throttle halt threshold, the settled-pair cost factor, and the
+/// conclusion window, each swept around the [`exp_config`] value.
+pub fn run_ablation() -> Ablation {
+    // How much of the diagnosis time is the physical latency of placing
+    // instrumentation?
+    let delay = [0u64, 80, 400].map(|ms| {
+        let mut config = exp_config();
+        config.collector.insertion_delay = SimDuration::from_millis(ms);
+        ablation_row(format!("insertion_delay = {ms} ms"), &config)
+    });
+    // The budget that serializes the base search.
+    let halt = [0.025, 0.05, 0.10, 0.20].map(|halt| {
+        let mut config = exp_config();
+        config.collector.cost.halt_threshold = halt;
+        config.collector.cost.resume_threshold = halt * 0.7;
+        ablation_row(format!("halt_threshold = {halt}"), &config)
+    });
+    // What persistent High-priority pairs cost to keep. At 1.0 (no
+    // settling) priority-directed searches starve.
+    let settle = [0.01, 0.25, 1.0].map(|settle| {
+        let mut config = exp_config();
+        config.collector.cost.settle_factor = settle;
+        ablation_row(format!("settle_factor = {settle}"), &config)
+    });
+    // Trades diagnosis latency against stability.
+    let window = [1u64, 2, 5].map(|secs| {
+        let mut config = exp_config();
+        config.window = SimDuration::from_secs(secs);
+        ablation_row(format!("window = {secs} s"), &config)
+    });
+    Ablation {
+        sweeps: vec![
+            ("instrumentation insertion delay", delay.into()),
+            ("cost halt threshold", halt.into()),
+            ("settled-pair cost factor", settle.into()),
+            ("conclusion window", window.into()),
+        ],
+    }
+}
+
+impl Ablation {
+    /// Renders one table per sweep.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for (title, rows) in &self.sweeps {
+            out.push_str(&format!("\n== Ablation: {title} ==\n"));
+            out.push_str(&format!(
+                "{:<28} {:>10} {:>10} {:>12} {:>8} {:>8}\n",
+                "setting", "base (s)", "dir. (s)", "reduction", "pairs", "pairs'"
+            ));
+            for r in rows {
+                let red = match (r.base, r.directed) {
+                    (Some(b), Some(d)) if b.as_micros() > 0 => {
+                        format!("{:.1}%", 100.0 * (1.0 - d.as_secs_f64() / b.as_secs_f64()))
+                    }
+                    _ => "-".into(),
+                };
+                out.push_str(&format!(
+                    "{:<28} {:>10} {:>10} {:>12} {:>8} {:>8}\n",
+                    r.label,
+                    fmt_time(r.base),
+                    fmt_time(r.directed),
+                    red,
+                    r.pairs_base,
+                    r.pairs_directed
+                ));
+            }
+        }
+        out
+    }
+}
+
+// ---------------------------------------------------------------------
 // Figures
 // ---------------------------------------------------------------------
 

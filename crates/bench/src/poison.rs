@@ -194,7 +194,7 @@ fn clean_harvest(base: &Diagnosis, source: &str) -> SearchDirectives {
 }
 
 /// Runs one version's poisoned leg and gathers every per-version gate
-/// input. Also used by the bench snapshot's poisoned-vs-clean scenario.
+/// input. Version D's result is pinned by `tests/scenario_goldens.rs`.
 pub fn run_poison_version(version: PoissonVersion, plan: &FaultPlan) -> PoisonVersionResult {
     let label = version.label();
     let base = base_diagnosis(version);

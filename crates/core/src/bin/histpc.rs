@@ -216,6 +216,17 @@ fn require<'a>(flags: &'a HashMap<String, String>, key: &str) -> &'a str {
     }
 }
 
+/// The `--store` of a verb that only reads or maintains an existing
+/// store. `ExecutionStore::open` creates what it does not find, which is
+/// right for `run` and wrong for a mistyped path here.
+fn existing_store(dir: &str) -> Result<&str, String> {
+    if std::path::Path::new(dir).is_dir() {
+        Ok(dir)
+    } else {
+        Err(format!("no store at {dir}"))
+    }
+}
+
 fn build_workload(app: &str, seed: Option<u64>) -> Box<dyn Workload + Send + Sync> {
     match histpc::apps::build_workload(app, seed) {
         Ok(wl) => wl,
@@ -799,7 +810,8 @@ fn cmd_supervise(flags: HashMap<String, String>) -> Result<ExitCode, String> {
 }
 
 fn cmd_harvest(flags: HashMap<String, String>) -> Result<(), String> {
-    let session = Session::with_store(require(&flags, "store")).map_err(|e| e.to_string())?;
+    let session = Session::with_store(existing_store(require(&flags, "store"))?)
+        .map_err(|e| e.to_string())?;
     let mode = flags.get("mode").map(String::as_str).unwrap_or("combined");
     // Session::harvest vets the extraction against the corpus: pairs
     // the store both prunes and prioritizes (HL030) are down-ranked.
@@ -835,7 +847,8 @@ fn cmd_harvest(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_map(flags: HashMap<String, String>) -> Result<(), String> {
-    let store = ExecutionStore::open(require(&flags, "store")).map_err(|e| e.to_string())?;
+    let store = ExecutionStore::open(existing_store(require(&flags, "store"))?)
+        .map_err(|e| e.to_string())?;
     let app = require(&flags, "app");
     let from = store
         .load(app, require(&flags, "from"))
@@ -856,7 +869,8 @@ fn cmd_map(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_compare(flags: HashMap<String, String>) -> Result<(), String> {
-    let store = ExecutionStore::open(require(&flags, "store")).map_err(|e| e.to_string())?;
+    let store = ExecutionStore::open(existing_store(require(&flags, "store"))?)
+        .map_err(|e| e.to_string())?;
     let app = require(&flags, "app");
     let a = store
         .load(app, require(&flags, "from"))
@@ -894,7 +908,8 @@ fn cmd_profile(flags: HashMap<String, String>) -> Result<(), String> {
 
 /// Prints the stored Search History Graph rendering of a run.
 fn cmd_shg(flags: HashMap<String, String>) -> Result<(), String> {
-    let store = ExecutionStore::open(require(&flags, "store")).map_err(|e| e.to_string())?;
+    let store = ExecutionStore::open(existing_store(require(&flags, "store"))?)
+        .map_err(|e| e.to_string())?;
     let text = store
         .load_artifact(require(&flags, "app"), require(&flags, "label"), "shg")
         .map_err(|e| e.to_string())?;
@@ -903,7 +918,7 @@ fn cmd_shg(flags: HashMap<String, String>) -> Result<(), String> {
 }
 
 fn cmd_ls(flags: HashMap<String, String>) -> Result<(), String> {
-    let store_dir = require(&flags, "store");
+    let store_dir = existing_store(require(&flags, "store"))?;
     let store = ExecutionStore::open(store_dir).map_err(|e| e.to_string())?;
     match flags.get("app") {
         Some(app) => {
@@ -1035,7 +1050,8 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
             let (Some(store_dir), Some(app), Some(label)) = (store_dir, app, label) else {
                 return Err(format!("--against wants STORE/APP/LABEL, got {spec:?}"));
             };
-            let store = ExecutionStore::open(store_dir).map_err(|e| e.to_string())?;
+            let store =
+                ExecutionStore::open(existing_store(store_dir)?).map_err(|e| e.to_string())?;
             Some(store.load(app, label).map_err(|e| e.to_string())?)
         }
         None => None,
@@ -1078,7 +1094,7 @@ fn cmd_lint_corpus(
     deny_warnings: bool,
     format: &str,
 ) -> Result<ExitCode, String> {
-    let store = ExecutionStore::open(store_dir).map_err(|e| e.to_string())?;
+    let store = ExecutionStore::open(existing_store(store_dir)?).map_err(|e| e.to_string())?;
     let mut opts = histpc::lint::CorpusOptions::default();
     if let Some(n) = last {
         opts.recent_window = n;
@@ -1151,6 +1167,9 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
         return Err(format!("unknown --format {format:?}: want text or json"));
     }
 
+    if matches!(action.as_str(), "repair" | "compact" | "migrate") {
+        existing_store(&store_dir)?;
+    }
     match action.as_str() {
         "fsck" => {
             // Read-only: check the directory as it is, without the

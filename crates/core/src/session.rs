@@ -95,7 +95,7 @@ pub struct Diagnosis {
     pub lint_warnings: Vec<Diagnostic>,
     /// Number of engine intervals delivered through the sample pipeline
     /// over the whole run — the denominator for per-sample cost figures
-    /// in the bench trajectory (`BENCH_<pr>.json`).
+    /// (histbench's `sim.events`).
     pub events: u64,
 }
 

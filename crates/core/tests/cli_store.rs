@@ -263,3 +263,38 @@ fn compact_clears_litter_and_bad_usage_is_rejected() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Verbs that read or maintain an existing store must not conjure one
+/// out of a mistyped path: exit 1, say so, create nothing.
+#[test]
+fn read_only_verbs_refuse_a_missing_store() {
+    let dir = scratch("missing");
+    let typo = dir.join("TYPO");
+    let p = typo.to_str().unwrap();
+    let verbs: [&[&str]; 9] = [
+        &["ls", "--store", p],
+        &["shg", "--store", p, "--app", "synth", "--label", "r1"],
+        &[
+            "compare", "--store", p, "--app", "synth", "--from", "r1", "--to", "r2",
+        ],
+        &["harvest", "--store", p, "--app", "synth", "--label", "r1"],
+        &[
+            "map", "--store", p, "--app", "synth", "--from", "r1", "--to", "r2",
+        ],
+        &["lint", "corpus", p],
+        &["store", "compact", "--store", p],
+        &["store", "repair", "--store", p],
+        &["store", "migrate", "--store", p],
+    ];
+    for args in verbs {
+        let out = bin().args(args).output().unwrap();
+        assert_eq!(out.status.code(), Some(1), "{args:?} must exit 1");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("error: no store at {p}")),
+            "{args:?} stderr: {stderr}"
+        );
+        assert!(!typo.exists(), "{args:?} created {p}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -143,7 +143,7 @@ pub struct Engine {
     /// call that can emit (`run_until`, `kill_proc`).
     totals: TraceAccumulator,
     /// Cumulative count of intervals handed out by either drain; the
-    /// throughput denominator for the bench snapshot harness.
+    /// throughput denominator for histbench's `sim.events_per_s`.
     events_drained: u64,
 }
 
