@@ -1159,32 +1159,16 @@ pub fn fig1_hierarchies() -> String {
 /// Figure 2: a Performance Consultant search in progress — the SHG in
 /// list-box form after `until` of application time.
 pub fn fig2_shg_snapshot(until: SimTime) -> String {
-    use histpc::consultant::{Consultant, HypothesisTree};
-    let wl = PoissonWorkload::new(PoissonVersion::C);
-    let config = exp_config();
-    let mut engine = wl.build_engine();
-    let mut collector = Collector::new(engine.app().clone(), config.collector.clone());
-    let mut consultant = Consultant::new(
-        HypothesisTree::standard(),
-        config.directives.clone(),
-        config.window,
-        &collector,
-    );
-    consultant.tick(SimTime::ZERO, &mut collector);
-    collector.apply_perturbation(&mut engine);
-    let mut now = SimTime::ZERO;
-    while now < until && !consultant.is_quiescent() {
-        now += config.sample;
-        engine.run_until(now);
-        let ivs = engine.drain_intervals();
-        collector.observe_batch(&ivs);
-        consultant.tick(now, &mut collector);
-        collector.apply_perturbation(&mut engine);
-    }
+    let config = SearchConfig {
+        max_time: until - SimTime::ZERO,
+        ..exp_config()
+    };
+    let mut engine = PoissonWorkload::new(PoissonVersion::C).build_engine();
+    let report = drive_diagnosis_faulted(&mut engine, &config, None).report;
     format!(
-        "Figure 2: A Performance Consultant search in progress (t = {now}).\n\
+        "Figure 2: A Performance Consultant search in progress (t = {}).\n\
          [T] tested true, [F] tested false, [?] testing, [.] pending, [P] pruned\n\n{}",
-        consultant.shg().render(consultant.tree())
+        report.end_time, report.shg_rendering
     )
 }
 

@@ -32,7 +32,7 @@ pub use hypothesis::{Hypothesis, HypothesisId, HypothesisTree};
 pub use poison::{poison_directives, PoisonSummary};
 pub use report::{DiagnosisReport, NodeOutcome, Outcome};
 pub use search::{
-    drive_diagnosis, drive_diagnosis_faulted, Consultant, DegradedRun, DriveHooks, HaltReason,
-    SearchCheckpoint, SearchConfig,
+    drive_diagnosis_faulted, Consultant, DegradedRun, DriveHooks, HaltReason, SearchCheckpoint,
+    SearchConfig,
 };
 pub use shg::{NodeState, Shg, ShgNodeId};

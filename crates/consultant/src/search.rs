@@ -51,9 +51,9 @@ pub struct SearchConfig {
     pub run_full_program: bool,
     /// Instrumentation layer configuration.
     pub collector: CollectorConfig,
-    /// Faults to inject (the empty plan = a perfectly healthy daemon
-    /// layer; [`drive_diagnosis_faulted`] then takes the exact healthy
-    /// code path, guaranteeing bit-identical results).
+    /// Faults to inject. The empty plan is a perfectly healthy daemon
+    /// layer: [`drive_diagnosis_faulted`] then builds no injector and
+    /// runs no fault step, with or without a checkpoint to resume from.
     pub faults: FaultPlan,
     /// How long an experiment may go without fresh data from any of its
     /// processes before it concludes [`Outcome::Unknown`].
@@ -64,10 +64,13 @@ pub struct SearchConfig {
     pub retry_cap: SimDuration,
     /// Give up on a request (conclude Unknown) after this many failures.
     pub retry_max_attempts: u32,
-    /// Watchdog stall deadline in *application* time: when the faulted
-    /// driver sees no observable search progress (digest change) for
-    /// this long, it cancels the session at a checkpoint instead of
-    /// spinning until `max_time`. `None` disables stall detection.
+    /// Watchdog stall deadline in *application* time: when the drive
+    /// loop sees no observable search progress (digest change) for
+    /// this long, it halts the session at a checkpoint instead of
+    /// spinning until `max_time`. The loop never applies less than
+    /// `window + sample`, because a healthy search can sit unchanged
+    /// for a whole window while its nodes collect data. `None`
+    /// disables stall detection.
     pub stall: Option<SimDuration>,
     /// Restrict instrumentation to the top-level hypotheses at the
     /// whole-program focus: no refinement along either axis. The
@@ -75,7 +78,8 @@ pub struct SearchConfig {
     /// of a supervisor's degradation ladder.
     pub top_level_only: bool,
     /// Heartbeat/cancellation hooks a supervisor can attach to observe
-    /// and interrupt the drive loop. The defaults are inert.
+    /// and interrupt the drive loop, with or without a fault plan. The
+    /// defaults are inert.
     pub hooks: DriveHooks,
     /// Shadow-audit budget: how many history-pruned subtrees,
     /// history-lowered pairs, and raised thresholds get probe
@@ -88,20 +92,20 @@ pub struct SearchConfig {
     pub audit_budget: u32,
 }
 
-/// Heartbeat and cancellation hooks into the drive loops.
+/// Heartbeat and cancellation hooks into the drive loop.
 ///
 /// A supervisor hands the same hooks to a session and its watchdog: the
 /// drive loop stores the current application time into `heartbeat`
 /// every tick, and checks `cancel` at every tick boundary — a set flag
 /// makes [`drive_diagnosis_faulted`] stop at a [`SearchCheckpoint`]
-/// exactly as an injected crash would. Both hooks are optional and the
-/// disarmed default costs nothing on the healthy path.
+/// exactly as an injected crash would, whether or not a fault plan is
+/// set. Both hooks are optional and the disarmed default costs nothing.
 #[derive(Debug, Clone, Default)]
 pub struct DriveHooks {
     /// Written every tick with the tick's application time in µs.
     pub heartbeat: Option<std::sync::Arc<std::sync::atomic::AtomicU64>>,
-    /// When set, the faulted driver returns at the next tick boundary
-    /// with a checkpoint (`HaltReason::Cancelled`).
+    /// When set, the drive loop returns at the next tick boundary with
+    /// a checkpoint (`HaltReason::Cancelled`).
     pub cancel: Option<std::sync::Arc<std::sync::atomic::AtomicBool>>,
 }
 
@@ -344,8 +348,11 @@ impl Consultant {
         self.quiesced_at.is_some()
     }
 
-    /// Adopts the degradation policy knobs (timeouts, backoff) from a
-    /// config. Only [`Consultant::tick_faulted`] consults them.
+    /// Adopts the degradation policy knobs (timeouts, backoff) and
+    /// `top_level_only` from a config. The data timeout is read only by
+    /// [`Consultant::tick_faulted`]; the backoff knobs also pace retries
+    /// of requests the admission layer sheds. The drive loop calls this
+    /// before the first tick.
     pub fn set_fault_policy(&mut self, config: &SearchConfig) {
         self.data_timeout = config.data_timeout;
         self.retry_base = config.retry_base;
@@ -355,14 +362,14 @@ impl Consultant {
     }
 
     /// Restricts (or un-restricts) the search to the top-level
-    /// hypotheses at the whole-program focus. Both drivers apply
-    /// `config.top_level_only` through this before the first tick.
+    /// hypotheses at the whole-program focus. The drive loop applies
+    /// `config.top_level_only` through [`Consultant::set_fault_policy`].
     pub fn set_top_level_only(&mut self, on: bool) {
         self.top_level_only = on;
     }
 
-    /// Arms the shadow-audit loop with `budget` probe slots. Both
-    /// drivers call this right after construction and before the first
+    /// Arms the shadow-audit loop with `budget` probe slots. The drive
+    /// loop calls this right after construction and before the first
     /// tick — including on resume, so replayed digests stay comparable.
     /// Budget 0 returns immediately: every audit structure stays empty
     /// and the search is bit-identical to a pre-audit consultant.
@@ -1362,51 +1369,6 @@ impl Consultant {
     }
 }
 
-/// Runs a full online diagnosis session: drives the engine in sampling
-/// steps, feeds intervals to the collector, ticks the consultant, and
-/// applies instrumentation perturbation back to the application.
-///
-/// The loop consumes the engine's per-key aggregates, so it switches the
-/// engine's raw interval capture off.
-pub fn drive_diagnosis(engine: &mut Engine, config: &SearchConfig) -> DiagnosisReport {
-    engine.set_raw_capture(false);
-    let mut collector = Collector::new(engine.app().clone(), config.collector.clone());
-    let mut consultant = Consultant::new(
-        HypothesisTree::standard(),
-        config.directives.clone(),
-        config.window,
-        &collector,
-    );
-    // Initial expansion at t=0: high-priority pairs are instrumented at
-    // search start (paper §3.1).
-    consultant.set_top_level_only(config.top_level_only);
-    consultant.enable_audits(config.audit_budget, &collector);
-    consultant.tick(SimTime::ZERO, &mut collector);
-    collector.apply_perturbation(engine);
-
-    let mut now = SimTime::ZERO;
-    let max = SimTime::ZERO + config.max_time;
-    loop {
-        now += config.sample;
-        let status = engine.run_until(now);
-        let batch = SampleBatch::drain(engine);
-        collector.ingest(&batch);
-        consultant.tick(now, &mut collector);
-        collector.apply_perturbation(engine);
-        config.hooks.beat(now);
-        if consultant.is_quiescent() && !config.run_full_program {
-            break;
-        }
-        if status != EngineStatus::Running {
-            break;
-        }
-        if now >= max {
-            break;
-        }
-    }
-    consultant.report(&collector, now)
-}
-
 /// A checkpoint of an interrupted diagnosis session.
 ///
 /// Resume works by deterministic replay: the whole session re-runs from
@@ -1461,7 +1423,7 @@ impl SearchCheckpoint {
     }
 }
 
-/// Why a faulted drive loop stopped at a checkpoint.
+/// Why the drive loop stopped at a checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HaltReason {
     /// An injected tool crash fired (`FaultPlan::tool_crash_at`).
@@ -1483,10 +1445,10 @@ impl fmt::Display for HaltReason {
     }
 }
 
-/// The result of a fault-injected diagnosis session.
+/// The result of a diagnosis session.
 #[derive(Debug, Clone)]
 pub struct DegradedRun {
-    /// The diagnosis report (partial if the tool crashed).
+    /// The diagnosis report (partial if the session was interrupted).
     pub report: DiagnosisReport,
     /// Present iff the session was interrupted (crash, stall, or
     /// cancellation); feed it back as `resume_from` to finish the
@@ -1502,36 +1464,31 @@ pub struct DegradedRun {
     pub resumed_digest_ok: bool,
 }
 
-/// [`drive_diagnosis`] through a fault-injection layer.
+/// Runs a full online diagnosis session — the one drive loop. Each step
+/// advances the engine by `config.sample`, feeds the samples to the
+/// collector, ticks the consultant, and applies the instrumentation
+/// perturbation back to the application.
 ///
-/// With a disabled plan and no checkpoint this delegates to the plain
-/// driver, so results are bit-identical to a healthy run. Otherwise
-/// samples pass through the injector, scheduled kills are applied to the
-/// engine (and reported to the consultant as unreachable resources), and
-/// an injected tool crash returns early with a [`SearchCheckpoint`].
-/// Passing that checkpoint back as `resume_from` replays the session
-/// deterministically with the crash suppressed.
+/// A non-empty `config.faults` plan puts a [`FaultInjector`] in the
+/// loop: it filters samples, applies scheduled kills (reported to the
+/// consultant as unreachable resources), presses on the admission layer
+/// and can crash the tool. Every run honours `config.hooks.cancel` and
+/// the `config.stall` watch. A crash, cancel or stall stops the run at
+/// a [`SearchCheckpoint`]; passing it back as `resume_from` replays the
+/// session deterministically (crash suppressed) and checks the replayed
+/// state against it.
 pub fn drive_diagnosis_faulted(
     engine: &mut Engine,
     config: &SearchConfig,
     resume_from: Option<&SearchCheckpoint>,
 ) -> DegradedRun {
-    if config.faults.is_disabled() && resume_from.is_none() {
-        return DegradedRun {
-            report: drive_diagnosis(engine, config),
-            checkpoint: None,
-            halted: None,
-            stats: FaultStats::default(),
-            resumed_digest_ok: true,
-        };
-    }
-
-    // Dropping, delaying and reordering act on individual samples; every
-    // other fault leaves the sample stream alone, so the engine's own
-    // aggregates are the batch.
+    let mut injector =
+        (!config.faults.is_disabled()).then(|| FaultInjector::new(config.faults.clone()));
+    // Dropping, delaying and reordering act on individual samples (and
+    // imply an injector); every other run takes the engine's own
+    // aggregates as the batch.
     let lossy_samples = config.faults.touches_samples();
     engine.set_raw_capture(lossy_samples);
-    let mut injector = FaultInjector::new(config.faults.clone());
     let mut collector = Collector::new(engine.app().clone(), config.collector.clone());
     let mut consultant = Consultant::new(
         HypothesisTree::standard(),
@@ -1541,10 +1498,19 @@ pub fn drive_diagnosis_faulted(
     );
     consultant.set_fault_policy(config);
     consultant.enable_audits(config.audit_budget, &collector);
-    consultant.tick_faulted(SimTime::ZERO, &mut collector, &mut injector);
+    let tick = |consultant: &mut Consultant,
+                collector: &mut Collector,
+                injector: &mut Option<FaultInjector>,
+                now: SimTime| match injector {
+        Some(inj) => consultant.tick_faulted(now, collector, inj),
+        None => consultant.tick(now, collector),
+    };
+    // Initial expansion at t=0: high-priority pairs are instrumented at
+    // search start (paper §3.1).
+    let mut now = SimTime::ZERO;
+    tick(&mut consultant, &mut collector, &mut injector, now);
     collector.apply_perturbation(engine);
 
-    let mut now = SimTime::ZERO;
     let max = SimTime::ZERO + config.max_time;
     let mut digest_ok = true;
     // A crash scheduled at or before the resume point was already taken
@@ -1557,127 +1523,108 @@ pub fn drive_diagnosis_faulted(
         .is_some_and(|t| resume_from.is_none_or(|c| t > c.at));
     // Watchdog stall tracking: "progress" is any change in the search
     // state digest. All in application time, so detection is
-    // deterministic and replays identically on resume.
+    // deterministic and replays identically on resume. A healthy search
+    // can sit unchanged for a whole window while its nodes collect
+    // data, so the deadline never drops below one window plus a step.
+    let stall = config.stall.map(|s| s.max(config.window + config.sample));
     let mut last_digest = consultant.digest();
     let mut last_progress_at = SimTime::ZERO;
-    loop {
+    let halted = loop {
         now += config.sample;
-        for kill in injector.due_kills(now) {
-            let (victims, mut resources) = match &kill.target {
-                KillTarget::Node(name) => match engine.node_index(name) {
-                    Some(idx) => (engine.kill_node(idx), vec![format!("/Machine/{name}")]),
-                    None => (Vec::new(), Vec::new()),
-                },
-                KillTarget::Proc(rank) => {
-                    let p = ProcId(*rank);
-                    if (*rank as usize) < engine.app().process_count() {
-                        engine.kill_proc(p);
-                        (vec![p], Vec::new())
-                    } else {
-                        (Vec::new(), Vec::new())
+        if let Some(inj) = &mut injector {
+            for kill in inj.due_kills(now) {
+                let (victims, mut resources) = match &kill.target {
+                    KillTarget::Node(name) => match engine.node_index(name) {
+                        Some(idx) => (engine.kill_node(idx), vec![format!("/Machine/{name}")]),
+                        None => (Vec::new(), Vec::new()),
+                    },
+                    KillTarget::Proc(rank) => {
+                        let p = ProcId(*rank);
+                        if (*rank as usize) < engine.app().process_count() {
+                            engine.kill_proc(p);
+                            (vec![p], Vec::new())
+                        } else {
+                            (Vec::new(), Vec::new())
+                        }
                     }
+                };
+                for &p in &victims {
+                    resources.push(format!("/Process/{}", engine.app().processes[p.0 as usize]));
                 }
-            };
-            for &p in &victims {
-                resources.push(format!("/Process/{}", engine.app().processes[p.0 as usize]));
+                let resources = resources
+                    .iter()
+                    .filter_map(|r| ResourceName::parse(r).ok())
+                    .collect();
+                consultant.note_dead(&victims, resources);
             }
-            let resources = resources
-                .iter()
-                .filter_map(|r| ResourceName::parse(r).ok())
-                .collect();
-            consultant.note_dead(&victims, resources);
         }
         let status = engine.run_until(now);
-        let batch = if lossy_samples {
-            SampleBatch::new(
-                injector.filter_intervals(engine.drain_intervals(), now),
+        let batch = match &mut injector {
+            Some(inj) if lossy_samples => SampleBatch::new(
+                inj.filter_intervals(engine.drain_intervals(), now),
                 engine.app().process_count(),
-            )
-        } else {
-            SampleBatch::drain(engine)
+            ),
+            _ => SampleBatch::drain(engine),
         };
-        // Overload faults press on the admission layer: flood units
-        // compete with the real stream for the sample budget, storm
-        // requests occupy in-flight slots. Both draws happen even with
-        // admission disabled (keeping RNG streams stable); the collector
-        // then absorbs them as no-ops.
-        let flood = injector.flood_units(batch.len());
-        collector.admission_mut().note_phantom_samples(flood);
-        let storm = injector.storm_requests();
-        collector.admission_mut().absorb_storm(storm, now);
+        if let Some(inj) = &mut injector {
+            // Overload faults press on the admission layer: flood units
+            // compete with the real stream for the sample budget, storm
+            // requests occupy in-flight slots. Both draws happen even
+            // with admission disabled (keeping RNG streams stable); the
+            // collector then absorbs them as no-ops.
+            let flood = inj.flood_units(batch.len());
+            collector.admission_mut().note_phantom_samples(flood);
+            let storm = inj.storm_requests();
+            collector.admission_mut().absorb_storm(storm, now);
+        }
         collector.ingest(&batch);
-        consultant.tick_faulted(now, &mut collector, &mut injector);
+        tick(&mut consultant, &mut collector, &mut injector, now);
         collector.apply_perturbation(engine);
         config.hooks.beat(now);
-        if crash_armed && injector.crash_due(now) {
-            // The tool "crashes": checkpoint the search and stop.
-            let checkpoint = SearchCheckpoint {
-                at: now,
-                digest: consultant.digest(),
-            };
-            return DegradedRun {
-                report: consultant.report(&collector, now),
-                checkpoint: Some(checkpoint),
-                halted: Some(HaltReason::Crash),
-                stats: injector.stats(),
-                resumed_digest_ok: digest_ok,
-            };
-        }
         if let Some(ckpt) = resume_from {
             if now == ckpt.at {
                 digest_ok = consultant.digest() == ckpt.digest;
             }
         }
-        if config.hooks.cancelled() {
-            // Cancelled from outside (watchdog or operator): stop at a
-            // tick boundary with a resumable checkpoint.
-            let checkpoint = SearchCheckpoint {
-                at: now,
-                digest: consultant.digest(),
-            };
-            return DegradedRun {
-                report: consultant.report(&collector, now),
-                checkpoint: Some(checkpoint),
-                halted: Some(HaltReason::Cancelled),
-                stats: injector.stats(),
-                resumed_digest_ok: digest_ok,
-            };
+        // The tool "crashes", a supervisor cancels from outside, or
+        // nothing about the search has changed for a full stall
+        // deadline: stop at a tick boundary with a resumable checkpoint.
+        if crash_armed && injector.as_mut().is_some_and(|inj| inj.crash_due(now)) {
+            break Some(HaltReason::Crash);
         }
-        if let Some(deadline) = config.stall {
+        if config.hooks.cancelled() {
+            break Some(HaltReason::Cancelled);
+        }
+        if let Some(deadline) = stall {
             let digest = consultant.digest();
             if digest != last_digest {
                 last_digest = digest;
                 last_progress_at = now;
-            } else if now.as_micros() - last_progress_at.as_micros() >= deadline.as_micros() {
-                // Dead drive loop or hung collector: nothing about the
-                // search has changed for a full stall deadline. Stop at
-                // a checkpoint rather than spinning until max_time.
-                return DegradedRun {
-                    report: consultant.report(&collector, now),
-                    checkpoint: Some(SearchCheckpoint { at: now, digest }),
-                    halted: Some(HaltReason::Stall),
-                    stats: injector.stats(),
-                    resumed_digest_ok: digest_ok,
-                };
+            } else if now - last_progress_at >= deadline {
+                break Some(HaltReason::Stall);
             }
         }
-        // Unlike the healthy driver there is no bare "engine stopped"
-        // break: starving experiments must be given time to resolve to
+        if consultant.is_quiescent() && !config.run_full_program {
+            break None;
+        }
+        // Without faults the session ends with the program. Under
+        // faults, starving experiments must be given time to resolve to
         // Unknown even after the program (or what's left of it) exits.
-        if consultant.is_quiescent()
-            && (!config.run_full_program || status != EngineStatus::Running)
-        {
-            break;
+        if status != EngineStatus::Running && (injector.is_none() || consultant.is_quiescent()) {
+            break None;
         }
         if now >= max {
-            break;
+            break None;
         }
-    }
+    };
     DegradedRun {
         report: consultant.report(&collector, now),
-        checkpoint: None,
-        halted: None,
-        stats: injector.stats(),
+        checkpoint: halted.map(|_| SearchCheckpoint {
+            at: now,
+            digest: consultant.digest(),
+        }),
+        halted,
+        stats: injector.map_or_else(FaultStats::default, |inj| inj.stats()),
         resumed_digest_ok: digest_ok,
     }
 }
@@ -1703,6 +1650,11 @@ mod tests {
         }
     }
 
+    /// The drive loop's report for a run that is not interrupted.
+    fn drive(engine: &mut Engine, config: &SearchConfig) -> DiagnosisReport {
+        drive_diagnosis_faulted(engine, config, None).report
+    }
+
     /// Two processes, f1 is a clear CPU hotspot, light ring traffic.
     fn hotspot_workload() -> SyntheticWorkload {
         SyntheticWorkload::balanced(2, 3, 0.05).with_hotspot(0, 1, 3.0)
@@ -1712,7 +1664,7 @@ mod tests {
     fn finds_planted_cpu_bottleneck_and_refines() {
         let wl = hotspot_workload();
         let mut engine = wl.build_engine();
-        let report = drive_diagnosis(&mut engine, &fast_config());
+        let report = drive(&mut engine, &fast_config());
         assert!(report.quiescent, "search should quiesce");
         let b = report.bottleneck_set();
         // Whole-program CPUbound must be true...
@@ -1739,7 +1691,7 @@ mod tests {
     fn false_nodes_are_not_refined() {
         let wl = hotspot_workload();
         let mut engine = wl.build_engine();
-        let report = drive_diagnosis(&mut engine, &fast_config());
+        let report = drive(&mut engine, &fast_config());
         // No IO bottleneck exists, so only the single whole-program IO
         // node may mention the hypothesis.
         let io_nodes: Vec<_> = report
@@ -1762,7 +1714,7 @@ mod tests {
             target: PruneTarget::Resource(n("/Code/app.c/f1")),
         });
         let config = fast_config().with_directives(directives);
-        let report = drive_diagnosis(&mut engine, &config);
+        let report = drive(&mut engine, &config);
         let b = report.bottleneck_set();
         assert!(
             !b.iter().any(|(_, f)| f
@@ -1784,7 +1736,7 @@ mod tests {
             target: PruneTarget::Resource(n("/Machine")),
         });
         let config = fast_config().with_directives(directives);
-        let report = drive_diagnosis(&mut engine, &config);
+        let report = drive(&mut engine, &config);
         for o in &report.outcomes {
             if o.outcome != Outcome::Pruned {
                 let m = o
@@ -1801,7 +1753,7 @@ mod tests {
         // Base run.
         let wl = hotspot_workload();
         let mut engine = wl.build_engine();
-        let base = drive_diagnosis(&mut engine, &fast_config());
+        let base = drive(&mut engine, &fast_config());
         let hotspot = base
             .bottlenecks()
             .iter()
@@ -1830,7 +1782,7 @@ mod tests {
         });
         let mut engine2 = wl.build_engine();
         let config = fast_config().with_directives(directives);
-        let directed = drive_diagnosis(&mut engine2, &config);
+        let directed = drive(&mut engine2, &config);
         let t_directed = directed
             .outcomes
             .iter()
@@ -1860,7 +1812,7 @@ mod tests {
             value: 0.9,
         });
         let mut engine = wl.build_engine();
-        let strict = drive_diagnosis(&mut engine, &fast_config().with_directives(d_strict));
+        let strict = drive(&mut engine, &fast_config().with_directives(d_strict));
 
         let mut d_lax = SearchDirectives::none();
         d_lax.add_threshold(ThresholdDirective {
@@ -1868,7 +1820,7 @@ mod tests {
             value: 0.001,
         });
         let mut engine = wl.build_engine();
-        let lax = drive_diagnosis(&mut engine, &fast_config().with_directives(d_lax));
+        let lax = drive(&mut engine, &fast_config().with_directives(d_lax));
 
         let strict_sync = strict
             .bottleneck_set()
@@ -1890,7 +1842,7 @@ mod tests {
         let wl = hotspot_workload();
         let mut engine = wl.build_engine();
         let config = fast_config();
-        let report = drive_diagnosis(&mut engine, &config);
+        let report = drive(&mut engine, &config);
         let halt = config.collector.cost.halt_threshold;
         let slack = config.collector.cost.base_pair_cost;
         assert!(
@@ -1906,7 +1858,7 @@ mod tests {
     fn report_includes_shg_rendering() {
         let wl = hotspot_workload();
         let mut engine = wl.build_engine();
-        let report = drive_diagnosis(&mut engine, &fast_config());
+        let report = drive(&mut engine, &fast_config());
         assert!(report.shg_rendering.contains("TopLevelHypothesis"));
         assert!(report.shg_rendering.contains("CPUbound"));
         assert!(report.pairs_tested >= 3);
@@ -1945,7 +1897,7 @@ mod tests {
             ..SearchConfig::default()
         };
         let mut engine = wl.build_engine();
-        let base = drive_diagnosis(&mut engine, &config);
+        let base = drive(&mut engine, &config);
         let base_f2 = base
             .outcomes
             .iter()
@@ -1965,7 +1917,7 @@ mod tests {
             level: PriorityLevel::High,
         });
         let mut engine = wl.build_engine();
-        let directed = drive_diagnosis(&mut engine, &config.with_directives(directives));
+        let directed = drive(&mut engine, &config.with_directives(directives));
         let o = directed
             .outcomes
             .iter()
@@ -2001,7 +1953,7 @@ mod tests {
             level: PriorityLevel::High,
         });
         let mut engine = wl.build_engine();
-        let report = drive_diagnosis(&mut engine, &fast_config().with_directives(directives));
+        let report = drive(&mut engine, &fast_config().with_directives(directives));
         let o = report
             .outcomes
             .iter()
@@ -2036,7 +1988,7 @@ mod tests {
     fn cancel_hook_stops_at_a_checkpoint() {
         let wl = hotspot_workload();
         let mut config = fast_config();
-        config.faults.drop_rate = 0.01; // non-disabled plan, faulted loop
+        config.faults.drop_rate = 0.01; // with an injector in the loop
         let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
         config.hooks.cancel = Some(cancel);
         let mut engine = wl.build_engine();
@@ -2051,12 +2003,63 @@ mod tests {
     }
 
     #[test]
+    fn zero_fault_run_honours_cancel_and_resumes_exactly() {
+        // No fault plan: the same loop must still stop on cancel, and a
+        // resume from that checkpoint must end where an uninterrupted
+        // run ends.
+        let wl = hotspot_workload();
+        let mut config = fast_config();
+        let reference = drive_diagnosis_faulted(&mut wl.build_engine(), &config, None);
+        assert_eq!(reference.halted, None);
+
+        let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        config.hooks.cancel = Some(cancel);
+        let run = drive_diagnosis_faulted(&mut wl.build_engine(), &config, None);
+        assert_eq!(run.halted, Some(HaltReason::Cancelled));
+        let ckpt = run.checkpoint.expect("cancellation leaves a checkpoint");
+        assert_eq!(
+            ckpt.at,
+            SimTime::ZERO + config.sample,
+            "first tick boundary"
+        );
+
+        config.hooks.cancel = None;
+        let resumed = drive_diagnosis_faulted(&mut wl.build_engine(), &config, Some(&ckpt));
+        assert_eq!(resumed.halted, None);
+        assert!(
+            resumed.resumed_digest_ok,
+            "replay diverged from the checkpoint"
+        );
+        let (want, got) = (&reference.report, &resumed.report);
+        assert_eq!(got.outcomes, want.outcomes);
+        assert_eq!(got.end_time, want.end_time);
+        assert_eq!(got.pairs_tested, want.pairs_tested);
+        assert_eq!(got.shg_rendering, want.shg_rendering);
+    }
+
+    #[test]
+    fn stall_deadline_below_one_window_spares_a_progressing_search() {
+        // A node waits out its whole window with the digest unchanged,
+        // so a deadline shorter than that must not halt a search that
+        // is still concluding nodes.
+        let wl = hotspot_workload();
+        let mut config = fast_config();
+        config.faults.seed = 3;
+        config.faults.drop_rate = 0.05;
+        config.stall = Some(SimDuration::from_millis(200));
+        assert!(config.stall < Some(config.window));
+        let run = drive_diagnosis_faulted(&mut wl.build_engine(), &config, None);
+        assert_eq!(run.halted, None, "stalled at {:?}", run.checkpoint);
+        assert!(run.report.quiescent);
+    }
+
+    #[test]
     fn top_level_only_restricts_instrumentation_to_whole_program() {
         let wl = hotspot_workload();
         let mut config = fast_config();
         config.top_level_only = true;
         let mut engine = wl.build_engine();
-        let report = drive_diagnosis(&mut engine, &config);
+        let report = drive(&mut engine, &config);
         assert!(report.quiescent);
         assert!(
             report.outcomes.iter().all(|o| o.focus.is_whole_program()),
@@ -2107,7 +2110,7 @@ mod tests {
     fn audited_poison_prune_is_revoked_and_bottleneck_recovered() {
         let wl = hotspot_workload();
         let mut engine = wl.build_engine();
-        let base = drive_diagnosis(&mut engine, &fast_config());
+        let base = drive(&mut engine, &fast_config());
         let truth = base.bottleneck_set();
         assert!(!truth.is_empty());
 
@@ -2124,7 +2127,7 @@ mod tests {
         let mut config = fast_config().with_directives(directives);
         config.audit_budget = 64;
         let mut engine = wl.build_engine();
-        let audited = drive_diagnosis(&mut engine, &config);
+        let audited = drive(&mut engine, &config);
         let found = audited.bottleneck_set();
         for t in &truth {
             assert!(found.contains(t), "poisoned prune still hid {t:?}");
@@ -2142,7 +2145,7 @@ mod tests {
     fn audited_raised_threshold_is_revoked_and_conclusions_flip() {
         let wl = hotspot_workload();
         let mut engine = wl.build_engine();
-        let base = drive_diagnosis(&mut engine, &fast_config());
+        let base = drive(&mut engine, &fast_config());
         let cpu_truth: Vec<_> = base
             .bottleneck_set()
             .into_iter()
@@ -2162,7 +2165,7 @@ mod tests {
         let mut config = fast_config().with_directives(directives);
         config.audit_budget = 4;
         let mut engine = wl.build_engine();
-        let audited = drive_diagnosis(&mut engine, &config);
+        let audited = drive(&mut engine, &config);
         let found = audited.bottleneck_set();
         for t in &cpu_truth {
             assert!(found.contains(t), "raised threshold still hid {t:?}");
@@ -2178,7 +2181,7 @@ mod tests {
     fn honest_prune_audit_passes_and_keeps_the_directive() {
         let wl = hotspot_workload();
         let mut engine = wl.build_engine();
-        let base = drive_diagnosis(&mut engine, &fast_config());
+        let base = drive(&mut engine, &fast_config());
         let io_focus = base
             .outcomes
             .iter()
@@ -2198,7 +2201,7 @@ mod tests {
         let mut config = fast_config().with_directives(directives);
         config.audit_budget = 2;
         let mut engine = wl.build_engine();
-        let r = drive_diagnosis(&mut engine, &config);
+        let r = drive(&mut engine, &config);
         assert!(r.revocations().is_empty());
         assert_eq!(r.audits.len(), 1);
         assert!(r.audits[0].passed);
@@ -2215,7 +2218,7 @@ mod tests {
             target: PruneTarget::Resource(n("/Code/app.c/f1")),
         });
         let mut engine = wl.build_engine();
-        let plain = drive_diagnosis(
+        let plain = drive(
             &mut engine,
             &fast_config().with_directives(directives.clone()),
         );
@@ -2227,7 +2230,7 @@ mod tests {
         let mut config = fast_config().with_directives(stamped);
         config.audit_budget = 0;
         let mut engine = wl.build_engine();
-        let audited = drive_diagnosis(&mut engine, &config);
+        let audited = drive(&mut engine, &config);
         assert_eq!(plain.outcomes, audited.outcomes);
         assert_eq!(plain.end_time, audited.end_time);
         assert_eq!(plain.pairs_tested, audited.pairs_tested);

@@ -1,6 +1,6 @@
 //! Integration: full online diagnosis of the Poisson application.
 
-use histpc_consultant::{drive_diagnosis, SearchConfig};
+use histpc_consultant::{drive_diagnosis_faulted, SearchConfig};
 use histpc_sim::workloads::{PoissonVersion, PoissonWorkload, Workload};
 use histpc_sim::SimDuration;
 
@@ -15,7 +15,7 @@ fn base_diagnosis_of_poisson_c_finds_sync_bottlenecks() {
         ..SearchConfig::default()
     };
     let t0 = std::time::Instant::now();
-    let report = drive_diagnosis(&mut engine, &config);
+    let report = drive_diagnosis_faulted(&mut engine, &config, None).report;
     let wall = t0.elapsed();
     eprintln!(
         "poisson C base: {} bottlenecks, {} pairs, end {}, peak cost {:.3}, quiescent {}, wall {:?}",

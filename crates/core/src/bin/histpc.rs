@@ -413,10 +413,10 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         let report = Supervisor::new(sup).run(&[&driver as &dyn SessionDriver]);
         return Ok(report_supervision(&report));
     }
-    let d = if !config.faults.is_disabled() || resume.is_some() {
-        let dd = session
-            .diagnose_faulted(workload.as_ref(), &config, &label, resume.as_ref())
-            .map_err(|e| e.to_string())?;
+    let dd = session
+        .diagnose_faulted(workload.as_ref(), &config, &label, resume.as_ref())
+        .map_err(|e| e.to_string())?;
+    if !config.faults.is_disabled() || resume.is_some() {
         eprintln!(
             "faults: {} sample(s) dropped, {} delayed, {} reordered; \
              {} request(s) failed, {} deferred; {} kill(s) fired",
@@ -427,34 +427,29 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
             dd.stats.requests_deferred,
             dd.stats.kills_fired
         );
-        if resume.is_some() && !dd.resumed_digest_ok {
-            eprintln!("warning: replayed search state did not match the checkpoint digest");
+    }
+    if !dd.resumed_digest_ok {
+        eprintln!("warning: replayed search state did not match the checkpoint digest");
+    }
+    let Some(d) = dd.diagnosis else {
+        // Unsupervised runs arm neither cancel nor a stall deadline, so
+        // only an injected tool crash interrupts them.
+        let ckpt = dd
+            .checkpoint
+            .expect("an interrupted run leaves a checkpoint");
+        outln!(
+            "diagnosis interrupted by injected tool crash at t = {}",
+            ckpt.at
+        );
+        if flags.contains_key("store") {
+            outln!(
+                "checkpoint stored as {label}.ckpt under the application's \
+                 store directory; rerun the same command with --resume FILE"
+            );
+        } else {
+            outln!("no store attached: rerun with --store to keep the checkpoint");
         }
-        match dd.diagnosis {
-            Some(d) => d,
-            None => {
-                let ckpt = dd
-                    .checkpoint
-                    .expect("an interrupted run leaves a checkpoint");
-                outln!(
-                    "diagnosis interrupted by injected tool crash at t = {}",
-                    ckpt.at
-                );
-                if flags.contains_key("store") {
-                    outln!(
-                        "checkpoint stored as {label}.ckpt under the application's \
-                         store directory; rerun the same command with --resume FILE"
-                    );
-                } else {
-                    outln!("no store attached: rerun with --store to keep the checkpoint");
-                }
-                return Ok(ExitCode::SUCCESS);
-            }
-        }
-    } else {
-        session
-            .diagnose(workload.as_ref(), &config, &label)
-            .map_err(|e| e.to_string())?
+        return Ok(ExitCode::SUCCESS);
     };
     if !d.lint_warnings.is_empty() && !linted_files {
         let mut sources = histpc::lint::SourceCache::new();

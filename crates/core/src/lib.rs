@@ -86,9 +86,9 @@ pub mod prelude {
     pub use crate::session::{DegradedDiagnosis, Diagnosis, Session, SessionError};
     pub use crate::supervised::WorkloadSession;
     pub use histpc_consultant::{
-        drive_diagnosis, drive_diagnosis_faulted, DegradedRun, DiagnosisReport, NodeOutcome,
-        Outcome, PriorityDirective, PriorityLevel, Prune, PruneTarget, SearchCheckpoint,
-        SearchConfig, SearchDirectives, ThresholdDirective,
+        drive_diagnosis_faulted, DegradedRun, DiagnosisReport, NodeOutcome, Outcome,
+        PriorityDirective, PriorityLevel, Prune, PruneTarget, SearchCheckpoint, SearchConfig,
+        SearchDirectives, ThresholdDirective,
     };
     pub use histpc_faults::{FaultPlan, FaultStats, KillEvent, KillTarget};
     pub use histpc_history::{

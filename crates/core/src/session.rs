@@ -6,8 +6,8 @@
 //! across code versions — and feed them into the next diagnosis.
 
 use histpc_consultant::{
-    drive_diagnosis, drive_diagnosis_faulted, DiagnosisReport, HaltReason, HypothesisTree,
-    PriorityLevel, SearchCheckpoint, SearchConfig, SearchDirectives,
+    drive_diagnosis_faulted, DiagnosisReport, HaltReason, HypothesisTree, PriorityLevel,
+    SearchCheckpoint, SearchConfig, SearchDirectives,
 };
 use histpc_faults::FaultStats;
 use histpc_history::store::StoreError;
@@ -33,6 +33,9 @@ pub enum SessionError {
     /// The operation reads history, but the session has no store (it
     /// was built with [`Session::new`], not [`Session::with_store`]).
     NoStore,
+    /// The drive loop stopped at a checkpoint before the diagnosis
+    /// finished (see [`Session::diagnose`]).
+    Interrupted(HaltReason),
 }
 
 impl fmt::Display for SessionError {
@@ -53,6 +56,9 @@ impl fmt::Display for SessionError {
             }
             SessionError::Store(e) => write!(f, "execution store error: {e}"),
             SessionError::NoStore => write!(f, "this session has no execution store"),
+            SessionError::Interrupted(reason) => {
+                write!(f, "diagnosis interrupted ({reason}) before it finished")
+            }
         }
     }
 }
@@ -99,15 +105,16 @@ pub struct Diagnosis {
     pub events: u64,
 }
 
-/// The result of a fault-injected diagnosis: either a completed (possibly
-/// degraded) [`Diagnosis`], or the checkpoint an injected tool crash left
-/// behind.
+/// The result of [`Session::diagnose_faulted`]: either a completed
+/// (possibly degraded) [`Diagnosis`], or the checkpoint an interrupted
+/// run left behind.
 #[derive(Debug)]
 pub struct DegradedDiagnosis {
-    /// The finished diagnosis; `None` when an injected crash interrupted
-    /// the search (resume with [`DegradedDiagnosis::checkpoint`]).
+    /// The finished diagnosis; `None` when a crash, cancellation or
+    /// stall interrupted the search (resume with
+    /// [`DegradedDiagnosis::checkpoint`]).
     pub diagnosis: Option<Diagnosis>,
-    /// The crash checkpoint when the run was interrupted. Also saved as a
+    /// The checkpoint when the run was interrupted. Also saved as a
     /// `ckpt` artifact when a store is attached.
     pub checkpoint: Option<SearchCheckpoint>,
     /// Why the run was interrupted (crash, watchdog stall, external
@@ -149,72 +156,54 @@ impl Session {
     /// Runs one full online diagnosis of `workload` under `config`,
     /// labels it `label`, saves the record if a store is attached, and
     /// returns the report together with the record and postmortem ground
-    /// truth.
+    /// truth. This is [`Session::diagnose_faulted`] with nothing to
+    /// resume from.
     ///
     /// The search directives in `config` are linted first:
     /// [`SessionError::Lint`] refuses directives with errors (unknown
     /// hypotheses, malformed foci, out-of-range thresholds), while
     /// warnings are surfaced in [`Diagnosis::lint_warnings`].
+    ///
+    /// [`SessionError::Interrupted`] reports a run that stopped at a
+    /// checkpoint instead of finishing: only possible when `config`
+    /// arms `hooks.cancel`, a `stall` deadline, or a tool crash in its
+    /// fault plan. The checkpoint is saved as a `ckpt` artifact when a
+    /// store is attached; resume it with [`Session::diagnose_faulted`].
     pub fn diagnose(
         &self,
         workload: &dyn Workload,
         config: &SearchConfig,
         label: &str,
     ) -> Result<Diagnosis, SessionError> {
-        let lint_warnings = preflight(&config.directives, "<search directives>")?;
-        let mut engine = workload.build_engine();
-        let report = drive_diagnosis(&mut engine, config);
-        let pm = PostmortemData::from_totals(engine.app().clone(), engine.totals());
-        let tree = HypothesisTree::standard();
-        let thresholds_used = tree
-            .testable()
-            .iter()
-            .map(|&h| {
-                let hyp = tree.get(h);
-                let v = config
-                    .directives
-                    .threshold_for(&hyp.name)
-                    .unwrap_or(hyp.default_threshold);
-                (hyp.name.clone(), v)
-            })
-            .collect();
-        let record = ExecutionRecord::from_report(&report, pm.space(), label, thresholds_used);
-        if let Some(store) = &self.store {
-            store.save(&record)?;
-            store.save_artifact(&record.app_name, label, "shg", &report.shg_rendering)?;
-            // Supersede any crash checkpoint left under this label by an
-            // earlier interrupted attempt (see diagnose_faulted).
-            store.delete_artifact(&record.app_name, label, "ckpt")?;
+        let run = self.diagnose_faulted(workload, config, label, None)?;
+        if let Some(reason) = run.halted {
+            return Err(SessionError::Interrupted(reason));
         }
-        self.absorb_audits(&report);
-        let truth = ground_truth(&pm, &tree, &config.directives);
-        Ok(Diagnosis {
-            report,
-            record,
-            postmortem: pm,
-            ground_truth: truth,
-            lint_warnings,
-            events: engine.events_drained(),
-        })
+        Ok(run
+            .diagnosis
+            .expect("a run that did not halt carries its diagnosis"))
     }
 
-    /// Like [`Session::diagnose`], but drives the search through the
-    /// fault injector configured in `config.faults`.
+    /// Runs one diagnosis like [`Session::diagnose`], optionally resuming
+    /// from a checkpoint, and reports an interrupted run as a
+    /// [`DegradedDiagnosis`] instead of an error.
     ///
-    /// Injected sample loss, delays, and request failures degrade the run
-    /// in place: the report may then carry `Unknown` (starved) and
-    /// `Unreachable` (dead-resource) outcomes alongside the usual
-    /// verdicts. Overload faults (sample floods, slow collectors, request
-    /// storms) pressure the admission layer instead: with admission
-    /// control enabled in `config.collector.admission`, overwhelmed
-    /// processes trip circuit breakers and their pairs conclude
-    /// `Saturated`. An injected tool crash interrupts the run instead,
-    /// returning a [`SearchCheckpoint`] — persisted as a `ckpt` artifact
-    /// when a store is attached — and no diagnosis; passing that
-    /// checkpoint back as `resume_from` deterministically replays the
-    /// search past the crash point. With `config.faults.corrupt_store`
-    /// set, the saved record is overwritten with a corrupted copy after
-    /// the save, exercising the store's quarantine path on the next load.
+    /// The fault plan in `config.faults` degrades the run in place.
+    /// Injected sample loss, delays, and request failures can leave
+    /// `Unknown` (starved) and `Unreachable` (dead-resource) outcomes
+    /// alongside the usual verdicts. Overload faults (sample floods, slow
+    /// collectors, request storms) pressure the admission layer instead:
+    /// with admission control enabled in `config.collector.admission`,
+    /// overwhelmed processes trip circuit breakers and their pairs
+    /// conclude `Saturated`. An injected tool crash, a set
+    /// `config.hooks.cancel` or an expired `config.stall` deadline
+    /// interrupts the run instead, returning a [`SearchCheckpoint`] —
+    /// persisted as a `ckpt` artifact when a store is attached — and no
+    /// diagnosis; passing that checkpoint back as `resume_from`
+    /// deterministically replays the search past that point. With
+    /// `config.faults.corrupt_store` set, the saved record is overwritten
+    /// with a corrupted copy after the save, exercising the store's
+    /// quarantine path on the next load.
     /// `torn_write` and `partial_journal` instead stage crash-shaped
     /// damage (a torn record file with an uncommitted journal intent, or
     /// a journal cut mid-append) that the next store open must recover.
@@ -635,6 +624,8 @@ mod tests {
 
     #[test]
     fn faulted_run_with_disabled_plan_is_bit_identical() {
+        // `diagnose` is `diagnose_faulted(.., None)` with the diagnosis
+        // unwrapped; the records must agree byte for byte.
         let wl = SyntheticWorkload::balanced(2, 2, 0.1).with_hotspot(0, 1, 2.0);
         let session = Session::new();
         let config = fast_config();
@@ -647,6 +638,19 @@ mod tests {
         assert_eq!(
             histpc_history::format::write_record(&plain.record),
             histpc_history::format::write_record(&faulted.record),
+        );
+    }
+
+    #[test]
+    fn diagnose_reports_an_interrupted_run_as_an_error() {
+        let wl = SyntheticWorkload::balanced(2, 2, 0.1).with_hotspot(0, 1, 2.0);
+        let mut config = fast_config();
+        let cancel = std::sync::Arc::new(std::sync::atomic::AtomicBool::new(true));
+        config.hooks.cancel = Some(cancel);
+        let err = Session::new().diagnose(&wl, &config, "r1").unwrap_err();
+        assert!(
+            matches!(err, SessionError::Interrupted(HaltReason::Cancelled)),
+            "got {err}"
         );
     }
 

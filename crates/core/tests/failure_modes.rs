@@ -78,8 +78,8 @@ fn fault_plan_round_trips_through_text() {
     );
 }
 
-/// With no faults injected, the faulted driver is bit-identical to the
-/// plain one: same record text, same SHG rendering, same cost trace.
+/// With no faults injected, `diagnose_faulted` is bit-identical to
+/// `diagnose`: same record text, same SHG rendering, same cost trace.
 #[test]
 fn disabled_fault_layer_is_bit_identical_to_baseline() {
     let wl = PoissonWorkload::new(PoissonVersion::D).with_seed(11);

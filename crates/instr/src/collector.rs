@@ -332,7 +332,7 @@ impl Collector {
     }
 
     /// Feeds a batch of intervals one by one (exact but slow; prefer
-    /// [`Collector::observe_batch`] for driver loops).
+    /// [`Collector::ingest`] for driver loops).
     pub fn observe_all(&mut self, ivs: &[Interval]) {
         for iv in ivs {
             self.observe(iv);
@@ -342,7 +342,7 @@ impl Collector {
     /// Feeds a batch of raw intervals via per-key aggregation: tag
     /// discovery stays exact, metric values are spread uniformly over
     /// each key's span within the batch (see [`crate::delta`]).
-    pub fn observe_batch(&mut self, ivs: &[Interval]) {
+    fn observe_batch(&mut self, ivs: &[Interval]) {
         ivs.iter().for_each(|iv| self.table.fold(iv));
         let step = self.table.drain();
         self.ingest_deltas(&step.deltas, &step.per_proc);
