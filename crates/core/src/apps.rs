@@ -64,6 +64,36 @@ mod tests {
         }
     }
 
+    /// Hierarchies cache each node's full name at insertion. Rebuild
+    /// every name from the label chain of the rendered tree (each label
+    /// appended to its parent's name) and check the cache agrees.
+    #[test]
+    fn cached_node_names_match_names_rebuilt_from_parent_chains() {
+        use histpc_instr::Binder;
+        use histpc_resources::ResourceName;
+        for spec in APP_SPECS {
+            let space = Binder::new(build_workload(spec, None).unwrap().app_spec()).build_space();
+            for h in space.hierarchies() {
+                let mut chain: Vec<String> = Vec::new();
+                let mut rebuilt = Vec::new();
+                for line in h.render(false).lines() {
+                    let label = line.trim_start();
+                    chain.truncate((line.len() - label.len()) / 2);
+                    chain.push(label.to_string());
+                    rebuilt.push(ResourceName::new(chain.clone()).unwrap());
+                }
+                assert_eq!(h.all_names(), rebuilt, "{spec} {}", h.name());
+                for name in &rebuilt {
+                    let id = h.lookup(name).expect("rebuilt name is in the hierarchy");
+                    assert_eq!(&h.name_of(id), name, "{spec}");
+                    for child in h.children_of(name) {
+                        assert_eq!(child.parent().as_ref(), Some(name), "{spec}");
+                    }
+                }
+            }
+        }
+    }
+
     #[test]
     fn unknown_spec_errs_with_catalogue() {
         let e = build_workload("nope", None).err().unwrap();

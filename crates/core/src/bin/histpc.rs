@@ -117,24 +117,49 @@ use histpc::remote::{Client, Request};
 use histpc::supervise::SessionDriver;
 use std::collections::HashMap;
 use std::process::ExitCode;
+use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Writes report output to stdout. All of the CLI's stdout goes through
-/// here because `print!` panics (exit 101) when the reader has gone away
-/// — `histpc run … | head -1`. A closed pipe is a reader that has seen
-/// enough: the rest of the output is dropped quietly and the command
-/// carries on to its usual exit code.
-fn write_out(args: std::fmt::Arguments<'_>) {
-    use std::io::Write;
-    use std::sync::atomic::{AtomicBool, Ordering};
+/// Writes `args` to `w` unless an earlier write to the same stream
+/// failed. `print!` and `eprint!` panic (exit 101) when the reader has
+/// gone away — `histpc run … | head -1`, or a stderr pipe closed early.
+/// A closed pipe is a reader that has seen enough: after the first
+/// failed write the rest of that stream is dropped quietly and the
+/// command carries on to its usual exit code.
+fn write_latched(
+    closed: &AtomicBool,
+    mut w: impl std::io::Write,
+    args: std::fmt::Arguments<'_>,
+) -> std::io::Result<()> {
+    if closed.load(Ordering::Relaxed) {
+        return Ok(());
+    }
+    w.write_fmt(args)
+        .inspect_err(|_| closed.store(true, Ordering::Relaxed))
+}
+
+/// Writes diagnostics to stderr (see [`write_latched`]).
+fn write_err(args: std::fmt::Arguments<'_>) {
     // Only a statistic-like latch: publishes no other data.
     static CLOSED: AtomicBool = AtomicBool::new(false);
-    if CLOSED.load(Ordering::Relaxed) {
-        return;
-    }
-    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
-        CLOSED.store(true, Ordering::Relaxed);
+    // A failed stderr write has nowhere left to be reported.
+    let _ = write_latched(&CLOSED, std::io::stderr().lock(), args);
+}
+
+macro_rules! err {
+    ($($arg:tt)*) => { write_err(format_args!($($arg)*)) };
+}
+
+macro_rules! errln {
+    ($($arg:tt)*) => { write_err(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// Writes report output to stdout (see [`write_latched`]).
+fn write_out(args: std::fmt::Arguments<'_>) {
+    // Only a statistic-like latch: publishes no other data.
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if let Err(e) = write_latched(&CLOSED, std::io::stdout().lock(), args) {
         if e.kind() != std::io::ErrorKind::BrokenPipe {
-            eprintln!("error: cannot write to stdout: {e}");
+            errln!("error: cannot write to stdout: {e}");
         }
     }
 }
@@ -148,7 +173,7 @@ macro_rules! outln {
 }
 
 fn usage() -> ! {
-    eprintln!(
+    errln!(
         "usage:\n  histpc run --app APP [--label L] [--store DIR] [--directives FILE]\n\
          \x20            [--mappings FILE] [--window SECS] [--max-time SECS] [--seed N]\n\
          \x20            [--faults FILE] [--resume FILE] [--admission KNOBS]\n\
@@ -188,7 +213,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
     let mut i = 0;
     while i < args.len() {
         let Some(key) = args[i].strip_prefix("--") else {
-            eprintln!("unexpected argument {:?}", args[i]);
+            errln!("unexpected argument {:?}", args[i]);
             usage();
         };
         if BOOLEAN_FLAGS.contains(&key) {
@@ -197,7 +222,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
             continue;
         }
         let Some(value) = args.get(i + 1) else {
-            eprintln!("missing value for --{key}");
+            errln!("missing value for --{key}");
             usage();
         };
         out.insert(key.to_string(), value.clone());
@@ -210,7 +235,7 @@ fn require<'a>(flags: &'a HashMap<String, String>, key: &str) -> &'a str {
     match flags.get(key) {
         Some(v) => v,
         None => {
-            eprintln!("missing required flag --{key}");
+            errln!("missing required flag --{key}");
             usage();
         }
     }
@@ -231,7 +256,7 @@ fn build_workload(app: &str, seed: Option<u64>) -> Box<dyn Workload + Send + Syn
     match histpc::apps::build_workload(app, seed) {
         Ok(wl) => wl,
         Err(msg) => {
-            eprintln!("{msg}");
+            errln!("{msg}");
             usage();
         }
     }
@@ -246,7 +271,7 @@ fn extraction_mode(mode: &str) -> ExtractionOptions {
         "combined" => ExtractionOptions::priorities_and_safe_prunes(),
         "combined+thresholds" => ExtractionOptions::priorities_and_safe_prunes().with_thresholds(),
         other => {
-            eprintln!("unknown harvest mode {other:?}");
+            errln!("unknown harvest mode {other:?}");
             usage();
         }
     }
@@ -313,7 +338,7 @@ fn report_supervision(report: &SupervisionReport) -> ExitCode {
     out!("{}", report.render());
     for s in &report.sessions {
         for note in &s.notes {
-            eprintln!("  [{}] {note}", s.label);
+            errln!("  [{}] {note}", s.label);
         }
     }
     ExitCode::from(supervision_exit_code(report))
@@ -363,9 +388,9 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         }
         let report = linter.run();
         if !report.is_clean() {
-            eprint!("{}", report.render(&linter.sources()));
+            err!("{}", report.render(&linter.sources()));
             if let Some(trailer) = histpc::lint::summary(&report.diagnostics) {
-                eprintln!("\n{trailer} emitted");
+                errln!("\n{trailer} emitted");
             }
         }
         if report.has_errors() {
@@ -377,7 +402,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
             let mappings = MappingSet::parse(mtext).map_err(|e| e.to_string())?;
             directives = mappings.apply_to_directives(&directives);
         }
-        eprintln!("loaded {} directives", directives.len());
+        errln!("loaded {} directives", directives.len());
         config.directives = directives;
     }
 
@@ -417,7 +442,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         .diagnose_faulted(workload.as_ref(), &config, &label, resume.as_ref())
         .map_err(|e| e.to_string())?;
     if !config.faults.is_disabled() || resume.is_some() {
-        eprintln!(
+        errln!(
             "faults: {} sample(s) dropped, {} delayed, {} reordered; \
              {} request(s) failed, {} deferred; {} kill(s) fired",
             dd.stats.dropped,
@@ -429,7 +454,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         );
     }
     if !dd.resumed_digest_ok {
-        eprintln!("warning: replayed search state did not match the checkpoint digest");
+        errln!("warning: replayed search state did not match the checkpoint digest");
     }
     let Some(d) = dd.diagnosis else {
         // Unsupervised runs arm neither cancel nor a stall deadline, so
@@ -454,7 +479,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     if !d.lint_warnings.is_empty() && !linted_files {
         let mut sources = histpc::lint::SourceCache::new();
         sources.insert("<search directives>", &config.directives.to_text());
-        eprint!("{}", histpc::lint::render_all(&d.lint_warnings, &sources));
+        err!("{}", histpc::lint::render_all(&d.lint_warnings, &sources));
     }
 
     outln!(
@@ -551,7 +576,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         .filter(|o| o.outcome == Outcome::Unreachable)
         .count();
     if unknowns > 0 || saturated_pairs > 0 || unreachables > 0 {
-        eprintln!(
+        errln!(
             "warning: diagnosis degraded — {unknowns} unknown, {unreachables} unreachable, \
              {saturated_pairs} saturated pair(s); parts of the search space were never \
              honestly measured (exit code {EXIT_DEGRADED})"
@@ -603,7 +628,7 @@ fn cmd_run_remote(sock: &str, flags: &HashMap<String, String>) -> Result<ExitCod
 
     let mut client = Client::new(sock, &tenant);
     let started = client.expect_ok(&req).map_err(|e| e.to_string())?;
-    eprintln!(
+    errln!(
         "{sock}: session {} {}",
         started.get("id").unwrap_or("?"),
         if started.get("accepted") == Some("1") {
@@ -633,9 +658,9 @@ fn cmd_run_remote(sock: &str, flags: &HashMap<String, String>) -> Result<ExitCod
     }
     let detail = report.get("detail").unwrap_or_default();
     if detail.is_empty() {
-        eprintln!("session {tenant}/{label}: {state}");
+        errln!("session {tenant}/{label}: {state}");
     } else {
-        eprintln!("session {tenant}/{label}: {detail}");
+        errln!("session {tenant}/{label}: {detail}");
     }
     // Same worst-wins precedence as local supervised runs (this run is
     // the only session in the report).
@@ -828,7 +853,7 @@ fn cmd_harvest(flags: HashMap<String, String>) -> Result<(), String> {
     match flags.get("out") {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| e.to_string())?;
-            eprintln!(
+            errln!(
                 "wrote {} directives ({} prunes, {} priorities, {} thresholds) to {path}",
                 directives.len(),
                 directives.prunes.len(),
@@ -856,7 +881,7 @@ fn cmd_map(flags: HashMap<String, String>) -> Result<(), String> {
     match flags.get("out") {
         Some(path) => {
             std::fs::write(path, &text).map_err(|e| e.to_string())?;
-            eprintln!("wrote {} mappings to {path}", mappings.len());
+            errln!("wrote {} mappings to {path}", mappings.len());
         }
         None => out!("{text}"),
     }
@@ -1064,9 +1089,9 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
     if format == "json" {
         out!("{}", histpc::lint::report_to_json(&report));
     } else if !report.is_clean() {
-        eprint!("{}", report.render(&linter.sources()));
+        err!("{}", report.render(&linter.sources()));
         if let Some(trailer) = histpc::lint::summary(&report.diagnostics) {
-            eprintln!("\n{trailer} emitted");
+            errln!("\n{trailer} emitted");
         }
     }
     let failed = report.has_errors() || (deny_warnings && report.warning_count() > 0);
@@ -1103,14 +1128,16 @@ fn cmd_lint_corpus(
     } else if !report.is_clean() {
         // Corpus diagnostics point at store records, not local artifact
         // files; there is no source text to quote under a caret.
-        eprint!("{}", report.render(&histpc::lint::SourceCache::new()));
+        err!("{}", report.render(&histpc::lint::SourceCache::new()));
         if let Some(trailer) = histpc::lint::summary(&report.diagnostics) {
-            eprintln!("\n{trailer} emitted");
+            errln!("\n{trailer} emitted");
         }
     }
-    eprintln!(
+    errln!(
         "analyzed {} record(s): {} from fact cache, {} lowered",
-        analysis.records, analysis.cache_hits, analysis.cache_misses
+        analysis.records,
+        analysis.cache_hits,
+        analysis.cache_misses
     );
     let failed = report.has_errors() || (deny_warnings && report.warning_count() > 0);
     Ok(if failed {
@@ -1174,12 +1201,12 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
                 outln!("{store_dir}: clean");
                 return Ok(ExitCode::SUCCESS);
             }
-            eprint!(
+            err!(
                 "{}",
                 histpc::lint::render_all(&diags, &histpc::lint::SourceCache::new())
             );
             if let Some(trailer) = histpc::lint::summary(&diags) {
-                eprintln!("\n{trailer} emitted");
+                errln!("\n{trailer} emitted");
             }
             let has_errors = diags.iter().any(|d| d.is_error());
             // Notes (e.g. "skipped: sidecar") are informational and
@@ -1318,7 +1345,7 @@ fn main() -> ExitCode {
         return match cmd_lint(&args[1..]) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("error: {e}");
+                errln!("error: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -1327,7 +1354,7 @@ fn main() -> ExitCode {
         return match cmd_store(&args[1..]) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("error: {e}");
+                errln!("error: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -1336,7 +1363,7 @@ fn main() -> ExitCode {
         return match cmd_run(parse_flags(&args[1..])) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("error: {e}");
+                errln!("error: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -1345,7 +1372,7 @@ fn main() -> ExitCode {
         return match cmd_daemon(&args[1..]) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("error: {e}");
+                errln!("error: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -1354,7 +1381,7 @@ fn main() -> ExitCode {
         return match cmd_supervise(parse_flags(&args[1..])) {
             Ok(code) => code,
             Err(e) => {
-                eprintln!("error: {e}");
+                errln!("error: {e}");
                 ExitCode::FAILURE
             }
         };
@@ -1372,7 +1399,7 @@ fn main() -> ExitCode {
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
-            eprintln!("error: {e}");
+            errln!("error: {e}");
             ExitCode::FAILURE
         }
     }

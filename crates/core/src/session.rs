@@ -1,9 +1,10 @@
 //! High-level diagnosis sessions.
 //!
 //! [`Session`] wraps the full pipeline of the paper: run a diagnosis,
-//! capture an execution record (and the postmortem ground truth), save it
-//! to a store, harvest directives from earlier runs — optionally mapped
-//! across code versions — and feed them into the next diagnosis.
+//! capture an execution record (and the full-resolution postmortem
+//! data), save it to a store, harvest directives from earlier runs —
+//! optionally mapped across code versions — and feed them into the next
+//! diagnosis.
 
 use histpc_consultant::{
     drive_diagnosis_faulted, DiagnosisReport, HaltReason, HypothesisTree, PriorityLevel,
@@ -12,12 +13,11 @@ use histpc_consultant::{
 use histpc_faults::FaultStats;
 use histpc_history::store::StoreError;
 use histpc_history::{
-    extract, ground_truth, ExecutionRecord, ExecutionStore, ExtractionOptions, MappingSet,
-    TrustLedger, TrustVerdict,
+    extract, ExecutionRecord, ExecutionStore, ExtractionOptions, MappingSet, TrustLedger,
+    TrustVerdict,
 };
 use histpc_instr::PostmortemData;
 use histpc_lint::{Diagnostic, LintReport, Linter, SourceCache};
-use histpc_resources::Focus;
 use histpc_sim::workloads::Workload;
 use std::fmt;
 use std::path::Path;
@@ -91,11 +91,10 @@ pub struct Diagnosis {
     pub report: DiagnosisReport,
     /// The persisted execution record (structural + outcome data).
     pub record: ExecutionRecord,
-    /// Full-resolution postmortem data (ground truth).
+    /// Full-resolution postmortem data. The evaluation's "100% of true
+    /// bottlenecks" reference is derived from it on demand with
+    /// `histpc_history::ground_truth`; a diagnosis does not pay for it.
     pub postmortem: PostmortemData,
-    /// The postmortem bottleneck set under the same thresholds — the
-    /// "100% of true bottlenecks" reference used by the evaluation.
-    pub ground_truth: Vec<(String, Focus)>,
     /// Warnings from the pre-flight lint of the search directives (the
     /// lint's errors refuse the diagnosis instead).
     pub lint_warnings: Vec<Diagnostic>,
@@ -284,13 +283,11 @@ impl Session {
                 let _ = std::fs::write(&path, garbled);
             }
         }
-        let truth = ground_truth(&pm, &tree, &config.directives);
         Ok(DegradedDiagnosis {
             diagnosis: Some(Diagnosis {
                 report,
                 record,
                 postmortem: pm,
-                ground_truth: truth,
                 lint_warnings,
                 events: engine.events_drained(),
             }),
@@ -521,6 +518,7 @@ impl Session {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use histpc_resources::Focus;
     use histpc_sim::workloads::{PoissonVersion, PoissonWorkload, SyntheticWorkload};
     use histpc_sim::SimDuration;
 
@@ -537,11 +535,17 @@ mod tests {
     fn diagnose_produces_consistent_artifacts() {
         let wl = SyntheticWorkload::balanced(2, 2, 0.1).with_hotspot(0, 1, 2.0);
         let session = Session::new();
-        let d = session.diagnose(&wl, &fast_config(), "r1").unwrap();
+        let config = fast_config();
+        let d = session.diagnose(&wl, &config, "r1").unwrap();
         assert!(d.report.bottleneck_count() > 0);
         assert_eq!(d.record.label, "r1");
         assert_eq!(d.record.outcomes.len(), d.report.outcomes.len());
-        assert!(!d.ground_truth.is_empty());
+        let truth = histpc_history::ground_truth(
+            &d.postmortem,
+            &HypothesisTree::standard(),
+            &config.directives,
+        );
+        assert!(!truth.is_empty());
         // Thresholds recorded for every testable hypothesis.
         assert_eq!(
             d.record.thresholds_used.len(),
@@ -555,14 +559,20 @@ mod tests {
     fn online_findings_are_a_subset_of_ground_truth_mostly() {
         let wl = SyntheticWorkload::balanced(2, 2, 0.1).with_hotspot(0, 1, 2.0);
         let session = Session::new();
-        let d = session.diagnose(&wl, &fast_config(), "r1").unwrap();
+        let config = fast_config();
+        let d = session.diagnose(&wl, &config, "r1").unwrap();
+        let truth = histpc_history::ground_truth(
+            &d.postmortem,
+            &HypothesisTree::standard(),
+            &config.directives,
+        );
         // Every whole-program bottleneck the online search found must be
         // in the postmortem ground truth (windows can differ on
         // borderline deep foci, but the top level is unambiguous).
         for (h, f) in d.report.bottleneck_set() {
             if f.is_whole_program() {
                 assert!(
-                    d.ground_truth.contains(&(h.clone(), f.clone())),
+                    truth.contains(&(h.clone(), f.clone())),
                     "online-only bottleneck {h} {f}"
                 );
             }

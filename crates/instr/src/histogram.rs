@@ -5,13 +5,23 @@
 //! array, adjacent buckets are *folded* (pairwise summed) and the bucket
 //! width doubles, so a bounded amount of memory covers an arbitrarily long
 //! execution at progressively coarser resolution.
+//!
+//! Most pairs live for a window or two, so a histogram stores only the
+//! contiguous range of buckets its samples have touched; every bucket
+//! outside that range reads as zero. Adds, folds and sums run over the
+//! same logical buckets, with the same operands, as a dense array would.
 
 use histpc_sim::{SimDuration, SimTime};
 
 /// A fixed-capacity time histogram of a value accumulated over a run.
 #[derive(Debug, Clone)]
 pub struct TimeHistogram {
-    buckets: Vec<f64>,
+    /// Logical number of buckets; the span is `capacity * width`.
+    capacity: usize,
+    /// Logical index of `stored[0]`.
+    base: usize,
+    /// Buckets `[base, base + stored.len())`; all others are zero.
+    stored: Vec<f64>,
     /// Current bucket width in microseconds.
     width_us: u64,
     /// Number of folds performed so far.
@@ -25,7 +35,9 @@ impl TimeHistogram {
         assert!(capacity.is_multiple_of(2), "capacity must be even to fold");
         assert!(!initial_width.is_zero(), "width must be nonzero");
         TimeHistogram {
-            buckets: vec![0.0; capacity],
+            capacity,
+            base: 0,
+            stored: Vec::new(),
             width_us: initial_width.as_micros(),
             folds: 0,
         }
@@ -49,7 +61,30 @@ impl TimeHistogram {
 
     /// The end of the covered span at the current width.
     pub fn span_end(&self) -> SimTime {
-        SimTime(self.width_us * self.buckets.len() as u64)
+        SimTime(self.width_us * self.capacity as u64)
+    }
+
+    /// The value of logical bucket `b` (zero outside the stored range).
+    fn get(&self, b: usize) -> f64 {
+        b.checked_sub(self.base)
+            .and_then(|i| self.stored.get(i))
+            .copied()
+            .unwrap_or(0.0)
+    }
+
+    /// Widens the stored range to cover buckets `first..=last`.
+    fn cover(&mut self, first: usize, last: usize) {
+        if self.stored.is_empty() {
+            self.base = first;
+        } else if first < self.base {
+            let grow = self.base - first;
+            self.stored.splice(0..0, std::iter::repeat_n(0.0, grow));
+            self.base = first;
+        }
+        let len = last + 1 - self.base;
+        if self.stored.len() < len {
+            self.stored.resize(len, 0.0);
+        }
     }
 
     /// Adds `amount` of value spread uniformly over `[start, end)`,
@@ -65,22 +100,24 @@ impl TimeHistogram {
         let total = (e - s) as f64;
         let first = (s / self.width_us) as usize;
         let last = ((e - 1) / self.width_us) as usize;
+        self.cover(first, last);
         for b in first..=last {
             let b_start = b as u64 * self.width_us;
             let b_end = b_start + self.width_us;
             let overlap = (e.min(b_end) - s.max(b_start)) as f64;
-            self.buckets[b] += amount * overlap / total;
+            self.stored[b - self.base] += amount * overlap / total;
         }
     }
 
     /// Pairwise-sums adjacent buckets and doubles the width.
     fn fold(&mut self) {
-        let n = self.buckets.len();
-        for i in 0..n / 2 {
-            self.buckets[i] = self.buckets[2 * i] + self.buckets[2 * i + 1];
-        }
-        for b in &mut self.buckets[n / 2..] {
-            *b = 0.0;
+        if !self.stored.is_empty() {
+            let first = self.base / 2;
+            let last = (self.base + self.stored.len() - 1) / 2;
+            self.stored = (first..=last)
+                .map(|i| self.get(2 * i) + self.get(2 * i + 1))
+                .collect();
+            self.base = first;
         }
         self.width_us *= 2;
         self.folds += 1;
@@ -102,18 +139,21 @@ impl TimeHistogram {
         let first = (s / self.width_us) as usize;
         let last = ((e - 1) / self.width_us) as usize;
         let mut acc = 0.0;
-        for b in first..=last.min(self.buckets.len() - 1) {
+        for b in first..=last.min(self.capacity - 1) {
             let b_start = b as u64 * self.width_us;
             let b_end = b_start + self.width_us;
             let overlap = (e.min(b_end) - s.max(b_start)) as f64;
-            acc += self.buckets[b] * overlap / self.width_us as f64;
+            acc += self.get(b) * overlap / self.width_us as f64;
         }
         acc
     }
 
     /// Total value over the whole histogram.
     pub fn total(&self) -> f64 {
-        self.buckets.iter().sum()
+        // Folded from +0.0: the zero buckets before the stored range
+        // would have turned a leading -0.0 into +0.0, and `Iterator::sum`
+        // starts from -0.0.
+        self.stored.iter().fold(0.0, |acc, &b| acc + b)
     }
 }
 

@@ -8,16 +8,24 @@
 
 use crate::error::ResourceError;
 use crate::name::ResourceName;
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A focus: for each resource hierarchy, one selected resource.
 ///
-/// Stored as a map from hierarchy name to selection, ordered by hierarchy
-/// name so that equal foci have identical textual forms.
+/// Stored as a vector of selections sorted by hierarchy name (each
+/// selection's first segment), at most one per hierarchy, so that equal
+/// foci have identical textual forms. Because the hierarchy name leads
+/// every selection, the derived order is the same as that of a map from
+/// hierarchy name to selection.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Focus {
-    selections: BTreeMap<String, ResourceName>,
+    selections: Vec<ResourceName>,
+}
+
+/// Where hierarchy `h`'s selection is (`Ok`) or would be inserted
+/// (`Err`) in a vector sorted by hierarchy name.
+fn slot(sorted: &[ResourceName], h: &str) -> Result<usize, usize> {
+    sorted.binary_search_by(|s| s.hierarchy().cmp(h))
 }
 
 impl Focus {
@@ -27,17 +35,19 @@ impl Focus {
     where
         I: IntoIterator<Item = ResourceName>,
     {
-        let mut map = BTreeMap::new();
+        let mut sorted: Vec<ResourceName> = Vec::new();
         for sel in selections {
-            let h = sel.hierarchy().to_string();
-            if map.insert(h.clone(), sel).is_some() {
-                return Err(ResourceError::ParseFocus {
-                    input: h,
-                    reason: "duplicate hierarchy in focus",
-                });
+            match slot(&sorted, sel.hierarchy()) {
+                Ok(_) => {
+                    return Err(ResourceError::ParseFocus {
+                        input: sel.hierarchy().to_string(),
+                        reason: "duplicate hierarchy in focus",
+                    })
+                }
+                Err(at) => sorted.insert(at, sel),
             }
         }
-        Ok(Focus { selections: map })
+        Ok(Focus { selections: sorted })
     }
 
     /// The whole-program focus over the given hierarchies: every selection
@@ -78,17 +88,17 @@ impl Focus {
 
     /// The hierarchies this focus spans, in canonical (sorted) order.
     pub fn hierarchies(&self) -> impl Iterator<Item = &str> {
-        self.selections.keys().map(String::as_str)
+        self.selections.iter().map(ResourceName::hierarchy)
     }
 
     /// The selection for hierarchy `h`, if the focus spans it.
     pub fn selection(&self, h: &str) -> Option<&ResourceName> {
-        self.selections.get(h)
+        self.selections.iter().find(|s| s.hierarchy() == h)
     }
 
     /// All selections in canonical order.
     pub fn selections(&self) -> impl Iterator<Item = &ResourceName> {
-        self.selections.values()
+        self.selections.iter()
     }
 
     /// Number of hierarchies spanned.
@@ -98,19 +108,22 @@ impl Focus {
 
     /// True if every selection is a hierarchy root (the whole program).
     pub fn is_whole_program(&self) -> bool {
-        self.selections.values().all(ResourceName::is_root)
+        self.selections.iter().all(ResourceName::is_root)
     }
 
     /// Sum of selection depths; 0 for the whole-program focus. Used to
     /// order foci from general to specific.
     pub fn depth(&self) -> usize {
-        self.selections.values().map(ResourceName::depth).sum()
+        self.selections.iter().map(ResourceName::depth).sum()
     }
 
     /// Returns a copy with hierarchy `h`'s selection replaced by `sel`.
     pub fn with_selection(&self, sel: ResourceName) -> Focus {
         let mut selections = self.selections.clone();
-        selections.insert(sel.hierarchy().to_string(), sel);
+        match slot(&selections, sel.hierarchy()) {
+            Ok(at) => selections[at] = sel,
+            Err(at) => selections.insert(at, sel),
+        }
         Focus { selections }
     }
 
@@ -122,7 +135,8 @@ impl Focus {
             && self
                 .selections
                 .iter()
-                .all(|(h, sel)| other.selections.get(h).is_some_and(|o| sel.is_prefix_of(o)))
+                .zip(&other.selections)
+                .all(|(sel, o)| sel.is_prefix_of(o))
     }
 
     /// True if `self` strictly subsumes `other` (subsumes and differs).
@@ -138,21 +152,22 @@ impl Focus {
     /// resource when its selection in that hierarchy is equal to or below
     /// the pruned subtree root.
     pub fn touches(&self, resource: &ResourceName) -> bool {
-        self.selections
-            .get(resource.hierarchy())
+        self.selection(resource.hierarchy())
             .is_some_and(|sel| resource.is_prefix_of(sel))
     }
 
     /// Rewrites every selection through a prefix mapping, leaving
-    /// selections that do not match `from` unchanged.
+    /// selections that do not match `from` unchanged. A mapping maps a
+    /// resource within its own hierarchy; a cross-hierarchy pair matches
+    /// nothing and returns the focus unchanged.
     pub fn rewrite_prefix(&self, from: &ResourceName, to: &ResourceName) -> Focus {
+        if from.hierarchy() != to.hierarchy() {
+            return self.clone();
+        }
         let selections = self
             .selections
             .iter()
-            .map(|(h, sel)| {
-                let new = sel.rewrite_prefix(from, to).unwrap_or_else(|| sel.clone());
-                (h.clone(), new)
-            })
+            .map(|sel| sel.rewrite_prefix(from, to).unwrap_or_else(|| sel.clone()))
             .collect();
         Focus { selections }
     }
@@ -162,7 +177,7 @@ impl fmt::Display for Focus {
     /// Formats as the canonical `</a/b,/c>` form, hierarchies sorted.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "<")?;
-        for (i, sel) in self.selections.values().enumerate() {
+        for (i, sel) in self.selections.iter().enumerate() {
             if i > 0 {
                 write!(f, ",")?;
             }

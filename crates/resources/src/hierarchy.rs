@@ -84,8 +84,9 @@ impl fmt::Display for ExecTagSet {
 
 #[derive(Debug, Clone)]
 struct Node {
-    label: String,
-    parent: Option<NodeId>,
+    /// The node's full resource name, built once when the node is
+    /// inserted so lookups and refinement hand out cheap clones.
+    name: ResourceName,
     children: Vec<NodeId>,
     tags: ExecTagSet,
 }
@@ -102,11 +103,9 @@ pub struct ResourceHierarchy {
 impl ResourceHierarchy {
     /// Creates a hierarchy containing only its root node.
     pub fn new(name: &str) -> Result<ResourceHierarchy, ResourceError> {
-        // Validate the name through ResourceName's segment rules.
-        ResourceName::root(name)?;
         let root = Node {
-            label: name.to_string(),
-            parent: None,
+            // Validates the name through ResourceName's segment rules.
+            name: ResourceName::root(name)?,
             children: Vec::new(),
             tags: ExecTagSet::EMPTY,
         };
@@ -120,7 +119,7 @@ impl ResourceHierarchy {
 
     /// The hierarchy's name (the root node's label).
     pub fn name(&self) -> &str {
-        &self.nodes[0].label
+        self.nodes[0].name.hierarchy()
     }
 
     /// Number of nodes, including the root.
@@ -135,7 +134,7 @@ impl ResourceHierarchy {
 
     /// The root resource name, e.g. `/Code`.
     pub fn root_name(&self) -> ResourceName {
-        ResourceName::root(self.name()).expect("hierarchy names are valid")
+        self.nodes[0].name.clone()
     }
 
     fn node(&self, id: NodeId) -> &Node {
@@ -157,10 +156,10 @@ impl ResourceHierarchy {
             }
             // Validate the segment via the name rules before inserting.
             ResourceName::new([seg])?;
+            let name = self.node(cur).name.child(seg)?;
             let id = NodeId(self.nodes.len() as u32);
             self.nodes.push(Node {
-                label: seg.to_string(),
-                parent: Some(cur),
+                name,
                 children: Vec::new(),
                 tags: ExecTagSet::EMPTY,
             });
@@ -198,15 +197,7 @@ impl ResourceHierarchy {
 
     /// The full resource name of a node.
     pub fn name_of(&self, id: NodeId) -> ResourceName {
-        let mut labels = Vec::new();
-        let mut cur = Some(id);
-        while let Some(c) = cur {
-            let node = self.node(c);
-            labels.push(node.label.clone());
-            cur = node.parent;
-        }
-        labels.reverse();
-        ResourceName::new(labels).expect("stored labels are valid")
+        self.node(id).name.clone()
     }
 
     /// Child resource names of `name`, in insertion order.
@@ -244,9 +235,8 @@ impl ResourceHierarchy {
     pub fn leaves(&self) -> Vec<ResourceName> {
         self.nodes
             .iter()
-            .enumerate()
-            .filter(|(_, n)| n.children.is_empty())
-            .map(|(i, _)| self.name_of(NodeId(i as u32)))
+            .filter(|n| n.children.is_empty())
+            .map(|n| n.name.clone())
             .collect()
     }
 
@@ -312,7 +302,7 @@ impl ResourceHierarchy {
         for _ in 0..depth {
             out.push_str("  ");
         }
-        out.push_str(&node.label);
+        out.push_str(node.name.label());
         if with_tags && !node.tags.is_empty() {
             out.push_str(&format!("  [{}]", node.tags));
         }

@@ -1,8 +1,9 @@
 //! Interned resource names and foci.
 //!
-//! Resource names are short segment lists and foci are small maps of
-//! them — cheap to build, but expensive to hash, compare and clone on
-//! every Search History Graph lookup or sample-routing decision. The
+//! Resource names are shared segment slices and foci are short sorted
+//! vectors of them — cheap to clone, but hashing or comparing one still
+//! walks every segment's text on each Search History Graph lookup or
+//! sample-routing decision. The
 //! [`Interner`] assigns each distinct [`ResourceName`] / [`Focus`] a
 //! dense, copyable id ([`NameId`] / [`FocusId`]) so hot structures can
 //! key on a `u32` and keep the string form only for report and record

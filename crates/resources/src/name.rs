@@ -8,15 +8,18 @@
 
 use crate::error::ResourceError;
 use std::fmt;
+use std::sync::Arc;
 
 /// A parsed, canonical resource name.
 ///
-/// Internally a non-empty list of path segments; `segments[0]` is the
-/// hierarchy name. Names are ordered lexicographically by segment, which
-/// gives a stable, human-friendly order for reports and directive files.
+/// Internally a non-empty, shared slice of path segments; `segments[0]`
+/// is the hierarchy name. A clone bumps a refcount instead of copying
+/// strings. Names are ordered lexicographically by segment (not by their
+/// joined text: `/a.c` sorts after `/a/b`), which gives a stable,
+/// human-friendly order for reports and directive files.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ResourceName {
-    segments: Vec<String>,
+    segments: Arc<[String]>,
 }
 
 impl ResourceName {
@@ -49,7 +52,9 @@ impl ResourceName {
                 });
             }
         }
-        Ok(ResourceName { segments })
+        Ok(ResourceName {
+            segments: segments.into(),
+        })
     }
 
     /// Builds the root name of a hierarchy, e.g. `/Code`.
@@ -107,14 +112,15 @@ impl ResourceName {
             None
         } else {
             Some(ResourceName {
-                segments: self.segments[..self.segments.len() - 1].to_vec(),
+                segments: self.segments[..self.segments.len() - 1].into(),
             })
         }
     }
 
     /// Appends one label, producing a child name.
     pub fn child(&self, label: &str) -> Result<ResourceName, ResourceError> {
-        let mut segments = self.segments.clone();
+        let mut segments = Vec::with_capacity(self.segments.len() + 1);
+        segments.extend_from_slice(&self.segments);
         segments.push(label.to_string());
         ResourceName::new(segments)
     }
@@ -141,16 +147,20 @@ impl ResourceName {
         if !from.is_prefix_of(self) {
             return None;
         }
-        let mut segments = to.segments.clone();
-        segments.extend_from_slice(&self.segments[from.segments.len()..]);
-        Some(ResourceName { segments })
+        let tail = &self.segments[from.segments.len()..];
+        let mut segments = Vec::with_capacity(to.segments.len() + tail.len());
+        segments.extend_from_slice(&to.segments);
+        segments.extend_from_slice(tail);
+        Some(ResourceName {
+            segments: segments.into(),
+        })
     }
 }
 
 impl fmt::Display for ResourceName {
     /// Formats as the canonical `/seg/seg/...` form.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for s in &self.segments {
+        for s in self.segments.iter() {
             write!(f, "/{s}")?;
         }
         Ok(())

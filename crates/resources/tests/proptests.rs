@@ -2,6 +2,7 @@
 
 use histpc_resources::{Focus, ResourceHierarchy, ResourceName, ResourceSpace};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// A strategy for valid path segments (no reserved chars, non-empty).
 fn segment() -> impl Strategy<Value = String> {
@@ -12,6 +13,79 @@ fn segment() -> impl Strategy<Value = String> {
 fn resource_name() -> impl Strategy<Value = ResourceName> {
     prop::collection::vec(segment(), 1..=5)
         .prop_map(|segs| ResourceName::new(segs).expect("segments are valid"))
+}
+
+/// Selections on a random subset of the standard hierarchies: for each
+/// hierarchy, the tail below its root if the focus spans it.
+/// Tails draw from a tiny alphabet (including `.`) so that equal
+/// prefixes, and names that order differently by segment than as text
+/// (`/Code/a.c` vs `/Code/a/b`), come up often.
+fn standard_selections() -> impl Strategy<Value = Vec<ResourceName>> {
+    let tail = || prop::collection::vec("[ab.]{1,2}", 0..=3);
+    prop::collection::vec(prop::option::of(tail()), 4).prop_map(|picks| {
+        ["Code", "Machine", "Process", "SyncObject"]
+            .iter()
+            .zip(picks)
+            .filter_map(|(h, tail)| tail.map(|tail| (h, tail)))
+            .map(|(h, tail)| {
+                let mut segs = vec![h.to_string()];
+                segs.extend(tail);
+                ResourceName::new(segs).expect("segments are valid")
+            })
+            .collect()
+    })
+}
+
+/// The reference model of a focus: hierarchy name to selection
+/// segments, the representation `Focus` replaced.
+fn model(sels: &[ResourceName]) -> BTreeMap<String, Vec<String>> {
+    sels.iter()
+        .map(|s| (s.hierarchy().to_string(), s.segments().to_vec()))
+        .collect()
+}
+
+fn model_text(m: &BTreeMap<String, Vec<String>>) -> String {
+    let sels: Vec<String> = m
+        .values()
+        .map(|segs| format!("/{}", segs.join("/")))
+        .collect();
+    format!("<{}>", sels.join(","))
+}
+
+proptest! {
+    /// `Focus` orders, compares, prints and parses exactly as the map
+    /// model does, whatever order its selections arrive in.
+    #[test]
+    fn focus_agrees_with_map_model(
+        a in standard_selections(),
+        b in standard_selections(),
+        rotate in 0usize..4,
+    ) {
+        let (ma, mb) = (model(&a), model(&b));
+        let mut shuffled = a.clone();
+        shuffled.rotate_left(rotate.min(a.len()));
+        let fa = Focus::new(shuffled).unwrap();
+        let fb = Focus::new(b.clone()).unwrap();
+        prop_assert_eq!(fa.cmp(&fb), ma.cmp(&mb));
+        prop_assert_eq!(fa == fb, ma == mb);
+        prop_assert_eq!(fa.to_string(), model_text(&ma));
+        prop_assert_eq!(Focus::parse(&fa.to_string()).unwrap(), fa.clone());
+        for (h, segs) in &ma {
+            prop_assert_eq!(fa.selection(h).map(ResourceName::segments), Some(&segs[..]));
+        }
+        // Replacing or adding one selection matches a map insert.
+        if let Some(sel) = b.first() {
+            let mut m = ma.clone();
+            m.insert(sel.hierarchy().to_string(), sel.segments().to_vec());
+            prop_assert_eq!(fa.with_selection(sel.clone()).to_string(), model_text(&m));
+        }
+        // A second selection in any spanned hierarchy is rejected.
+        if let Some(sel) = a.first() {
+            let mut dup = a.clone();
+            dup.push(sel.child("x").unwrap());
+            prop_assert!(Focus::new(dup).is_err());
+        }
+    }
 }
 
 proptest! {
