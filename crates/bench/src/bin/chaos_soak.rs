@@ -226,7 +226,6 @@ fn main() {
         stall: Some(Duration::from_secs(30)),
         backoff_base: Duration::from_millis(1),
         backoff_cap: Duration::from_millis(50),
-        ..SupervisorConfig::default()
     });
     let report = supervisor.run(&refs);
     print!("{}", report.render());

@@ -20,9 +20,9 @@
 //!   delivery, failing instrumentation requests, dying nodes, tool
 //!   crashes) used to exercise the consultant's graceful degradation;
 //! * [`supervise`] — session supervision: heartbeat watchdogs,
-//!   checkpoint auto-resume under a retry budget, and an escalating
-//!   degradation ladder that classifies every run
-//!   (see [`WorkloadSession`]);
+//!   checkpoint auto-resume under a retry budget, an escalating
+//!   degradation ladder that classifies every run, and the
+//!   [`WorkloadSession`] driver that runs real workloads under it;
 //! * [`remote`] — the `histpcd/v1` wire protocol and retrying client
 //!   for `histpcd` (`crates/daemon`), the crash-tolerant
 //!   diagnosis-as-a-service daemon with lease-based session recovery.
@@ -69,22 +69,21 @@ pub use histpc_instr as instr;
 pub use histpc_lint as lint;
 pub use histpc_resources as resources;
 pub use histpc_sim as sim;
-pub use histpc_supervise as supervise;
 
 pub mod apps;
 pub mod remote;
 pub mod session;
-pub mod supervised;
+pub mod supervise;
 
 pub use apps::build_workload;
 pub use remote::{Client, RemoteError, Request, Response};
 pub use session::{DegradedDiagnosis, Diagnosis, Session, SessionError};
-pub use supervised::WorkloadSession;
+pub use supervise::WorkloadSession;
 
 /// The most commonly used names, for glob import.
 pub mod prelude {
     pub use crate::session::{DegradedDiagnosis, Diagnosis, Session, SessionError};
-    pub use crate::supervised::WorkloadSession;
+    pub use crate::supervise::{SupervisionReport, Supervisor, SupervisorConfig, WorkloadSession};
     pub use histpc_consultant::{
         drive_diagnosis_faulted, DegradedRun, DiagnosisReport, NodeOutcome, Outcome,
         PriorityDirective, PriorityLevel, Prune, PruneTarget, SearchCheckpoint, SearchConfig,
@@ -103,5 +102,4 @@ pub mod prelude {
         WavefrontWorkload, Workload,
     };
     pub use histpc_sim::{Engine, EngineStatus, MachineModel, SimDuration, SimTime};
-    pub use histpc_supervise::{SupervisionReport, Supervisor, SupervisorConfig};
 }

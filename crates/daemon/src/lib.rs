@@ -56,7 +56,7 @@ use std::io::{self, BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -64,7 +64,7 @@ use histpc::history::lease::{self, Lease};
 use histpc::history::lock;
 use histpc::prelude::*;
 use histpc::remote::{Request, Response, PROTOCOL};
-use histpc::supervise::{Attempt, Hooks, Mode, Outcome as SupOutcome, SessionDriver};
+use histpc::supervise::Outcome as SupOutcome;
 
 /// Retry hint (ms) returned with `busy` — how long a tenant should
 /// back off when its slot pool is full.
@@ -73,6 +73,14 @@ const BUSY_RETRY_MS: u64 = 200;
 /// Retry hint (ms) returned with `quota` — sample budget exhausted;
 /// budget frees only when a session ends, so the hint is longer.
 const QUOTA_RETRY_MS: u64 = 500;
+
+/// Locks `m` even if a thread panicked while holding it. Every critical
+/// section here inserts, replaces or reads whole values, so a poisoned
+/// lock still guards consistent state — and one panicking session
+/// thread must not take every tenant down with it.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Everything `histpcd` needs to serve one store on one socket.
 #[derive(Debug, Clone)]
@@ -333,13 +341,6 @@ pub struct AdoptionReport {
     pub damaged: Vec<String>,
 }
 
-impl AdoptionReport {
-    /// Total leases the scan classified.
-    pub fn total(&self) -> usize {
-        self.adopted.len() + self.completed.len() + self.abandoned.len() + self.damaged.len()
-    }
-}
-
 /// Daemon-wide serving state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Serving {
@@ -375,7 +376,7 @@ impl Inner {
 
     /// Classify a finished session, release its lease, ring the bell.
     fn finish(&self, key: &str, classification: &str, detail: String) {
-        let mut registry = self.registry.lock().expect("registry poisoned");
+        let mut registry = locked(&self.registry);
         if let Some(entry) = registry.get_mut(key) {
             entry.state = SessionState::Done {
                 classification: classification.to_string(),
@@ -394,7 +395,7 @@ impl Inner {
         spec: SessionSpec,
         cancel: Arc<AtomicBool>,
         budget: u64,
-        adopt_ckpt: Option<String>,
+        adopt_ckpt: Option<SearchCheckpoint>,
     ) {
         let inner = Arc::clone(self);
         let handle = std::thread::spawn(move || {
@@ -437,11 +438,13 @@ impl Inner {
                     ),
                 }
             }
-            let driver = DaemonDriver {
-                inner: WorkloadSession::new(&inner.session, workload.as_ref(), config, &spec.label),
-                cancel,
-                adopt_ckpt: Mutex::new(adopt_ckpt),
-            };
+            // The client's cancel flag is the one the watchdog and the
+            // drive loop share; a re-adopted session continues from the
+            // checkpoint its dead predecessor left.
+            let driver =
+                WorkloadSession::new(&inner.session, workload.as_ref(), config, &spec.label)
+                    .resuming_from(adopt_ckpt)
+                    .cancelled_by(cancel);
             let sup = Supervisor::new(SupervisorConfig {
                 retry_budget: inner.cfg.retry_budget,
                 stall: inner.cfg.stall,
@@ -457,48 +460,7 @@ impl Inner {
             };
             inner.finish(&key, classification, session.outcome.to_string());
         });
-        self.workers.lock().expect("workers poisoned").push(handle);
-    }
-}
-
-/// Wraps [`WorkloadSession`] with daemon concerns: a client-visible
-/// cancel flag checked at every attempt boundary, and a one-shot
-/// adoption checkpoint injected into the first attempt so a re-adopted
-/// session *resumes* instead of restarting.
-struct DaemonDriver<'a> {
-    inner: WorkloadSession<'a>,
-    cancel: Arc<AtomicBool>,
-    adopt_ckpt: Mutex<Option<String>>,
-}
-
-impl SessionDriver for DaemonDriver<'_> {
-    fn label(&self) -> &str {
-        self.inner.label()
-    }
-
-    fn attempt(&self, mode: Mode, resume_from: Option<&str>, hooks: &Hooks) -> Attempt {
-        if self.cancel.load(Ordering::SeqCst) {
-            return Attempt::Failed {
-                error: "cancelled by client".into(),
-            };
-        }
-        let adopted = self.adopt_ckpt.lock().expect("adopt poisoned").take();
-        let resume = match resume_from {
-            Some(text) => Some(text.to_string()),
-            None => adopted,
-        };
-        self.inner.attempt(mode, resume.as_deref(), hooks)
-    }
-
-    fn load_checkpoint(&self) -> Option<String> {
-        self.inner.load_checkpoint()
-    }
-
-    fn prognose(&self) -> Result<String, String> {
-        if self.cancel.load(Ordering::SeqCst) {
-            return Err("cancelled by client".into());
-        }
-        self.inner.prognose()
+        locked(&self.workers).push(handle);
     }
 }
 
@@ -551,7 +513,7 @@ impl Daemon {
         // Lease recovery happens BEFORE the listener exists: no new
         // work can race the adoption scan.
         let adoption = Self::adopt_leases(&inner)?;
-        *inner.adoption.lock().expect("adoption poisoned") = adoption;
+        *locked(&inner.adoption) = adoption;
 
         let listener = UnixListener::bind(&cfg.socket)?;
         let accept_inner = Arc::clone(&inner);
@@ -583,27 +545,37 @@ impl Daemon {
             let store = inner.session.store().expect("daemon session has a store");
             let spec = SessionSpec::from_spec_line(&lease.spec);
             let record_exists = store.load(&lease.app, &lease.label).is_ok();
-            let checkpoint = store.load_artifact(&lease.app, &lease.label, "ckpt").ok();
-            let mut registry = inner.registry.lock().expect("registry poisoned");
+            // A checkpoint that does not parse still re-adopts, fresh:
+            // resume replays from t = 0 anyway, so only the digest
+            // check at the checkpoint is lost.
+            let checkpoint = store
+                .load_artifact(&lease.app, &lease.label, "ckpt")
+                .ok()
+                .map(|text| SearchCheckpoint::parse(&text).ok());
+            // Every recovered entry carries the lease's identity; only
+            // its spec, state, budget and cancel flag differ.
+            let entry = |spec: Result<SessionSpec, String>,
+                         state: SessionState,
+                         budget: u64,
+                         cancel: Arc<AtomicBool>| SessionEntry {
+                tenant: lease.tenant.clone(),
+                spec: spec.unwrap_or_else(|_| placeholder_spec(&lease)),
+                store_app: lease.app.clone(),
+                state,
+                cancel,
+                budget,
+                adopted: true,
+            };
+            let mut registry = locked(&inner.registry);
             match (record_exists, checkpoint, spec) {
                 // Crash landed after the record was saved: done.
                 (true, _, spec) => {
                     let _ = lease::remove_lease(root, &lease.tenant, &lease.label);
-                    registry.insert(
-                        key.clone(),
-                        SessionEntry {
-                            tenant: lease.tenant.clone(),
-                            spec: spec.unwrap_or_else(|_| placeholder_spec(&lease)),
-                            store_app: lease.app.clone(),
-                            state: SessionState::Done {
-                                classification: "completed".into(),
-                                detail: "completed before daemon crash".into(),
-                            },
-                            cancel: Arc::new(AtomicBool::new(false)),
-                            budget: 0,
-                            adopted: true,
-                        },
-                    );
+                    let done = SessionState::Done {
+                        classification: "completed".into(),
+                        detail: "completed before daemon crash".into(),
+                    };
+                    registry.insert(key.clone(), entry(spec, done, 0, Arc::default()));
                     report.completed.push(key);
                 }
                 // Checkpoint + usable spec: re-adopt under supervision.
@@ -621,20 +593,15 @@ impl Daemon {
                             ..lease.clone()
                         },
                     );
-                    registry.insert(
-                        key.clone(),
-                        SessionEntry {
-                            tenant: lease.tenant.clone(),
-                            spec: spec.clone(),
-                            store_app: lease.app.clone(),
-                            state: SessionState::Running,
-                            cancel: Arc::clone(&cancel),
-                            budget,
-                            adopted: true,
-                        },
+                    let running = entry(
+                        Ok(spec.clone()),
+                        SessionState::Running,
+                        budget,
+                        Arc::clone(&cancel),
                     );
+                    registry.insert(key.clone(), running);
                     drop(registry);
-                    inner.spawn_session(lease.tenant.clone(), spec, cancel, budget, Some(ckpt));
+                    inner.spawn_session(lease.tenant.clone(), spec, cancel, budget, ckpt);
                     report.adopted.push(key);
                 }
                 // No checkpoint (or an unusable spec): nothing to
@@ -646,21 +613,11 @@ impl Daemon {
                         (_, Err(e)) => format!("unusable lease spec: {e}"),
                         _ => unreachable!("adoptable leases are handled above"),
                     };
-                    registry.insert(
-                        key.clone(),
-                        SessionEntry {
-                            tenant: lease.tenant.clone(),
-                            spec: spec.unwrap_or_else(|_| placeholder_spec(&lease)),
-                            store_app: lease.app.clone(),
-                            state: SessionState::Done {
-                                classification: "abandoned".into(),
-                                detail: format!("abandoned: {why}"),
-                            },
-                            cancel: Arc::new(AtomicBool::new(false)),
-                            budget: 0,
-                            adopted: true,
-                        },
-                    );
+                    let done = SessionState::Done {
+                        classification: "abandoned".into(),
+                        detail: format!("abandoned: {why}"),
+                    };
+                    registry.insert(key.clone(), entry(spec, done, 0, Arc::default()));
                     report.abandoned.push(key);
                 }
             }
@@ -675,11 +632,7 @@ impl Daemon {
 
     /// What startup lease recovery found and did.
     pub fn adoption(&self) -> AdoptionReport {
-        self.inner
-            .adoption
-            .lock()
-            .expect("adoption poisoned")
-            .clone()
+        locked(&self.inner.adoption).clone()
     }
 
     /// The socket path this daemon serves on.
@@ -693,7 +646,7 @@ impl Daemon {
         if let Some(t) = self.accept_thread.take() {
             let _ = t.join();
         }
-        let workers = std::mem::take(&mut *self.inner.workers.lock().expect("workers poisoned"));
+        let workers = std::mem::take(&mut *locked(&self.inner.workers));
         for w in workers {
             let _ = w.join();
         }
@@ -726,7 +679,7 @@ fn accept_loop(inner: &Arc<Inner>, listener: &UnixListener) {
     loop {
         match listener.accept() {
             Ok((stream, _)) => {
-                if *inner.serving.lock().expect("serving poisoned") == Serving::ShuttingDown {
+                if *locked(&inner.serving) == Serving::ShuttingDown {
                     // The self-poke (or a late client): stop accepting.
                     return;
                 }
@@ -833,7 +786,7 @@ fn parse_hello(line: &str) -> Result<String, String> {
 }
 
 fn initiate_shutdown(inner: &Arc<Inner>) {
-    *inner.serving.lock().expect("serving poisoned") = Serving::ShuttingDown;
+    *locked(&inner.serving) = Serving::ShuttingDown;
     // Self-poke so the blocking accept() wakes and observes the state.
     let _ = UnixStream::connect(&inner.cfg.socket);
 }
@@ -850,7 +803,7 @@ fn dispatch(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
         "shutdown" => {
             // Flip to draining now; the caller completes the shutdown
             // after the response is on the wire.
-            let mut serving = inner.serving.lock().expect("serving poisoned");
+            let mut serving = locked(&inner.serving);
             if *serving == Serving::Accepting {
                 *serving = Serving::Draining;
             }
@@ -861,7 +814,7 @@ fn dispatch(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
 }
 
 fn verb_start(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
-    if *inner.serving.lock().expect("serving poisoned") != Serving::Accepting {
+    if *locked(&inner.serving) != Serving::Accepting {
         return Response::err("draining", "daemon is draining; no new sessions");
     }
     let spec = match SessionSpec::from_request(req) {
@@ -881,7 +834,7 @@ fn verb_start(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
     let default_slice = inner.cfg.tenant_sample_budget / inner.cfg.tenant_slots as u64;
     let budget = spec.budget.unwrap_or(default_slice);
 
-    let mut registry = inner.registry.lock().expect("registry poisoned");
+    let mut registry = locked(&inner.registry);
     // Idempotent start: a retry after a lost response re-finds the
     // session instead of double-running it.
     if let Some(entry) = registry.get(&key) {
@@ -972,7 +925,7 @@ fn verb_attach(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
     });
 
     let start = Instant::now();
-    let mut registry = inner.registry.lock().expect("registry poisoned");
+    let mut registry = locked(&inner.registry);
     loop {
         let Some(entry) = registry.get(&key) else {
             return Response::err("unknown", format!("no session {key}"));
@@ -1002,7 +955,7 @@ fn verb_attach(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
                 let (next, _timeout) = inner
                     .bell
                     .wait_timeout(registry, wait - elapsed)
-                    .expect("registry poisoned");
+                    .unwrap_or_else(PoisonError::into_inner);
                 registry = next;
             }
         }
@@ -1010,7 +963,7 @@ fn verb_attach(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
 }
 
 fn verb_status(inner: &Arc<Inner>, tenant: &str) -> Response {
-    let registry = inner.registry.lock().expect("registry poisoned");
+    let registry = locked(&inner.registry);
     let mut lines: Vec<String> = Vec::new();
     let mut active = 0usize;
     let mut done = 0usize;
@@ -1042,7 +995,7 @@ fn verb_report(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
         return Response::err("bad-request", "report needs label=");
     };
     let key = Inner::key(tenant, label);
-    let registry = inner.registry.lock().expect("registry poisoned");
+    let registry = locked(&inner.registry);
     let Some(entry) = registry.get(&key) else {
         return Response::err("unknown", format!("no session {key}"));
     };
@@ -1087,14 +1040,15 @@ fn verb_cancel(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
         return Response::err("bad-request", "cancel needs label=");
     };
     let key = Inner::key(tenant, label);
-    let registry = inner.registry.lock().expect("registry poisoned");
+    let registry = locked(&inner.registry);
     let Some(entry) = registry.get(&key) else {
         return Response::err("unknown", format!("no session {key}"));
     };
     match &entry.state {
         SessionState::Running => {
-            // Cooperative: honoured at the next supervision attempt
-            // boundary; the session still ends *classified*.
+            // The drive loop polls this flag every step: the running
+            // attempt stops at its next step boundary and the
+            // supervisor classifies the session abandoned.
             entry.cancel.store(true, Ordering::SeqCst);
             Response::ok(vec![("id", key), ("state", "cancelling".to_string())])
         }
@@ -1107,10 +1061,10 @@ fn verb_cancel(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
 }
 
 fn verb_health(inner: &Arc<Inner>) -> Response {
-    let registry = inner.registry.lock().expect("registry poisoned");
+    let registry = locked(&inner.registry);
     let active = inner.active_count(&registry);
     let done = registry.len() - active;
-    let serving = match *inner.serving.lock().expect("serving poisoned") {
+    let serving = match *locked(&inner.serving) {
         Serving::Accepting => "serving",
         Serving::Draining => "draining",
         Serving::ShuttingDown => "shutting-down",
@@ -1120,26 +1074,17 @@ fn verb_health(inner: &Arc<Inner>) -> Response {
         ("epoch", inner.epoch.to_string()),
         ("active", active.to_string()),
         ("done", done.to_string()),
-        (
-            "adopted",
-            inner
-                .adoption
-                .lock()
-                .expect("adoption poisoned")
-                .adopted
-                .len()
-                .to_string(),
-        ),
+        ("adopted", locked(&inner.adoption).adopted.len().to_string()),
     ])
 }
 
 fn verb_drain(inner: &Arc<Inner>) -> Response {
-    let mut serving = inner.serving.lock().expect("serving poisoned");
+    let mut serving = locked(&inner.serving);
     if *serving == Serving::Accepting {
         *serving = Serving::Draining;
     }
     drop(serving);
-    let registry = inner.registry.lock().expect("registry poisoned");
+    let registry = locked(&inner.registry);
     Response::ok(vec![
         ("state", "draining".to_string()),
         ("active", inner.active_count(&registry).to_string()),
@@ -1294,6 +1239,38 @@ mod tests {
         }
         // Unblock join(): drop the fabricated entry and shut down.
         inner.registry.lock().unwrap().remove("t1/busy");
+        initiate_shutdown(inner);
+        daemon.join();
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    /// A thread that panics while holding the registry poisons its
+    /// lock; every verb must still answer.
+    #[test]
+    fn a_poisoned_registry_keeps_serving() {
+        let root = scratch("poison");
+        let cfg = DaemonConfig::new(root.join("store"), root.join("d.sock"));
+        let daemon = Daemon::start(cfg).unwrap();
+        let inner = Arc::clone(&daemon.inner);
+        let poisoner = std::thread::spawn(move || {
+            let _held = inner.registry.lock().unwrap();
+            panic!("a session thread dies holding the registry");
+        });
+        assert!(poisoner.join().is_err());
+        let inner = &daemon.inner;
+        assert!(inner.registry.is_poisoned());
+
+        assert!(matches!(verb_health(inner), Response::Ok { .. }));
+        assert!(matches!(verb_status(inner, "t"), Response::Ok { .. }));
+        let start = Request::new("start")
+            .arg("app", "tester")
+            .arg("label", "after");
+        match verb_start(inner, "t", &start) {
+            Response::Ok { params, .. } => {
+                assert!(params.contains(&("accepted".to_string(), "1".to_string())));
+            }
+            other => panic!("expected accept, got {other:?}"),
+        }
         initiate_shutdown(inner);
         daemon.join();
         let _ = std::fs::remove_dir_all(&root);

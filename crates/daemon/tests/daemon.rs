@@ -320,6 +320,44 @@ fn drain_health_and_idempotent_start() {
     let _ = std::fs::remove_dir_all(&root);
 }
 
+/// `cancel` stops the attempt that is running: the drive loop halts at
+/// its next step and the session is abandoned as cancelled by the
+/// client, with no resume and no ladder.
+#[test]
+fn cancel_stops_the_running_session() {
+    let root = scratch("cancel");
+    let cfg = DaemonConfig::new(root.join("store"), root.join("d.sock"));
+    let daemon = Daemon::start(cfg).unwrap();
+    let mut client = Client::new(root.join("d.sock"), "ops");
+
+    client.expect_ok(&start_req("poisson-d", "long")).unwrap();
+    // Give the first attempt time to get going; a poisson-d diagnosis
+    // runs for seconds.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let resp = client
+        .expect_ok(&Request::new("cancel").arg("label", "long"))
+        .unwrap();
+    assert_eq!(resp.get("state"), Some("cancelling"), "{resp:?}");
+    let done = attach(&mut client, "long");
+    assert_eq!(done.get("state"), Some("abandoned"), "{done:?}");
+    assert_eq!(
+        done.get("detail"),
+        Some("abandoned: cancelled by client"),
+        "{done:?}"
+    );
+    let report = client
+        .expect_ok(&Request::new("report").arg("label", "long"))
+        .unwrap();
+    assert!(
+        report.body().is_empty(),
+        "a cancelled session stores no record"
+    );
+
+    client.expect_ok(&Request::new("shutdown")).unwrap();
+    daemon.join();
+    let _ = std::fs::remove_dir_all(&root);
+}
+
 #[test]
 fn faulty_wire_client_still_converges() {
     let root = scratch("wire");

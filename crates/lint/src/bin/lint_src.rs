@@ -3,9 +3,10 @@
 //! The deterministic core of this workspace (sim, consultant, history,
 //! instr, faults, resources) must produce bit-identical records from
 //! identical inputs — that property underwrites every baseline
-//! comparison, proptest, and bench invariant in the repo. This bin
-//! scans `crates/*/src` for the three hazard classes that have bitten
-//! (or nearly bitten) before:
+//! comparison, proptest, and bench invariant in the repo; and the
+//! long-lived service code must not die of its own defensive code.
+//! This bin scans `crates/*/src` for the four hazard classes that have
+//! bitten (or nearly bitten) before:
 //!
 //! * **DA001 — wall-clock reads** (`Instant::now`, `SystemTime::now`)
 //!   in a deterministic crate: simulated time is the only clock allowed
@@ -17,6 +18,12 @@
 //!   error.
 //! * **DA003 — `HashMap` in record-serialization modules**: iteration
 //!   order would leak into persisted bytes; use `BTreeMap` or sort.
+//! * **DA004 — panicking lock acquisition** in the long-lived service
+//!   (`crates/daemon/src`, `crates/core/src/supervise.rs`): a lock or
+//!   condvar wait that unwraps its poison error lets one thread's panic
+//!   take every session down; recover the guard with
+//!   `PoisonError::into_inner`. Matches `.lock().unwrap()` and the
+//!   `.expect("… poisoned")` message convention.
 //!
 //! Test modules (everything at and after the first `#[cfg(test)]`) are
 //! exempt. A finding is suppressed by `det-audit: allow(...)` on the
@@ -51,6 +58,10 @@ const SERIALIZATION_FILES: &[(&str, &str)] = &[
     ("history", "factcache.rs"),
     ("lint", "facts.rs"),
 ];
+
+/// Files of the long-lived service, whose lock and condvar acquisitions
+/// must survive a poisoned lock.
+const SERVICE_PATHS: &[(&str, &str)] = &[("daemon", ""), ("core", "supervise.rs")];
 
 struct Finding {
     code: &'static str,
@@ -167,18 +178,23 @@ fn crate_and_subpath(rel: &str) -> Option<(&str, &str)> {
     Some((krate, sub))
 }
 
+/// Whether `(krate, sub)` is listed in `paths`; an empty path names the
+/// whole crate.
+fn listed(paths: &[(&str, &str)], krate: &str, sub: &str) -> bool {
+    paths
+        .iter()
+        .any(|(k, p)| *k == krate && (p.is_empty() || sub == *p))
+}
+
 fn audit_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     let Some((krate, sub)) = crate_and_subpath(rel) else {
         return;
     };
     let check_clock = DETERMINISTIC_CRATES.contains(&krate);
-    let check_unwrap = NO_UNWRAP_PATHS
-        .iter()
-        .any(|(k, p)| *k == krate && (p.is_empty() || sub == *p));
-    let check_hashmap = SERIALIZATION_FILES
-        .iter()
-        .any(|(k, p)| *k == krate && sub == *p);
-    if !(check_clock || check_unwrap || check_hashmap) {
+    let check_unwrap = listed(NO_UNWRAP_PATHS, krate, sub);
+    let check_hashmap = listed(SERIALIZATION_FILES, krate, sub);
+    let check_lock = listed(SERVICE_PATHS, krate, sub);
+    if !(check_clock || check_unwrap || check_hashmap || check_lock) {
         return;
     }
 
@@ -225,6 +241,16 @@ fn audit_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
                     .into(),
             });
         }
+        if check_lock && (raw.contains(".lock().unwrap()") || raw.contains("poisoned\")")) {
+            findings.push(Finding {
+                code: "DA004",
+                file: rel.to_string(),
+                line: lineno,
+                message: "panicking lock acquisition in long-lived service code; \
+                          recover the guard with `PoisonError::into_inner`"
+                    .into(),
+            });
+        }
     }
 }
 
@@ -246,4 +272,30 @@ fn allowed(lines: &[&str], idx: usize) -> bool {
         }
     }
     false
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn da004_flags_panicking_lock_acquisition_in_service_code_only() {
+        let text = "fn f(m: &Mutex<u8>) {\n\
+                    \x20   let a = m.lock().unwrap();\n\
+                    \x20   let b = m.lock().expect(\"m poisoned\");\n\
+                    \x20   let c = m.lock().unwrap_or_else(PoisonError::into_inner);\n\
+                    }\n";
+        let da004 = |rel: &str| {
+            let mut findings = Vec::new();
+            audit_file(rel, text, &mut findings);
+            findings
+                .iter()
+                .filter(|f| f.code == "DA004")
+                .map(|f| f.line)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(da004("crates/daemon/src/lib.rs"), [2, 3]);
+        assert_eq!(da004("crates/core/src/supervise.rs"), [2, 3]);
+        assert!(da004("crates/core/src/session.rs").is_empty());
+    }
 }
