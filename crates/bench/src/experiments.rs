@@ -823,8 +823,6 @@ impl DegradedExperiment {
 /// and harvest no directives from under a saturated resource.
 #[derive(Debug, Clone)]
 pub struct OverloadSoak {
-    /// Sample-pressure multiplier of the loaded run.
-    pub flood: f64,
     /// In-flight bound the loaded run was configured with.
     pub max_in_flight: usize,
     /// Per-batch sample budget of the loaded run.
@@ -863,16 +861,18 @@ fn top_level_bottlenecks(d: &Diagnosis) -> Vec<String> {
     top
 }
 
-/// Runs the overload soak at a given sample-pressure factor (the
-/// acceptance scenario uses `5.0`): an unloaded version-D baseline, then
-/// the same diagnosis under `flood`× sample pressure, periodic request
-/// storms, and a per-batch budget sized below the real interval stream —
-/// so real data is shed, the highest-ranked processes starve, and their
-/// breakers open.
-pub fn run_overload_soak(flood: f64) -> OverloadSoak {
+/// Sample-pressure multiplier of the overload soak's loaded run.
+pub const OVERLOAD_FLOOD: f64 = 5.0;
+
+/// Runs the overload soak: an unloaded version-D baseline, then the
+/// same diagnosis under [`OVERLOAD_FLOOD`]× sample pressure, periodic
+/// request storms, and a per-batch budget sized below the real interval
+/// stream — so real data is shed, the highest-ranked processes starve,
+/// and their breakers open.
+pub fn run_overload_soak() -> OverloadSoak {
     let mut plan = FaultPlan::none();
     plan.seed = 0x50AD;
-    plan.sample_flood = flood;
+    plan.sample_flood = OVERLOAD_FLOOD;
     plan.request_storm_rate = 0.25;
     plan.request_storm_burst = 16;
 
@@ -928,7 +928,6 @@ pub fn run_overload_soak(flood: f64) -> OverloadSoak {
         .len();
 
     OverloadSoak {
-        flood,
         max_in_flight: admission.max_in_flight,
         sample_budget: admission.sample_budget,
         base_top: top_level_bottlenecks(&base),
@@ -967,7 +966,7 @@ impl OverloadSoak {
         let mut out = format!(
             "Overload soak: Poisson version D, {:.0}x sample pressure, \
              storm bursts of {} phantom requests\n\n",
-            self.flood, self.stats.storm_requests
+            OVERLOAD_FLOOD, self.stats.storm_requests
         );
         out.push_str(&format!(
             "admission bounds: {} in-flight, {} sample units/batch\n",

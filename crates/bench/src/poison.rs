@@ -32,9 +32,10 @@ use histpc::history::trust::{TrustLedger, FULL_SCORE, TRUST_FILE};
 use histpc::history::{self, format::write_record, ExtractionOptions};
 use histpc::prelude::*;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Which poison kind a soak run exercises (the nightly matrix runs one
-/// soak per kind; the PR gate runs `All`).
+/// Which poison kind a soak run exercises (`tests/scenario_goldens.rs`
+/// runs one soak per kind, `All` included).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PoisonKind {
     /// `poison-prune`: injected exact-pair prunes over true bottlenecks.
@@ -52,7 +53,7 @@ pub enum PoisonKind {
 }
 
 impl PoisonKind {
-    /// The flag spelling (and fault-kind name) of this kind.
+    /// The fault-kind name of this kind.
     pub fn label(self) -> &'static str {
         match self {
             PoisonKind::Prune => "poison-prune",
@@ -60,18 +61,6 @@ impl PoisonKind {
             PoisonKind::StaleMapping => "stale-mapping",
             PoisonKind::TrustLedger => "trust-ledger-corrupt",
             PoisonKind::All => "all",
-        }
-    }
-
-    /// Parses a `--kind` argument.
-    pub fn parse(s: &str) -> Option<PoisonKind> {
-        match s {
-            "poison-prune" => Some(PoisonKind::Prune),
-            "poison-threshold" => Some(PoisonKind::Threshold),
-            "stale-mapping" => Some(PoisonKind::StaleMapping),
-            "trust-ledger-corrupt" => Some(PoisonKind::TrustLedger),
-            "all" => Some(PoisonKind::All),
-            _ => None,
         }
     }
 
@@ -178,7 +167,11 @@ pub struct PoisonSoak {
 }
 
 fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("histpc-poison-{tag}-{}", std::process::id()));
+    // Soaks run concurrently in one test process: a per-call number
+    // keeps their stores apart where the pid cannot.
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let n = SEQ.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("histpc-poison-{tag}-{}-{n}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -1,28 +1,35 @@
-//! Scenario goldens: the deterministic text of the overload, degraded
-//! and poison scenarios and the raw engine event count must not move
-//! from one commit to the next.
+//! Scenario goldens and gates: the deterministic text of the overload,
+//! degraded and poison scenarios, the raw engine event count and every
+//! `paper` artifact must not move from one commit to the next, and each
+//! robustness scenario must hold its acceptance gates.
 //!
-//! The soak bins gate these scenarios' *properties* (converged, degraded
-//! gracefully, complete, retention); this test pins their exact
-//! counters, which nothing else does. No timing is read. All four are
-//! full-length version-D runs, so they are `#[ignore]`d and run in CI's
-//! release-mode step (`cargo test --release -p histpc-bench --test
-//! scenario_goldens -- --include-ignored`).
+//! The gates are properties (converged, degraded gracefully, complete,
+//! retention, the headline reduction under loss); the goldens pin exact
+//! counters, which nothing else does. No timing is read. Every test here
+//! runs full-length version-D diagnoses, so all are `#[ignore]`d and run
+//! in release mode (`cargo test --workspace --release -- --include-ignored`).
 //!
 //! A golden only changes with a PR whose stated purpose is to change
 //! diagnoses. To refresh one, copy the file the failure message names
-//! over `crates/bench/tests/golden/<name>.txt`.
+//! over `crates/bench/tests/golden/<name>.txt` (or `artifacts/`).
 
 use histpc::prelude::*;
-use histpc_bench::{run_degraded, run_overload_soak, run_poison_version, PoisonKind};
+use histpc_bench::{
+    artifact, run_degraded, run_overload_soak, run_poison_soak, run_poison_version, PoisonKind,
+    ARTIFACTS,
+};
 use std::fmt::Write;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 fn check(name: &str, actual: &str) {
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/golden")
         .join(format!("{name}.txt"));
-    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    check_file(name, &path, actual);
+}
+
+fn check_file(name: &str, path: &Path, actual: &str) {
+    let expected = std::fs::read_to_string(path).unwrap_or_default();
     if actual == expected {
         return;
     }
@@ -38,11 +45,52 @@ fn check(name: &str, actual: &str) {
     );
 }
 
+/// Fails naming every gate that does not hold, with the scenario text.
+fn assert_gates(scenario: &str, gates: &[(&str, bool)], text: &str) {
+    let failed: Vec<&str> = gates
+        .iter()
+        .filter(|(_, ok)| !ok)
+        .map(|(name, _)| *name)
+        .collect();
+    assert!(
+        failed.is_empty(),
+        "{scenario}: gates failed: {failed:?}\n{text}"
+    );
+}
+
+/// Version D under 5× sample pressure with admission control bends the
+/// diagnosis instead of breaking it.
 #[test]
 #[ignore = "full-length diagnoses: run in release mode"]
 fn overload() {
-    let soak = run_overload_soak(5.0);
+    let soak = run_overload_soak();
     let mut text = soak.render();
+    assert_gates(
+        "overload",
+        &[
+            (
+                "loaded run converges on the unloaded top-level bottlenecks",
+                soak.converged(),
+            ),
+            (
+                "in-flight occupancy stayed within the bound",
+                soak.admission.peak_in_flight <= soak.max_in_flight,
+            ),
+            (
+                "sample pressure engaged the admission layer",
+                soak.stats.flooded > 0 && soak.admission.shed_samples > 0,
+            ),
+            (
+                "at least one process saturated into a Saturated verdict",
+                soak.admission.breaker_opens > 0 && soak.saturated_pairs > 0,
+            ),
+            (
+                "no directive harvested from under a saturated resource",
+                soak.leaked_directives == 0,
+            ),
+        ],
+        &text,
+    );
     writeln!(text, "shed_requests {}", soak.admission.shed_requests).unwrap();
     writeln!(text, "converged {}", soak.converged()).unwrap();
     writeln!(text, "degraded_gracefully {}", soak.degraded_gracefully()).unwrap();
@@ -57,6 +105,22 @@ fn degraded() {
     // `render` rounds the reduction to a tenth of a percent.
     writeln!(text, "reduction {:?}", exp.reduction()).unwrap();
     check("degraded", &text);
+}
+
+/// The paper's headline diagnosis-time reduction (at least 75 %)
+/// survives a lossy daemon layer at realistic loss rates.
+#[test]
+#[ignore = "full-length diagnoses: run in release mode"]
+fn degraded_loss_keeps_headline_reduction() {
+    for loss in [0.05, 0.10] {
+        let exp = run_degraded(loss, None);
+        let reduction = exp.reduction();
+        assert!(
+            reduction.is_some_and(|r| r >= 0.75),
+            "loss {loss}: reduction {reduction:?} below the required 75%\n{}",
+            exp.render()
+        );
+    }
 }
 
 #[test]
@@ -77,6 +141,67 @@ fn poison_d() {
     writeln!(text, "poisoned_us {:?}", r.poisoned_us).unwrap();
     writeln!(text, "score {}", r.score).unwrap();
     check("poison-d", &text);
+}
+
+/// Poisoned history across versions A–D: every acceptance gate of the
+/// trust loop holds for `kind`.
+fn poison_soak_holds(kind: PoisonKind) {
+    let soak = run_poison_soak(kind);
+    let mut gates = Vec::new();
+    if !soak.results.is_empty() {
+        gates.extend([
+            (
+                "every baseline bottleneck survives the poisoned history",
+                soak.complete(),
+            ),
+            (
+                "at least half the clean-history saving is retained",
+                soak.retained(),
+            ),
+            (
+                "every revocation names the poisoned source and is pinned",
+                soak.provenance_held(),
+            ),
+            ("the shadow-audit loop engaged", soak.audits_engaged()),
+        ]);
+    }
+    if let Some(ok) = soak.zero_identical {
+        gates.push(("zero poison + audit budget 0 is bit-identical", ok));
+    }
+    if let Some(ok) = soak.ledger_recovered {
+        gates.push(("a garbled TRUST sidecar recovers to full trust", ok));
+    }
+    assert_gates(kind.label(), &gates, &soak.render());
+}
+
+#[test]
+#[ignore = "full-length diagnoses: run in release mode"]
+fn poison_all_kinds_at_once() {
+    poison_soak_holds(PoisonKind::All);
+}
+
+#[test]
+#[ignore = "full-length diagnoses: run in release mode"]
+fn poison_prune() {
+    poison_soak_holds(PoisonKind::Prune);
+}
+
+#[test]
+#[ignore = "full-length diagnoses: run in release mode"]
+fn poison_threshold() {
+    poison_soak_holds(PoisonKind::Threshold);
+}
+
+#[test]
+#[ignore = "full-length diagnoses: run in release mode"]
+fn poison_stale_mapping() {
+    poison_soak_holds(PoisonKind::StaleMapping);
+}
+
+#[test]
+#[ignore = "full-length diagnoses: run in release mode"]
+fn poison_trust_ledger_corrupt() {
+    poison_soak_holds(PoisonKind::TrustLedger);
 }
 
 /// A raw (collector-free) version-D engine on the path the diagnosis
@@ -103,4 +228,23 @@ fn sim_d() {
         now.as_micros()
     );
     check("sim-d", &text);
+}
+
+/// The archived paper outputs cannot go stale silently: every artifact
+/// `paper` prints matches its file under `artifacts/`.
+#[test]
+#[ignore = "every paper experiment: run in release mode"]
+fn paper_artifacts_match_archive() {
+    let archive = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../artifacts");
+    for name in ARTIFACTS {
+        let file = match name {
+            "fig1" => "fig1_hierarchies",
+            "fig2" => "fig2_shg",
+            "fig3" => "fig3_mappings",
+            "combination" => "exp_combination",
+            other => other,
+        };
+        let text = artifact(name).expect("every listed name is an artifact");
+        check_file(name, &archive.join(format!("{file}.txt")), &text);
+    }
 }

@@ -3,9 +3,9 @@
 //! The shadow-audit machinery ([`crate::search`]) and the trust ledger
 //! (`histpc-history::trust`) exist to catch historical guidance that
 //! lies. This module *makes* guidance lie, deterministically, so the
-//! `poison_soak` bench and the fault-injection suite can prove the
-//! defenses work: given a harvested directive set and the run's known
-//! true bottlenecks, it applies the history-poison rates of a
+//! poison soak tests (`histpc-bench`) and the fault-injection suite can
+//! prove the defenses work: given a harvested directive set and the
+//! run's known true bottlenecks, it applies the history-poison rates of a
 //! [`FaultPlan`] (`poison-prune`, `poison-threshold`, `stale-mapping`)
 //! and stamps every injected or mangled directive with a recognizable
 //! poisoned [`Provenance`] — which is exactly what lets the acceptance

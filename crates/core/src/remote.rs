@@ -445,7 +445,8 @@ impl Conn {
 /// With a [`WireInjector`] installed ([`Client::with_injector`]) the
 /// client *sabotages itself* deterministically — dropping connections,
 /// tearing request lines mid-byte, stalling before sends — which is how
-/// the `daemon_soak` bench proves the retry path actually converges.
+/// the daemon soak test (`crates/daemon/tests/daemon.rs`) proves the
+/// retry path actually converges.
 pub struct Client {
     sock: PathBuf,
     tenant: String,

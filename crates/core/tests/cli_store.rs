@@ -64,63 +64,143 @@ fn healthy_store_passes_fsck_deny_warnings() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The acceptance scenario from the issue: a run with crash-shaped store
-/// faults leaves damage behind; `fsck` names it and exits non-zero on the
-/// integrity error; `repair` recovers; `fsck --deny-warnings` then passes.
+/// Crash-shaped store faults leave damage behind: `fsck
+/// --deny-warnings` names it and exits non-zero (a torn write is an
+/// HL023 integrity error even without `--deny-warnings`); `repair`
+/// recovers; `fsck --deny-warnings` then passes.
 #[test]
 fn crash_faulted_run_then_repair_then_fsck_passes() {
-    let dir = scratch("crash");
-    let store = dir.join("store");
-    let plan = FaultPlan {
-        seed: 7,
-        torn_write: true,
-        partial_journal: true,
-        ..FaultPlan::none()
-    };
-    let plan_file = dir.join("crash.faults");
-    std::fs::write(&plan_file, plan.to_text()).unwrap();
+    for (name, torn_write, partial_journal) in [
+        ("torn-write", true, false),
+        ("partial-journal", false, true),
+        ("both", true, true),
+    ] {
+        let dir = scratch(&format!("crash-{name}"));
+        let store = dir.join("store");
+        let plan = FaultPlan {
+            seed: 7,
+            torn_write,
+            partial_journal,
+            ..FaultPlan::none()
+        };
+        let plan_file = dir.join("crash.faults");
+        std::fs::write(&plan_file, plan.to_text()).unwrap();
 
-    let run = bin()
-        .arg("run")
-        .args(["--app", "poisson-a", "--label", "t1"])
-        .args(["--window", "0.8", "--max-time", "300", "--seed", "5"])
-        .arg("--store")
-        .arg(&store)
-        .arg("--faults")
-        .arg(&plan_file)
-        .output()
-        .unwrap();
-    assert!(
-        run.status.success(),
-        "faulted run failed:\n{}",
-        String::from_utf8_lossy(&run.stderr)
-    );
+        let run = bin()
+            .arg("run")
+            .args(["--app", "poisson-a", "--label", "t1"])
+            .args(["--window", "0.8", "--max-time", "300", "--seed", "5"])
+            .arg("--store")
+            .arg(&store)
+            .arg("--faults")
+            .arg(&plan_file)
+            .output()
+            .unwrap();
+        assert!(
+            run.status.success(),
+            "{name}: faulted run failed:\n{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
 
-    // The injected torn write fails its checksum frame: an HL023 error.
-    let before = store_cmd("fsck", &store, &[]);
-    assert!(!before.status.success(), "fsck missed the injected damage");
-    let stderr = String::from_utf8_lossy(&before.stderr);
-    assert!(stderr.contains("HL023"), "missing HL023:\n{stderr}");
+        let strict = store_cmd("fsck", &store, &["--deny-warnings"]);
+        assert!(
+            !strict.status.success(),
+            "{name}: fsck missed the injected damage"
+        );
+        if torn_write {
+            let before = store_cmd("fsck", &store, &[]);
+            assert!(
+                !before.status.success(),
+                "{name}: fsck missed the torn write"
+            );
+            let stderr = String::from_utf8_lossy(&before.stderr);
+            assert!(stderr.contains("HL023"), "{name}: missing HL023:\n{stderr}");
+        }
 
-    let repair = store_cmd("repair", &store, &[]);
-    assert!(
-        repair.status.success(),
-        "repair failed:\n{}",
-        String::from_utf8_lossy(&repair.stderr)
-    );
-    assert!(
-        String::from_utf8_lossy(&repair.stdout).contains("repaired"),
-        "repair did not report its actions"
-    );
+        let repair = store_cmd("repair", &store, &[]);
+        assert!(
+            repair.status.success(),
+            "{name}: repair failed:\n{}",
+            String::from_utf8_lossy(&repair.stderr)
+        );
+        assert!(
+            String::from_utf8_lossy(&repair.stdout).contains("repaired"),
+            "{name}: repair did not report its actions"
+        );
 
-    let after = store_cmd("fsck", &store, &["--deny-warnings"]);
-    assert!(
-        after.status.success(),
-        "store still unhealthy after repair:\n{}",
-        String::from_utf8_lossy(&after.stderr)
-    );
+        let after = store_cmd("fsck", &store, &["--deny-warnings"]);
+        assert!(
+            after.status.success(),
+            "{name}: store still unhealthy after repair:\n{}",
+            String::from_utf8_lossy(&after.stderr)
+        );
 
-    let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// Version D under sample loss and under overload with admission
+/// control, through the CLI: each run exits with its pinned code (0
+/// when loss leaves every verdict firm, 3 when saturated verdicts make
+/// the report degraded-but-honest), and the store it wrote passes
+/// strict fsck after one repair.
+#[test]
+#[ignore = "full-length version-D diagnoses: run in release mode"]
+fn degraded_and_overloaded_runs_exit_as_pinned_and_leave_a_clean_store() {
+    // The budget is calibrated to version D's real stream (see
+    // `run_overload_soak`): ranks 0-6 always fit, rank 8's tail sheds.
+    let overload = ["--admission", "sample-budget=33200"];
+    let cases: [(&str, &str, &[&str], i32); 6] = [
+        ("drop-5", "drop 0.05\n", &[], 0),
+        ("drop-10", "drop 0.10\n", &[], 0),
+        ("sample-flood", "sample-flood 5\n", &overload, 3),
+        ("slow-collector", "slow-collector 200000\n", &overload, 3),
+        ("request-storm", "request-storm 0.25 16\n", &overload, 3),
+        (
+            "combined",
+            "sample-flood 3\nslow-collector 100000\nrequest-storm 0.25 8\n",
+            &overload,
+            3,
+        ),
+    ];
+    for (name, faults, extra, want) in cases {
+        let dir = scratch(&format!("degraded-{name}"));
+        let store = dir.join("store");
+        let plan_file = dir.join("plan.faults");
+        std::fs::write(&plan_file, format!("histpc-faults v1\nseed 99\n{faults}")).unwrap();
+        let label = if extra.is_empty() {
+            "degraded"
+        } else {
+            "overloaded"
+        };
+        let run = bin()
+            .args(["run", "--app", "poisson-d", "--label", label, "--store"])
+            .arg(&store)
+            .arg("--faults")
+            .arg(&plan_file)
+            .args(extra)
+            .output()
+            .unwrap();
+        assert_eq!(
+            run.status.code(),
+            Some(want),
+            "{name}: unexpected exit:\n{}",
+            String::from_utf8_lossy(&run.stderr)
+        );
+        let repair = store_cmd("repair", &store, &[]);
+        assert!(
+            repair.status.success(),
+            "{name}: repair failed:\n{}",
+            String::from_utf8_lossy(&repair.stderr)
+        );
+        let fsck = store_cmd("fsck", &store, &["--deny-warnings"]);
+        assert!(
+            fsck.status.success(),
+            "{name}: store unhealthy after repair:\n{}",
+            String::from_utf8_lossy(&fsck.stderr)
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }
 
 #[test]

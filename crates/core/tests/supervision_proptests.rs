@@ -10,12 +10,19 @@
 //!   a shared store, with no faults injected, stores exactly the
 //!   records a bare, unsupervised `Session::diagnose` produces, across
 //!   workload shapes.
+//!
+//! The chaos fleet below holds both at scale: many supervised sessions
+//! run concurrently over one shared store, each under a seeded fault
+//! plan drawn from the whole menu.
 
 use histpc::consultant::HaltReason;
 use histpc::history;
+use histpc::history::fsck::fsck;
 use histpc::prelude::*;
 use histpc::supervise::{Outcome as SupOutcome, SessionDriver};
 use proptest::prelude::*;
+use std::path::PathBuf;
+use std::time::Duration;
 
 fn fast_config() -> SearchConfig {
     SearchConfig {
@@ -129,5 +136,267 @@ proptest! {
         }
         prop_assert!(store.orphaned_checkpoints().unwrap().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+/// SplitMix64 — a tiny seeded generator so chaos fault plans are a pure
+/// function of `(seed, session index)` and a failing case replays
+/// exactly.
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    fn chance(&mut self, pct: u64) -> bool {
+        self.next() % 100 < pct
+    }
+
+    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+        lo + self.next() % (hi - lo)
+    }
+}
+
+/// The faults rolled for one chaos session — tool crashes, torn record
+/// writes, partial journal appends, sample floods, process kills and
+/// sample loss — with a printable summary.
+fn roll_faults(rng: &mut Rng, plan_seed: u64) -> (FaultPlan, String) {
+    let mut plan = FaultPlan::none();
+    plan.seed = plan_seed;
+    let mut parts = Vec::new();
+    if rng.chance(35) {
+        let at = rng.range(300_000, 2_300_000);
+        plan.tool_crash_at = Some(SimTime::from_micros(at));
+        parts.push(format!("crash@{at}us"));
+    }
+    if rng.chance(20) {
+        plan.torn_write = true;
+        parts.push("torn-write".into());
+    }
+    if rng.chance(20) {
+        plan.partial_journal = true;
+        parts.push("partial-journal".into());
+    }
+    if rng.chance(25) {
+        let flood = 2.0 + (rng.range(0, 40) as f64) / 10.0;
+        plan.sample_flood = flood;
+        parts.push(format!("flood×{flood:.1}"));
+    }
+    if rng.chance(20) {
+        let rank = (rng.range(0, 4)) as u16;
+        let at = rng.range(800_000, 3_000_000);
+        plan.kills.push(KillEvent {
+            at: SimTime::from_micros(at),
+            target: KillTarget::Proc(rank),
+        });
+        parts.push(format!("kill-p{rank}@{at}us"));
+    }
+    if rng.chance(15) {
+        plan.drop_rate = (rng.range(5, 30) as f64) / 100.0;
+        parts.push(format!("drop{:.0}%", plan.drop_rate * 100.0));
+    }
+    let summary = if parts.is_empty() {
+        "healthy".to_string()
+    } else {
+        parts.join(" ")
+    };
+    (plan, summary)
+}
+
+/// A chaos session's config: [`fast_config`] with a longer bound and a
+/// deterministic in-loop stall deadline, so a wedged drive loop always
+/// halts at a checkpoint instead of spinning to `max_time`.
+fn chaos_config(plan: FaultPlan) -> SearchConfig {
+    let mut config = SearchConfig {
+        max_time: SimDuration::from_secs(120),
+        stall: Some(SimDuration::from_secs(2)),
+        ..fast_config()
+    };
+    if plan.sample_flood > 0.0 {
+        // Flooded sessions shed at the door instead of queueing forever.
+        config.collector.admission.enabled = true;
+    }
+    config.faults = plan;
+    config
+}
+
+/// Runs `sessions` supervised sessions concurrently over one shared
+/// store, then one repair pass and an integrity walk, and asserts the
+/// chaos gates:
+///
+/// * every session terminates with a classification;
+/// * after one repair pass the store has zero integrity errors;
+/// * faulted: no session is abandoned by a supervision-thread panic;
+/// * zero faults: every session completes without intervention and its
+///   stored record is byte-identical to an unsupervised diagnosis.
+///
+/// Returns the fleet's transcript: its plans, the supervision report
+/// and the fsck line. Repair notes are left out: which damage a repair
+/// pass meets first depends on how the sessions interleaved.
+fn chaos_fleet(test: &str, sessions: usize, seed: u64, zero_faults: bool) -> String {
+    let mode = if zero_faults { "zero" } else { "faulted" };
+    let case = format!("{sessions} session(s), seed {seed}, {mode}");
+    let dir = std::env::temp_dir().join(format!(
+        "histpc-chaos-{test}-{sessions}-{seed}-{mode}-{}",
+        std::process::id()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let session = Session::with_store(&dir).expect("scratch store opens");
+
+    // The whole fleet shares one app namespace in one store: distinct
+    // labels keep the records apart while every save contends for the
+    // same lock.
+    let mut rng = Rng(seed);
+    let mut workloads = Vec::with_capacity(sessions);
+    let mut plans = Vec::with_capacity(sessions);
+    for i in 0..sessions {
+        let hot_node = (rng.next() % 2) as usize;
+        let hot_proc = (rng.next() % 2) as usize;
+        let heat = 1.5 + (rng.range(0, 100) as f64) / 100.0;
+        workloads
+            .push(SyntheticWorkload::balanced(2, 2, 0.1).with_hotspot(hot_node, hot_proc, heat));
+        let plan_seed = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        plans.push(if zero_faults {
+            (FaultPlan::none(), "healthy".to_string())
+        } else {
+            roll_faults(&mut rng, plan_seed)
+        });
+    }
+    let mut transcript = format!("chaos: {case}\n");
+    for (i, (_, summary)) in plans.iter().enumerate() {
+        transcript.push_str(&format!("  plan soak-{i:02}: {summary}\n"));
+    }
+
+    let drivers: Vec<WorkloadSession> = (0..sessions)
+        .map(|i| {
+            WorkloadSession::new(
+                &session,
+                &workloads[i],
+                chaos_config(plans[i].0.clone()),
+                format!("soak-{i:02}"),
+            )
+        })
+        .collect();
+    let refs: Vec<&dyn SessionDriver> = drivers.iter().map(|d| d as &dyn SessionDriver).collect();
+    let report = Supervisor::new(SupervisorConfig {
+        retry_budget: 3,
+        stall: Some(Duration::from_secs(30)),
+        backoff_base: Duration::from_millis(1),
+        backoff_cap: Duration::from_millis(50),
+    })
+    .run(&refs);
+    transcript.push_str(&report.render());
+
+    // Whatever the fault plans tore mid-write must be salvaged or
+    // quarantined by one repair pass — never silently kept.
+    let store = session.store().expect("chaos session has a store");
+    store.repair().expect("store repair runs");
+    let findings = fsck(store.root());
+    let errors: Vec<String> = findings
+        .iter()
+        .filter(|d| d.is_error())
+        .map(ToString::to_string)
+        .collect();
+    transcript.push_str(&format!(
+        "fsck: {} error(s), {} warning(s) after repair\n",
+        errors.len(),
+        findings.len() - errors.len()
+    ));
+
+    assert_eq!(
+        report.sessions.len(),
+        sessions,
+        "{case}: a session went unclassified"
+    );
+    assert!(
+        errors.is_empty(),
+        "{case}: store unhealthy after one repair: {errors:?}"
+    );
+    if zero_faults {
+        for s in &report.sessions {
+            assert_eq!(
+                s.outcome,
+                SupOutcome::Completed,
+                "{case}: {}: {:?}",
+                s.label,
+                s.notes
+            );
+        }
+        let bare = Session::new();
+        for (i, (plan, _)) in plans.iter().enumerate() {
+            let label = format!("soak-{i:02}");
+            let stored = store
+                .load("synth", &label)
+                .expect("stored record is readable");
+            let d = bare
+                .diagnose(&workloads[i], &chaos_config(plan.clone()), &label)
+                .expect("zero-fault config lints clean");
+            assert_eq!(
+                history::format::write_record(&stored),
+                history::format::write_record(&d.record),
+                "{case}: {label}: stored record differs from bare diagnosis"
+            );
+        }
+    } else {
+        for s in &report.sessions {
+            assert!(
+                !matches!(&s.outcome, SupOutcome::Abandoned { reason } if reason.contains("panicked")),
+                "{case}: {} abandoned by a supervision-thread panic: {}",
+                s.label,
+                s.outcome
+            );
+        }
+    }
+    drop(session);
+    let _ = std::fs::remove_dir_all(&dir);
+    transcript
+}
+
+/// Compares `actual` with `tests/golden/<name>.txt`; to refresh a golden,
+/// copy the file the failure message names over it.
+fn check_golden(name: &str, actual: &str) {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(format!("{name}.txt"));
+    let expected = std::fs::read_to_string(&path).unwrap_or_default();
+    if actual == expected {
+        return;
+    }
+    let dump = std::env::temp_dir().join(format!("histpc-golden-actual-{name}.txt"));
+    std::fs::write(&dump, actual).expect("temp dir is writable");
+    panic!(
+        "{name}: transcript differs from {}\n--- want\n{expected}--- got\n{actual}\
+         actual text written to {}",
+        path.display(),
+        dump.display()
+    );
+}
+
+#[test]
+fn chaos_fleet_of_16_under_faults() {
+    let transcript = chaos_fleet("golden", 16, 1, false);
+    check_golden("chaos-16-seed1", &transcript);
+}
+
+#[test]
+fn chaos_fleet_of_8_without_faults_is_bit_identical() {
+    let transcript = chaos_fleet("golden", 8, 1, true);
+    check_golden("chaos-8-seed1-zero", &transcript);
+}
+
+#[test]
+#[ignore = "the chaos matrix: run in release mode"]
+fn chaos_fleet_matrix_holds_its_gates() {
+    for seed in [1, 7, 99] {
+        for sessions in [16, 32] {
+            for zero_faults in [false, true] {
+                chaos_fleet("matrix", sessions, seed, zero_faults);
+            }
+        }
     }
 }
