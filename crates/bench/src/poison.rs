@@ -22,12 +22,12 @@
 //!   into something `parse` rejects, and the next load falls back to
 //!   an empty ledger (full trust) instead of erroring.
 //!
-//! All poison draws come from fixed substreams of the plan seed, so
+//! All poison draws come from fixed substreams of the rates' seed, so
 //! the soak is deterministic end to end (diagnosis times are simulated
 //! application times, not wall clock).
 
 use crate::{base_diagnosis, directed_diagnosis, exp_config, truth_of};
-use histpc::consultant::{poison_directives, PoisonSummary, SearchDirectives};
+use histpc::consultant::{poison_directives, PoisonRates, PoisonSummary, SearchDirectives};
 use histpc::history::trust::{TrustLedger, FULL_SCORE, TRUST_FILE};
 use histpc::history::{self, format::write_record, ExtractionOptions};
 use histpc::prelude::*;
@@ -53,7 +53,7 @@ pub enum PoisonKind {
 }
 
 impl PoisonKind {
-    /// The fault-kind name of this kind.
+    /// The name of this kind in soak output.
     pub fn label(self) -> &'static str {
         match self {
             PoisonKind::Prune => "poison-prune",
@@ -64,23 +64,26 @@ impl PoisonKind {
         }
     }
 
-    /// The fault plan of this kind at the acceptance rate (25% of every
-    /// applicable poison opportunity).
-    pub fn plan(self) -> FaultPlan {
-        let mut plan = FaultPlan::none();
-        plan.seed = 0x9050;
+    /// The poison rates of this kind at the acceptance rate (25% of
+    /// every applicable poison opportunity). The ledger kind poisons no
+    /// directives: its fault is staged by the recovery leg.
+    pub fn rates(self) -> PoisonRates {
+        let mut rates = PoisonRates {
+            seed: 0x9050,
+            ..PoisonRates::default()
+        };
         match self {
-            PoisonKind::Prune => plan.poison_prune_rate = POISON_RATE,
-            PoisonKind::Threshold => plan.poison_threshold_rate = POISON_RATE,
-            PoisonKind::StaleMapping => plan.stale_mapping_rate = POISON_RATE,
-            PoisonKind::TrustLedger => plan.trust_ledger_corrupt = true,
+            PoisonKind::Prune => rates.prune = POISON_RATE,
+            PoisonKind::Threshold => rates.threshold = POISON_RATE,
+            PoisonKind::StaleMapping => rates.stale_mapping = POISON_RATE,
+            PoisonKind::TrustLedger => {}
             PoisonKind::All => {
-                plan.poison_prune_rate = POISON_RATE;
-                plan.poison_threshold_rate = POISON_RATE;
-                plan.stale_mapping_rate = POISON_RATE;
+                rates.prune = POISON_RATE;
+                rates.threshold = POISON_RATE;
+                rates.stale_mapping = POISON_RATE;
             }
         }
-        plan
+        rates
     }
 
     /// Whether this kind produces revocations. Every kind does:
@@ -188,7 +191,7 @@ fn clean_harvest(base: &Diagnosis, source: &str) -> SearchDirectives {
 
 /// Runs one version's poisoned leg and gathers every per-version gate
 /// input. Version D's result is pinned by `tests/scenario_goldens.rs`.
-pub fn run_poison_version(version: PoissonVersion, plan: &FaultPlan) -> PoisonVersionResult {
+pub fn run_poison_version(version: PoissonVersion, rates: &PoisonRates) -> PoisonVersionResult {
     let label = version.label();
     let base = base_diagnosis(version);
     let truth = truth_of(&base);
@@ -198,7 +201,7 @@ pub fn run_poison_version(version: PoissonVersion, plan: &FaultPlan) -> PoisonVe
     let clean = clean_harvest(&base, &clean_source);
     let clean_run = directed_diagnosis(version, clean.clone());
 
-    let (poisoned, summary) = poison_directives(&clean, plan, &truth, &poison_source, 7);
+    let (poisoned, summary) = poison_directives(&clean, rates, &truth, &poison_source, 7);
     let dir = scratch(&format!("v{label}"));
     let session = Session::with_store(&dir).expect("scratch store opens");
     let mut config = exp_config().with_directives(poisoned);
@@ -265,7 +268,8 @@ fn run_zero_identity(version: PoissonVersion) -> bool {
     let source = format!("poisson-{}/clean", version.label());
     let clean = clean_harvest(&base, &source);
     let plain = directed_diagnosis(version, clean.clone());
-    let (unpoisoned, summary) = poison_directives(&clean, &FaultPlan::none(), &truth, "x/evil", 9);
+    let (unpoisoned, summary) =
+        poison_directives(&clean, &PoisonRates::default(), &truth, "x/evil", 9);
     let through = directed_diagnosis(version, unpoisoned);
     summary.total() == 0 && write_record(&through.record) == write_record(&plain.record)
 }
@@ -307,7 +311,7 @@ fn run_ledger_recovery(seed: u64) -> bool {
 
 /// Runs the poison soak for one kind over the Poisson versions A–D.
 pub fn run_poison_soak(kind: PoisonKind) -> PoisonSoak {
-    let plan = kind.plan();
+    let rates = kind.rates();
     let results = if kind == PoisonKind::TrustLedger {
         Vec::new()
     } else {
@@ -322,9 +326,11 @@ pub fn run_poison_soak(kind: PoisonKind) -> PoisonSoak {
         .map(|(i, v)| {
             // A per-version seed: one shared seed would poison every
             // version with the same draw sequence (the draws depend
-            // only on the plan), collapsing the matrix to one sample.
-            let mut versioned = plan.clone();
-            versioned.seed = plan.seed + i as u64;
+            // only on the rates), collapsing the matrix to one sample.
+            let versioned = PoisonRates {
+                seed: rates.seed + i as u64,
+                ..rates
+            };
             run_poison_version(v, &versioned)
         })
         .collect()
@@ -332,7 +338,7 @@ pub fn run_poison_soak(kind: PoisonKind) -> PoisonSoak {
     let zero_identical =
         (kind != PoisonKind::TrustLedger).then(|| run_zero_identity(PoissonVersion::A));
     let ledger_recovered = matches!(kind, PoisonKind::TrustLedger | PoisonKind::All)
-        .then(|| run_ledger_recovery(plan.seed));
+        .then(|| run_ledger_recovery(rates.seed));
     PoisonSoak {
         kind,
         results,

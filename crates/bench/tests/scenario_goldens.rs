@@ -126,7 +126,7 @@ fn degraded_loss_keeps_headline_reduction() {
 #[test]
 #[ignore = "full-length diagnoses: run in release mode"]
 fn poison_d() {
-    let r = run_poison_version(PoissonVersion::D, &PoisonKind::All.plan());
+    let r = run_poison_version(PoissonVersion::D, &PoisonKind::All.rates());
     let mut text = String::new();
     writeln!(text, "version {}", r.version).unwrap();
     writeln!(text, "truth {}", r.truth).unwrap();

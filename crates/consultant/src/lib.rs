@@ -29,7 +29,7 @@ pub use directive::{
     SearchDirectives, ThresholdDirective,
 };
 pub use hypothesis::{Hypothesis, HypothesisId, HypothesisTree};
-pub use poison::{poison_directives, PoisonSummary};
+pub use poison::{poison_directives, PoisonRates, PoisonSummary};
 pub use report::{DiagnosisReport, NodeOutcome, Outcome};
 pub use search::{
     drive_diagnosis_faulted, Consultant, DegradedRun, DriveHooks, HaltReason, SearchCheckpoint,

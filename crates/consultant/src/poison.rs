@@ -5,18 +5,16 @@
 //! lies. This module *makes* guidance lie, deterministically, so the
 //! poison soak tests (`histpc-bench`) and the fault-injection suite can
 //! prove the defenses work: given a harvested directive set and the
-//! run's known true bottlenecks, it applies the history-poison rates of a
-//! [`FaultPlan`] (`poison-prune`, `poison-threshold`, `stale-mapping`)
+//! run's known true bottlenecks, it applies a set of [`PoisonRates`]
 //! and stamps every injected or mangled directive with a recognizable
 //! poisoned [`Provenance`] — which is exactly what lets the acceptance
 //! gate check that every revocation in the final report names the
 //! poisoned source run.
 //!
-//! All draws come from dedicated substreams of the plan's seed, so a
-//! given (plan, truth) pair poisons identically on every run.
+//! All draws come from dedicated substreams of the rates' seed, so a
+//! given (rates, truth) pair poisons identically on every run.
 
 use crate::directive::{Provenance, Prune, PruneTarget, SearchDirectives, ThresholdDirective};
-use histpc_faults::FaultPlan;
 use histpc_resources::{Focus, ResourceName};
 use histpc_sim::Rng;
 
@@ -24,6 +22,21 @@ use histpc_sim::Rng;
 /// that exists in no workload, modelling a resource mapping carried
 /// across a code version that renamed everything.
 pub const STALE_SELECTION: &str = "/Code/__stale__.f";
+
+/// How hard [`poison_directives`] lies: each rate is a probability in
+/// `[0,1]`, and 0 disables its kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PoisonRates {
+    /// Seed for all poison draws.
+    pub seed: u64,
+    /// Chance that a true-bottleneck pair gains an adversarial prune.
+    pub prune: f64,
+    /// Chance that a bottlenecked hypothesis gains a 0.95 threshold.
+    pub threshold: f64,
+    /// Chance that a harvested directive is re-pointed at
+    /// [`STALE_SELECTION`].
+    pub stale_mapping: f64,
+}
 
 /// What [`poison_directives`] did, for soak-harness logging.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -43,15 +56,15 @@ impl PoisonSummary {
     }
 }
 
-/// Applies a plan's history-poison rates to a harvested directive set.
+/// Applies poison rates to a harvested directive set.
 ///
-/// * `poison-prune` — for each (hypothesis, focus) in `truth`, inject
+/// * `prune` — for each (hypothesis, focus) in `truth`, inject
 ///   an exact-pair prune with that probability: the most damaging lie
 ///   history can tell, silently hiding a true bottleneck.
-/// * `poison-threshold` — for each distinct hypothesis in `truth`,
+/// * `threshold` — for each distinct hypothesis in `truth`,
 ///   raise its threshold to 0.95 with that probability, so genuine
 ///   bottlenecks test false.
-/// * `stale-mapping` — re-point each harvested directive's resource or
+/// * `stale_mapping` — re-point each harvested directive's resource or
 ///   focus at [`STALE_SELECTION`] with that probability: a mapping
 ///   applied across a renamed code base. Stale prunes stop protecting
 ///   anything; stale priorities aim instrumentation at nothing.
@@ -62,7 +75,7 @@ impl PoisonSummary {
 /// is preserved for untouched directives.
 pub fn poison_directives(
     directives: &SearchDirectives,
-    plan: &FaultPlan,
+    rates: &PoisonRates,
     truth: &[(String, Focus)],
     source_run: &str,
     generation: u64,
@@ -70,7 +83,7 @@ pub fn poison_directives(
     let mut summary = PoisonSummary::default();
     let poisoned = Provenance::new(source_run, generation);
     let stale = ResourceName::parse(STALE_SELECTION).expect("stale selection parses");
-    let root = Rng::new(plan.seed);
+    let root = Rng::new(rates.seed);
     let mut stale_rng = root.substream(11);
     let mut prune_rng = root.substream(12);
     let mut threshold_rng = root.substream(13);
@@ -78,7 +91,7 @@ pub fn poison_directives(
     // Stage 1: stale-mapping rewrites over the harvested set.
     let mut out = SearchDirectives::none();
     for p in &directives.prunes {
-        if plan.stale_mapping_rate > 0.0 && stale_rng.next_f64() < plan.stale_mapping_rate {
+        if rates.stale_mapping > 0.0 && stale_rng.next_f64() < rates.stale_mapping {
             let target = match &p.target {
                 PruneTarget::Resource(_) => PruneTarget::Resource(stale.clone()),
                 PruneTarget::Pair(f) => PruneTarget::Pair(f.with_selection(stale.clone())),
@@ -96,7 +109,7 @@ pub fn poison_directives(
         }
     }
     for p in &directives.priorities {
-        if plan.stale_mapping_rate > 0.0 && stale_rng.next_f64() < plan.stale_mapping_rate {
+        if rates.stale_mapping > 0.0 && stale_rng.next_f64() < rates.stale_mapping {
             let mut mangled = p.clone();
             mangled.focus = p.focus.with_selection(stale.clone());
             let line = mangled.line();
@@ -113,9 +126,9 @@ pub fn poison_directives(
     out.adopt_provenance(directives);
 
     // Stage 2: adversarial pair prunes over the true bottlenecks.
-    if plan.poison_prune_rate > 0.0 {
+    if rates.prune > 0.0 {
         for (hyp, focus) in truth {
-            if prune_rng.next_f64() >= plan.poison_prune_rate {
+            if prune_rng.next_f64() >= rates.prune {
                 continue;
             }
             let prune = Prune {
@@ -133,14 +146,14 @@ pub fn poison_directives(
     }
 
     // Stage 3: adversarial thresholds per bottlenecked hypothesis.
-    if plan.poison_threshold_rate > 0.0 {
+    if rates.threshold > 0.0 {
         let mut seen = Vec::new();
         for (hyp, _) in truth {
             if seen.contains(hyp) {
                 continue;
             }
             seen.push(hyp.clone());
-            if threshold_rng.next_f64() >= plan.poison_threshold_rate {
+            if threshold_rng.next_f64() >= rates.threshold {
                 continue;
             }
             let t = ThresholdDirective {
@@ -190,7 +203,8 @@ mod tests {
             level: PriorityLevel::High,
         });
         d.stamp_provenance("app/clean", 2);
-        let (out, summary) = poison_directives(&d, &FaultPlan::none(), &truth(), "app/evil", 9);
+        let (out, summary) =
+            poison_directives(&d, &PoisonRates::default(), &truth(), "app/evil", 9);
         assert_eq!(summary.total(), 0);
         assert_eq!(out.to_text(), d.to_text());
         assert_eq!(out.to_annotated_text(), d.to_annotated_text());
@@ -198,10 +212,12 @@ mod tests {
 
     #[test]
     fn full_rate_prunes_every_true_bottleneck_with_poisoned_provenance() {
-        let mut plan = FaultPlan::none();
-        plan.poison_prune_rate = 1.0;
+        let rates = PoisonRates {
+            prune: 1.0,
+            ..PoisonRates::default()
+        };
         let (out, summary) =
-            poison_directives(&SearchDirectives::none(), &plan, &truth(), "app/evil", 9);
+            poison_directives(&SearchDirectives::none(), &rates, &truth(), "app/evil", 9);
         assert_eq!(summary.prunes_injected, 2);
         for (hyp, focus) in truth() {
             assert!(out.is_pruned(&hyp, &focus));
@@ -215,11 +231,18 @@ mod tests {
 
     #[test]
     fn thresholds_raised_once_per_hypothesis() {
-        let mut plan = FaultPlan::none();
-        plan.poison_threshold_rate = 1.0;
+        let rates = PoisonRates {
+            threshold: 1.0,
+            ..PoisonRates::default()
+        };
         let many_truth = vec![truth()[0].clone(), truth()[0].clone(), truth()[1].clone()];
-        let (out, summary) =
-            poison_directives(&SearchDirectives::none(), &plan, &many_truth, "app/evil", 1);
+        let (out, summary) = poison_directives(
+            &SearchDirectives::none(),
+            &rates,
+            &many_truth,
+            "app/evil",
+            1,
+        );
         assert_eq!(summary.thresholds_raised, 2);
         assert_eq!(out.threshold_for("CPUbound"), Some(0.95));
         assert_eq!(out.threshold_for("ExcessiveSyncWaitingTime"), Some(0.95));
@@ -237,16 +260,18 @@ mod tests {
             focus: wp().with_selection(n("/Code/diff.f")),
             level: PriorityLevel::High,
         });
-        let mut plan = FaultPlan::none();
-        plan.stale_mapping_rate = 1.0;
-        plan.seed = 5;
-        let (a, summary) = poison_directives(&d, &plan, &[], "app/evil", 3);
+        let rates = PoisonRates {
+            seed: 5,
+            stale_mapping: 1.0,
+            ..PoisonRates::default()
+        };
+        let (a, summary) = poison_directives(&d, &rates, &[], "app/evil", 3);
         assert_eq!(summary.mappings_staled, 2);
         // The original pruned subtree is no longer protected...
         assert!(!a.is_pruned("CPUbound", &wp().with_selection(n("/Code/diff.f/diff"))));
         // ...and the mangled directives point at the stale module.
         assert!(a.is_pruned("CPUbound", &wp().with_selection(n(STALE_SELECTION))));
-        let (b, _) = poison_directives(&d, &plan, &[], "app/evil", 3);
+        let (b, _) = poison_directives(&d, &rates, &[], "app/evil", 3);
         assert_eq!(a.to_annotated_text(), b.to_annotated_text());
     }
 }

@@ -58,12 +58,6 @@ pub struct SearchConfig {
     /// How long an experiment may go without fresh data from any of its
     /// processes before it concludes [`Outcome::Unknown`].
     pub data_timeout: SimDuration,
-    /// First retry delay after a failed instrumentation request.
-    pub retry_base: SimDuration,
-    /// Cap on the exponential retry backoff.
-    pub retry_cap: SimDuration,
-    /// Give up on a request (conclude Unknown) after this many failures.
-    pub retry_max_attempts: u32,
     /// Watchdog stall deadline in *application* time: when the drive
     /// loop sees no observable search progress (digest change) for
     /// this long, it halts the session at a checkpoint instead of
@@ -134,9 +128,6 @@ impl Default for SearchConfig {
             collector: CollectorConfig::default(),
             faults: FaultPlan::none(),
             data_timeout: SimDuration::from_secs(10),
-            retry_base: SimDuration::from_millis(500),
-            retry_cap: SimDuration::from_secs(8),
-            retry_max_attempts: 6,
             stall: None,
             top_level_only: false,
             hooks: DriveHooks::default(),
@@ -181,9 +172,6 @@ pub struct Consultant {
     quiesced_at: Option<SimTime>,
     /// Degradation policy; only consulted from [`Consultant::tick_faulted`].
     data_timeout: SimDuration,
-    retry_base: SimDuration,
-    retry_cap: SimDuration,
-    retry_max_attempts: u32,
     /// Per-node failed-request bookkeeping: (attempts so far, earliest
     /// next retry). Looked up by id only, never iterated, so it cannot
     /// perturb determinism.
@@ -239,6 +227,13 @@ pub struct Consultant {
 /// the rest of its guidance.
 pub const SOURCE_REVOCATION_FAILURES: u32 = 3;
 
+/// First retry delay after a failed or shed instrumentation request.
+const RETRY_BASE: SimDuration = SimDuration::from_millis(500);
+/// Cap on the exponential retry backoff.
+const RETRY_CAP: SimDuration = SimDuration::from_secs(8);
+/// Give up on a request (conclude Unknown) after this many failures.
+const RETRY_MAX_ATTEMPTS: u32 = 6;
+
 impl Consultant {
     /// Creates a consultant and performs the initial expansion: the SHG
     /// root, its base-hypothesis children, and the High-priority seeds.
@@ -273,9 +268,6 @@ impl Consultant {
             peak_cost: 0.0,
             quiesced_at: None,
             data_timeout: defaults.data_timeout,
-            retry_base: defaults.retry_base,
-            retry_cap: defaults.retry_cap,
-            retry_max_attempts: defaults.retry_max_attempts,
             retry: HashMap::new(),
             dead_procs: Vec::new(),
             unreachable: Vec::new(),
@@ -348,16 +340,11 @@ impl Consultant {
         self.quiesced_at.is_some()
     }
 
-    /// Adopts the degradation policy knobs (timeouts, backoff) and
-    /// `top_level_only` from a config. The data timeout is read only by
-    /// [`Consultant::tick_faulted`]; the backoff knobs also pace retries
-    /// of requests the admission layer sheds. The drive loop calls this
-    /// before the first tick.
+    /// Adopts the data timeout and `top_level_only` from a config. The
+    /// data timeout is read only by [`Consultant::tick_faulted`]. The
+    /// drive loop calls this before the first tick.
     pub fn set_fault_policy(&mut self, config: &SearchConfig) {
         self.data_timeout = config.data_timeout;
-        self.retry_base = config.retry_base;
-        self.retry_cap = config.retry_cap;
-        self.retry_max_attempts = config.retry_max_attempts;
         self.top_level_only = config.top_level_only;
     }
 
@@ -798,22 +785,16 @@ impl Consultant {
     /// length). A resumed run replays to the checkpoint time and compares
     /// digests to prove it reconstructed the interrupted search exactly.
     pub fn digest(&self) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let fold = |h: &mut u64, bytes: &[u8]| {
-            for &b in bytes {
-                *h ^= u64::from(b);
-                *h = h.wrapping_mul(0x100_0000_01b3);
-            }
-        };
+        let mut h = histpc_resources::Fnv64::default();
         for id in self.shg.ids() {
             let n = self.shg.node(id);
-            fold(&mut h, &[n.state.marker() as u8]);
+            h.write(&[n.state.marker() as u8]);
             let concluded = n.concluded_at.map_or(u64::MAX, SimTime::as_micros);
-            fold(&mut h, &concluded.to_le_bytes());
-            fold(&mut h, &n.last_value.to_bits().to_le_bytes());
+            h.write(&concluded.to_le_bytes());
+            h.write(&n.last_value.to_bits().to_le_bytes());
         }
-        fold(&mut h, &(self.pending.len() as u64).to_le_bytes());
-        h
+        h.write(&(self.pending.len() as u64).to_le_bytes());
+        h.finish()
     }
 
     /// Creates (or links) a child node, honouring prunes and priorities.
@@ -1273,7 +1254,7 @@ impl Consultant {
                         // backoff; past the attempt budget the pair
                         // concludes Unknown (never false).
                         let attempts = self.retry.get(&id).map(|&(a, _)| a).unwrap_or(0) + 1;
-                        if attempts >= self.retry_max_attempts {
+                        if attempts >= RETRY_MAX_ATTEMPTS {
                             self.pending.remove(i);
                             self.retry.remove(&id);
                             let node = self.shg.node_mut(id);
@@ -1282,10 +1263,10 @@ impl Consultant {
                         } else {
                             let exp = (attempts - 1).min(16);
                             let backoff = SimDuration::from_micros(
-                                self.retry_base
+                                RETRY_BASE
                                     .as_micros()
                                     .saturating_mul(1 << exp)
-                                    .min(self.retry_cap.as_micros()),
+                                    .min(RETRY_CAP.as_micros()),
                             );
                             self.retry.insert(id, (attempts, now + backoff));
                             i += 1;

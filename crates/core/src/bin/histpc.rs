@@ -13,12 +13,13 @@
 //!                 [--provenance]
 //! histpc map      --store DIR --app NAME --from LABEL --to LABEL [--out FILE]
 //! histpc compare  --store DIR --app NAME --from LABEL --to LABEL
-//! histpc profile  --app APP [--for SECS]
+//! histpc profile  --app APP [--for SECS] [--seed N]
 //! histpc shg      --store DIR --app NAME --label L
 //! histpc ls       --store DIR [--app NAME]
 //! histpc lint     FILE... [--against STORE/APP/LABEL] [--deny-warnings] [--format F]
 //! histpc lint     corpus STORE [--last N] [--deny-warnings] [--format F]
-//! histpc store    fsck|repair|compact|migrate --store DIR [--deny-warnings]
+//! histpc store    fsck --store DIR [--deny-warnings]
+//! histpc store    repair|compact|migrate --store DIR
 //! histpc store    trust --store DIR [--format json]
 //! histpc daemon   start --store DIR --socket PATH [--tenant-slots N]
 //!                 [--tenant-budget N] [--idle-ms T] [--retries N] [--stall-ms T]
@@ -110,6 +111,9 @@
 //! report. Remote runs exit with the supervised-run codes: 0 for
 //! completed/recovered, 3 for degraded, 1 for abandoned or transport
 //! failure.
+//!
+//! Each verb accepts only the flags listed for it above (`run --remote`
+//! has its own list); any other flag is a usage error (exit 2).
 
 use histpc::history;
 use histpc::prelude::*;
@@ -180,16 +184,18 @@ fn usage() -> ! {
          \x20            [--audit-budget N] [--supervised] [--retries N] [--stall-ms T]\n\
          \x20 histpc supervise --store DIR --apps A,B,C [--label L] [--retries N]\n\
          \x20            [--stall-ms T] [--window SECS] [--max-time SECS] [--seed N]\n\
+         \x20            [--faults FILE] [--admission KNOBS]\n\
          \x20 histpc harvest --store DIR --app NAME --label L [--mode MODE] [--out FILE]\n\
          \x20            [--provenance]\n\
          \x20 histpc map     --store DIR --app NAME --from LABEL --to LABEL [--out FILE]\n\
          \x20 histpc compare --store DIR --app NAME --from LABEL --to LABEL\n\
-         \x20 histpc profile --app APP [--for SECS]\n\
+         \x20 histpc profile --app APP [--for SECS] [--seed N]\n\
          \x20 histpc shg     --store DIR --app NAME --label L\n\
          \x20 histpc ls      --store DIR [--app NAME]\n\
          \x20 histpc lint    FILE... [--against STORE/APP/LABEL] [--deny-warnings] [--format F]\n\
          \x20 histpc lint    corpus STORE [--last N] [--deny-warnings] [--format F]\n\
-         \x20 histpc store   fsck|repair|compact|migrate --store DIR [--deny-warnings]\n\
+         \x20 histpc store   fsck --store DIR [--deny-warnings]\n\
+         \x20 histpc store   repair|compact|migrate --store DIR\n\
          \x20 histpc store   trust --store DIR [--format json]\n\
          \x20 histpc daemon  start --store DIR --socket PATH [--tenant-slots N]\n\
          \x20            [--tenant-budget N] [--idle-ms T] [--retries N] [--stall-ms T]\n\
@@ -204,18 +210,112 @@ fn usage() -> ! {
 }
 
 /// Flags that take no value; present means on.
-const BOOLEAN_FLAGS: &[&str] = &["supervised", "provenance"];
+const BOOLEAN_FLAGS: &[&str] = &["supervised", "provenance", "deny-warnings"];
+
+/// The flags `histpc daemon start` reads; it passes all but the first
+/// two on to `histpcd`.
+const DAEMON_START_FLAGS: &[&str] = &[
+    "store",
+    "socket",
+    "tenant-slots",
+    "tenant-budget",
+    "idle-ms",
+    "retries",
+    "stall-ms",
+];
+
+/// The flags each verb reads (see the module doc); [`parse_flags`]
+/// rejects any other.
+fn verb_flags(verb: &str) -> &'static [&'static str] {
+    match verb {
+        "run" => &[
+            "app",
+            "label",
+            "store",
+            "directives",
+            "mappings",
+            "window",
+            "max-time",
+            "seed",
+            "faults",
+            "resume",
+            "admission",
+            "audit-budget",
+            "supervised",
+            "retries",
+            "stall-ms",
+        ],
+        "run --remote" => &[
+            "remote",
+            "app",
+            "label",
+            "tenant",
+            "seed",
+            "window",
+            "max-time",
+            "faults",
+            "budget",
+            "harvest-from",
+            "audit-budget",
+        ],
+        "supervise" => &[
+            "store",
+            "apps",
+            "label",
+            "retries",
+            "stall-ms",
+            "window",
+            "max-time",
+            "seed",
+            "faults",
+            "admission",
+        ],
+        "harvest" => &["store", "app", "label", "mode", "out", "provenance"],
+        "map" => &["store", "app", "from", "to", "out"],
+        "compare" => &["store", "app", "from", "to"],
+        "profile" => &["app", "for", "seed"],
+        "shg" => &["store", "app", "label"],
+        "ls" => &["store", "app"],
+        "store fsck" => &["store", "deny-warnings"],
+        "store trust" => &["store", "format"],
+        "store repair" | "store compact" | "store migrate" => &["store"],
+        "lint" => &["against", "deny-warnings", "format"],
+        "lint corpus" => &["last", "deny-warnings", "format"],
+        "daemon start" => DAEMON_START_FLAGS,
+        "daemon stop" | "daemon status" => &["socket"],
+        _ => &[],
+    }
+}
 
 /// Parses `--key value` pairs (and bare boolean flags) after the
-/// subcommand.
-fn parse_flags(args: &[String]) -> HashMap<String, String> {
+/// subcommand `verb`; a flag the verb does not read, or a positional
+/// argument, is a usage error.
+fn parse_flags(verb: &str, args: &[String]) -> HashMap<String, String> {
+    let (flags, positional) = parse_args(verb, args);
+    if let Some(arg) = positional.first() {
+        errln!("unexpected argument {arg:?}");
+        usage();
+    }
+    flags
+}
+
+/// [`parse_flags`] for a verb that also takes positional arguments,
+/// returned in order.
+fn parse_args(verb: &str, args: &[String]) -> (HashMap<String, String>, Vec<String>) {
+    let accepted = verb_flags(verb);
     let mut out = HashMap::new();
+    let mut positional = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let Some(key) = args[i].strip_prefix("--") else {
-            errln!("unexpected argument {:?}", args[i]);
-            usage();
+            positional.push(args[i].clone());
+            i += 1;
+            continue;
         };
+        if !accepted.contains(&key) {
+            errln!("unknown flag --{key} for histpc {verb}");
+            usage();
+        }
         if BOOLEAN_FLAGS.contains(&key) {
             out.insert(key.to_string(), "on".into());
             i += 1;
@@ -228,7 +328,7 @@ fn parse_flags(args: &[String]) -> HashMap<String, String> {
         out.insert(key.to_string(), value.clone());
         i += 2;
     }
-    out
+    (out, positional)
 }
 
 fn require<'a>(flags: &'a HashMap<String, String>, key: &str) -> &'a str {
@@ -283,6 +383,35 @@ fn extraction_mode(mode: &str) -> ExtractionOptions {
 /// errors (1) and usage problems (2) so scripts can tell "the run broke"
 /// from "the run finished but don't fully trust it".
 const EXIT_DEGRADED: u8 = 3;
+
+/// The search config `run` and `supervise` start from: the paper's
+/// window, sampling and time limit, with `--window`, `--max-time`,
+/// `--faults` and `--admission` applied.
+fn search_config(flags: &HashMap<String, String>) -> Result<SearchConfig, String> {
+    let mut config = SearchConfig {
+        window: SimDuration::from_secs(2),
+        sample: SimDuration::from_millis(250),
+        max_time: SimDuration::from_secs(900),
+        ..SearchConfig::default()
+    };
+    if let Some(w) = flags.get("window") {
+        let secs: f64 = w.parse().map_err(|_| "bad --window")?;
+        config.window = SimDuration::from_secs_f64(secs);
+    }
+    if let Some(m) = flags.get("max-time") {
+        let secs: f64 = m.parse().map_err(|_| "bad --max-time")?;
+        config.max_time = SimDuration::from_secs_f64(secs);
+    }
+    if let Some(path) = flags.get("faults") {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
+        config.faults = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    }
+    if let Some(knobs) = flags.get("admission") {
+        config.collector.admission =
+            AdmissionConfig::parse_knobs(knobs).map_err(|e| format!("bad --admission: {e}"))?;
+    }
+    Ok(config)
+}
 
 /// Builds the supervision policy from `--retries` / `--stall-ms`, and
 /// mirrors the stall deadline into the search config's deterministic
@@ -345,9 +474,6 @@ fn report_supervision(report: &SupervisionReport) -> ExitCode {
 }
 
 fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
-    if let Some(sock) = flags.get("remote") {
-        return cmd_run_remote(sock, &flags);
-    }
     let app = require(&flags, "app");
     let seed = flags
         .get("seed")
@@ -355,20 +481,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         .transpose()?;
     let workload = build_workload(app, seed);
 
-    let mut config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        max_time: SimDuration::from_secs(900),
-        ..SearchConfig::default()
-    };
-    if let Some(w) = flags.get("window") {
-        let secs: f64 = w.parse().map_err(|_| "bad --window")?;
-        config.window = SimDuration::from_secs_f64(secs);
-    }
-    if let Some(m) = flags.get("max-time") {
-        let secs: f64 = m.parse().map_err(|_| "bad --max-time")?;
-        config.max_time = SimDuration::from_secs_f64(secs);
-    }
+    let mut config = search_config(&flags)?;
     if let Some(b) = flags.get("audit-budget") {
         config.audit_budget = b.parse().map_err(|_| "bad --audit-budget")?;
     }
@@ -406,14 +519,6 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         config.directives = directives;
     }
 
-    if let Some(path) = flags.get("faults") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        config.faults = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if let Some(knobs) = flags.get("admission") {
-        config.collector.admission =
-            AdmissionConfig::parse_knobs(knobs).map_err(|e| format!("bad --admission: {e}"))?;
-    }
     let resume = match flags.get("resume") {
         Some(path) => {
             let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -592,8 +697,9 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
 /// exponential backoff (honouring the daemon's retry hints); `start`
 /// is idempotent per (tenant, label) so those retries can never
 /// double-run a session.
-fn cmd_run_remote(sock: &str, flags: &HashMap<String, String>) -> Result<ExitCode, String> {
-    let app = require(flags, "app");
+fn cmd_run_remote(flags: HashMap<String, String>) -> Result<ExitCode, String> {
+    let sock = require(&flags, "remote");
+    let app = require(&flags, "app");
     let label = flags.get("label").cloned().unwrap_or_else(|| "run".into());
     let tenant = flags.get("tenant").cloned().unwrap_or_else(|| "cli".into());
 
@@ -680,7 +786,7 @@ fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
     let Some((action, rest)) = args.split_first() else {
         return Err("daemon needs an action: start, stop or status".into());
     };
-    let flags = parse_flags(rest);
+    let flags = parse_flags(&format!("daemon {action}"), rest);
     match action.as_str() {
         "start" => {
             let store = require(&flags, "store");
@@ -695,14 +801,8 @@ fn cmd_daemon(args: &[String]) -> Result<ExitCode, String> {
             }
             let mut cmd = std::process::Command::new(&histpcd);
             cmd.arg("--store").arg(store).arg("--socket").arg(sock);
-            for flag in [
-                "tenant-slots",
-                "tenant-budget",
-                "idle-ms",
-                "retries",
-                "stall-ms",
-            ] {
-                if let Some(v) = flags.get(flag) {
+            for flag in &DAEMON_START_FLAGS[2..] {
+                if let Some(v) = flags.get(*flag) {
                     cmd.arg(format!("--{flag}")).arg(v);
                 }
             }
@@ -772,28 +872,7 @@ fn cmd_supervise(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         .map(|s| s.parse().map_err(|_| "bad --seed".to_string()))
         .transpose()?;
 
-    let mut config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        max_time: SimDuration::from_secs(900),
-        ..SearchConfig::default()
-    };
-    if let Some(w) = flags.get("window") {
-        let secs: f64 = w.parse().map_err(|_| "bad --window")?;
-        config.window = SimDuration::from_secs_f64(secs);
-    }
-    if let Some(m) = flags.get("max-time") {
-        let secs: f64 = m.parse().map_err(|_| "bad --max-time")?;
-        config.max_time = SimDuration::from_secs_f64(secs);
-    }
-    if let Some(path) = flags.get("faults") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        config.faults = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    }
-    if let Some(knobs) = flags.get("admission") {
-        config.collector.admission =
-            AdmissionConfig::parse_knobs(knobs).map_err(|e| format!("bad --admission: {e}"))?;
-    }
+    let mut config = search_config(&flags)?;
     let sup = supervision_flags(&flags, &mut config)?;
 
     let session = Session::with_store(store_dir).map_err(|e| e.to_string())?;
@@ -994,74 +1073,34 @@ fn cmd_ls(flags: HashMap<String, String>) -> Result<(), String> {
 /// cross-checks directive resources against that stored run. Exits
 /// non-zero on lint errors, or on warnings under `--deny-warnings`.
 fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
-    let mut files: Vec<String> = Vec::new();
-    let mut against: Option<String> = None;
-    let mut deny_warnings = false;
-    let mut format = "text".to_string();
-    let mut last: Option<usize> = None;
     let corpus_mode = args.first().map(String::as_str) == Some("corpus");
-    let args = if corpus_mode { &args[1..] } else { args };
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--deny-warnings" => {
-                deny_warnings = true;
-                i += 1;
-            }
-            "--against" => {
-                let Some(value) = args.get(i + 1) else {
-                    return Err("missing value for --against".into());
-                };
-                against = Some(value.clone());
-                i += 2;
-            }
-            "--format" => {
-                let Some(value) = args.get(i + 1) else {
-                    return Err("missing value for --format".into());
-                };
-                if value != "text" && value != "json" {
-                    return Err(format!("--format wants text or json, got {value:?}"));
-                }
-                format = value.clone();
-                i += 2;
-            }
-            "--last" => {
-                let Some(value) = args.get(i + 1) else {
-                    return Err("missing value for --last".into());
-                };
-                match value.parse::<usize>() {
-                    Ok(n) if n > 0 => last = Some(n),
-                    _ => return Err("--last wants a positive number of runs".into()),
-                }
-                i += 2;
-            }
-            flag if flag.starts_with("--") => {
-                return Err(format!("unknown lint flag {flag:?}"));
-            }
-            file => {
-                files.push(file.to_string());
-                i += 1;
-            }
-        }
+    let (flags, files) = if corpus_mode {
+        parse_args("lint corpus", &args[1..])
+    } else {
+        parse_args("lint", args)
+    };
+    let deny_warnings = flags.contains_key("deny-warnings");
+    let format = flags.get("format").map_or("text", String::as_str);
+    if format != "text" && format != "json" {
+        return Err(format!("--format wants text or json, got {format:?}"));
     }
 
     if corpus_mode {
+        let last = match flags.get("last").map(|v| v.parse::<usize>()) {
+            None => None,
+            Some(Ok(n)) if n > 0 => Some(n),
+            Some(_) => return Err("--last wants a positive number of runs".into()),
+        };
         let [store_dir] = files.as_slice() else {
             return Err("lint corpus wants exactly one store directory".into());
         };
-        if against.is_some() {
-            return Err("--against only applies to file lints".into());
-        }
-        return cmd_lint_corpus(store_dir, last, deny_warnings, &format);
-    }
-    if last.is_some() {
-        return Err("--last only applies to `lint corpus`".into());
+        return cmd_lint_corpus(store_dir, last, deny_warnings, format);
     }
     if files.is_empty() {
         return Err("lint needs at least one file to check".into());
     }
 
-    let record = match &against {
+    let record = match flags.get("against") {
         Some(spec) => {
             let mut parts = spec.rsplitn(3, '/');
             let label = parts.next();
@@ -1155,48 +1194,22 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
     let Some((action, rest)) = args.split_first() else {
         return Err("store needs an action: fsck, repair, compact, migrate or trust".into());
     };
-    let mut store_dir: Option<String> = None;
-    let mut deny_warnings = false;
-    let mut format = "text".to_string();
-    let mut i = 0;
-    while i < rest.len() {
-        match rest[i].as_str() {
-            "--deny-warnings" => {
-                deny_warnings = true;
-                i += 1;
-            }
-            "--store" => {
-                let Some(value) = rest.get(i + 1) else {
-                    return Err("missing value for --store".into());
-                };
-                store_dir = Some(value.clone());
-                i += 2;
-            }
-            "--format" => {
-                let Some(value) = rest.get(i + 1) else {
-                    return Err("missing value for --format".into());
-                };
-                format = value.clone();
-                i += 2;
-            }
-            other => return Err(format!("unknown store argument {other:?}")),
-        }
-    }
-    let Some(store_dir) = store_dir else {
-        return Err("store needs --store DIR".into());
-    };
+    let flags = parse_flags(&format!("store {action}"), rest);
+    let store_dir = require(&flags, "store");
+    let deny_warnings = flags.contains_key("deny-warnings");
+    let format = flags.get("format").map_or("text", String::as_str);
     if format != "text" && format != "json" {
         return Err(format!("unknown --format {format:?}: want text or json"));
     }
 
     if matches!(action.as_str(), "repair" | "compact" | "migrate") {
-        existing_store(&store_dir)?;
+        existing_store(store_dir)?;
     }
     match action.as_str() {
         "fsck" => {
             // Read-only: check the directory as it is, without the
             // recovery that ExecutionStore::open would perform.
-            let diags = history::fsck::fsck(std::path::Path::new(&store_dir));
+            let diags = history::fsck::fsck(std::path::Path::new(store_dir));
             if diags.is_empty() {
                 outln!("{store_dir}: clean");
                 return Ok(ExitCode::SUCCESS);
@@ -1223,8 +1236,8 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
         "repair" => {
             // Opening the store already performs crash recovery, so count
             // the findings first or the work would be reported as zero.
-            let findings = history::fsck::fsck(std::path::Path::new(&store_dir)).len();
-            let store = ExecutionStore::open(&store_dir).map_err(|e| e.to_string())?;
+            let findings = history::fsck::fsck(std::path::Path::new(store_dir)).len();
+            let store = ExecutionStore::open(store_dir).map_err(|e| e.to_string())?;
             let notes = store.repair().map_err(|e| e.to_string())?;
             for note in &notes {
                 outln!("{note}");
@@ -1236,7 +1249,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "compact" => {
-            let store = ExecutionStore::open(&store_dir).map_err(|e| e.to_string())?;
+            let store = ExecutionStore::open(store_dir).map_err(|e| e.to_string())?;
             let notes = store.compact().map_err(|e| e.to_string())?;
             for note in &notes {
                 outln!("{note}");
@@ -1244,13 +1257,13 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
             Ok(ExitCode::SUCCESS)
         }
         "migrate" => {
-            let store = ExecutionStore::open(&store_dir).map_err(|e| e.to_string())?;
+            let store = ExecutionStore::open(store_dir).map_err(|e| e.to_string())?;
             let n = store.migrate().map_err(|e| e.to_string())?;
             outln!("{store_dir}: migrated {n} record(s) to the v1 framed layout");
             Ok(ExitCode::SUCCESS)
         }
         "trust" => {
-            let ledger = history::trust::TrustLedger::load(std::path::Path::new(&store_dir));
+            let ledger = history::trust::TrustLedger::load(std::path::Path::new(store_dir));
             if format == "json" {
                 // The same `histpc-lint-report/v1` JSON envelope the lint
                 // commands emit: quarantined sources as HL036 warnings,
@@ -1340,64 +1353,32 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let Some(command) = args.first() else { usage() };
-    if command == "lint" {
-        return match cmd_lint(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                errln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if command == "store" {
-        return match cmd_store(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                errln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if command == "run" {
-        return match cmd_run(parse_flags(&args[1..])) {
-            Ok(code) => code,
-            Err(e) => {
-                errln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if command == "daemon" {
-        return match cmd_daemon(&args[1..]) {
-            Ok(code) => code,
-            Err(e) => {
-                errln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    if command == "supervise" {
-        return match cmd_supervise(parse_flags(&args[1..])) {
-            Ok(code) => code,
-            Err(e) => {
-                errln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-    let flags = parse_flags(&args[1..]);
-    let result = match command.as_str() {
-        "harvest" => cmd_harvest(flags),
-        "map" => cmd_map(flags),
-        "compare" => cmd_compare(flags),
-        "profile" => cmd_profile(flags),
-        "shg" => cmd_shg(flags),
-        "ls" => cmd_ls(flags),
+    let Some((command, rest)) = args.split_first() else {
+        usage()
+    };
+    let verb = match command.as_str() {
+        "run" if rest.iter().any(|a| a == "--remote") => "run --remote",
+        other => other,
+    };
+    let flags = || parse_flags(verb, rest);
+    let ok = |r: Result<(), String>| r.map(|()| ExitCode::SUCCESS);
+    let result = match verb {
+        "lint" => cmd_lint(rest),
+        "store" => cmd_store(rest),
+        "daemon" => cmd_daemon(rest),
+        "run --remote" => cmd_run_remote(flags()),
+        "run" => cmd_run(flags()),
+        "supervise" => cmd_supervise(flags()),
+        "harvest" => ok(cmd_harvest(flags())),
+        "map" => ok(cmd_map(flags())),
+        "compare" => ok(cmd_compare(flags())),
+        "profile" => ok(cmd_profile(flags())),
+        "shg" => ok(cmd_shg(flags())),
+        "ls" => ok(cmd_ls(flags())),
         _ => usage(),
     };
     match result {
-        Ok(()) => ExitCode::SUCCESS,
+        Ok(code) => code,
         Err(e) => {
             errln!("error: {e}");
             ExitCode::FAILURE

@@ -49,7 +49,7 @@ use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
-use histpc_faults::{WireFault, WireInjector};
+use histpc_sim::Rng;
 
 /// Protocol name + version token, first word of the handshake in both
 /// directions. Bump the suffix on any incompatible framing change.
@@ -434,6 +434,87 @@ impl Conn {
     }
 }
 
+/// What the wire does to one client→daemon exchange.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireFault {
+    /// The exchange goes through untouched.
+    Clean,
+    /// The request line is torn mid-byte: the daemon receives a
+    /// truncated line (or nothing) and must answer with a protocol
+    /// error the client can retry on.
+    TornRequest,
+    /// The connection drops before the response arrives; the client
+    /// must reconnect and retry (idempotently).
+    ConnDrop,
+}
+
+/// The transport faults a [`WireInjector`] inflicts on its client.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct WireFaults {
+    /// Seed for all wire fault draws.
+    pub seed: u64,
+    /// Probability that a connection drops mid-exchange.
+    pub conn_drop_rate: f64,
+    /// Probability that a request line is torn mid-byte before the
+    /// daemon sees a full line.
+    pub torn_request_rate: f64,
+    /// Real-time delay a slow client inserts before each request, in
+    /// milliseconds. 0 disables it.
+    pub slow_client_ms: u64,
+}
+
+/// Client-side injector for [`WireFaults`]: connection drops, torn
+/// request lines, and slow-client delays, drawn from substream 6 of
+/// the seed.
+#[derive(Debug, Clone)]
+pub struct WireInjector {
+    faults: WireFaults,
+    rng: Rng,
+}
+
+impl WireInjector {
+    /// Build a wire injector; draws derive from `faults.seed`.
+    pub fn new(faults: WireFaults) -> WireInjector {
+        WireInjector {
+            rng: Rng::new(faults.seed).substream(6),
+            faults,
+        }
+    }
+
+    /// Draw the fate of one request exchange. With no fault rates set
+    /// this returns [`WireFault::Clean`] without consuming randomness.
+    pub fn next_fault(&mut self) -> WireFault {
+        let f = self.faults;
+        if f.torn_request_rate > 0.0 && self.rng.next_f64() < f.torn_request_rate {
+            return WireFault::TornRequest;
+        }
+        if f.conn_drop_rate > 0.0 && self.rng.next_f64() < f.conn_drop_rate {
+            return WireFault::ConnDrop;
+        }
+        WireFault::Clean
+    }
+
+    /// Real-time delay a slow client inserts before each request, if
+    /// configured.
+    pub fn slow_client_delay(&self) -> Option<Duration> {
+        (self.faults.slow_client_ms > 0).then(|| Duration::from_millis(self.faults.slow_client_ms))
+    }
+
+    /// Tear a request line at a seed-drawn byte offset (at least one
+    /// byte short of complete; possibly empty), modelling a client cut
+    /// off mid-send.
+    pub fn tear_line(&mut self, line: &str) -> String {
+        if line.is_empty() {
+            return String::new();
+        }
+        let mut cut = self.rng.next_below(line.len() as u64) as usize;
+        while cut > 0 && !line.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        line[..cut].to_string()
+    }
+}
+
 /// A retrying `histpcd/v1` client over a Unix-domain socket.
 ///
 /// The client reconnects and re-handshakes transparently: any I/O
@@ -475,8 +556,7 @@ impl Client {
         }
     }
 
-    /// Installs a deterministic wire-fault injector (see
-    /// [`histpc_faults::WireInjector`]).
+    /// Installs a deterministic wire-fault injector.
     pub fn with_injector(mut self, injector: WireInjector) -> Self {
         self.injector = Some(injector);
         self
@@ -720,5 +800,49 @@ mod tests {
         client.max_attempts = 2;
         let err = client.request(&Request::new("health")).unwrap_err();
         assert!(matches!(err, RemoteError::Io(_)), "got {err}");
+    }
+
+    #[test]
+    fn wire_injector_is_deterministic_per_seed() {
+        let faults = WireFaults {
+            seed: 11,
+            conn_drop_rate: 0.3,
+            torn_request_rate: 0.2,
+            slow_client_ms: 0,
+        };
+        let run = |faults: WireFaults| {
+            let mut w = WireInjector::new(faults);
+            (0..64).map(|_| w.next_fault()).collect::<Vec<_>>()
+        };
+        let a = run(faults);
+        assert_eq!(a, run(faults));
+        assert_ne!(a, run(WireFaults { seed: 12, ..faults }));
+        assert!(a.contains(&WireFault::Clean));
+        assert!(a.contains(&WireFault::ConnDrop));
+        assert!(a.contains(&WireFault::TornRequest));
+    }
+
+    #[test]
+    fn wire_injector_without_faults_is_clean() {
+        let mut w = WireInjector::new(WireFaults::default());
+        for _ in 0..8 {
+            assert_eq!(w.next_fault(), WireFault::Clean);
+        }
+        assert_eq!(w.slow_client_delay(), None);
+    }
+
+    #[test]
+    fn slow_client_and_tear_line_behave() {
+        let mut w = WireInjector::new(WireFaults {
+            slow_client_ms: 15,
+            torn_request_rate: 1.0,
+            ..WireFaults::default()
+        });
+        assert_eq!(w.slow_client_delay(), Some(Duration::from_millis(15)));
+        let line = "start tenant=alpha app=poisson-a label=r1";
+        let torn = w.tear_line(line);
+        assert!(torn.len() < line.len());
+        assert!(line.starts_with(&torn));
+        assert_eq!(w.tear_line(""), "");
     }
 }

@@ -423,11 +423,7 @@ fn backoff(cfg: &SupervisorConfig, label: &str, attempt: u32) -> Duration {
         .backoff_base
         .saturating_mul(1u32 << shift)
         .min(cfg.backoff_cap);
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in label.bytes() {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
+    let hash = histpc_resources::fnv64(label.as_bytes());
     let jitter_us = (hash.rotate_left(attempt) % 1000).max(1);
     base + Duration::from_micros(jitter_us)
 }

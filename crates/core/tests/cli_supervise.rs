@@ -180,3 +180,38 @@ fn ls_surfaces_orphaned_leases() {
     assert!(stdout.contains("team-x"), "{stdout}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// A flag the verb does not read is a usage error (exit 2), not a
+/// silent no-op: a typo, a flag of another verb, a local-run flag on a
+/// remote run, and a flag of another store action.
+#[test]
+fn flags_a_verb_does_not_read_are_rejected() {
+    for (command, want) in [
+        (
+            "run --app poisson-a --max-time 30 --max-tme 5 --budget 7",
+            "unknown flag --max-tme for histpc run",
+        ),
+        (
+            "supervise --store S --apps poisson-a --directives /nonexistent",
+            "unknown flag --directives for histpc supervise",
+        ),
+        (
+            "run --remote S --app tester --store S",
+            "unknown flag --store for histpc run --remote",
+        ),
+        (
+            "store compact --store S --deny-warnings",
+            "unknown flag --deny-warnings for histpc store compact",
+        ),
+    ] {
+        let out = bin().args(command.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains(want), "{command} stderr: {stderr}");
+        assert!(stderr.contains("usage:"), "{command} stderr: {stderr}");
+    }
+    assert!(
+        !Path::new("S").exists(),
+        "a rejected command created a store"
+    );
+}

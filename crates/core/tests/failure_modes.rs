@@ -60,13 +60,6 @@ fn fault_plan_round_trips_through_text() {
         slow_collector: SimDuration::from_millis(40),
         request_storm_rate: 0.25,
         request_storm_burst: 8,
-        wire_conn_drop_rate: 0.1,
-        wire_torn_request_rate: 0.05,
-        wire_slow_client_ms: 20,
-        wire_daemon_kill_after: 2,
-        poison_prune_rate: 0.25,
-        poison_threshold_rate: 0.2,
-        stale_mapping_rate: 0.1,
         trust_ledger_corrupt: true,
     };
     let parsed = FaultPlan::parse(&plan.to_text()).expect("plan text parses");
@@ -429,4 +422,93 @@ fn directives_from_degraded_run_still_guide() {
         t_directed.as_micros() * 2 < t_base.as_micros(),
         "directed {t_directed} not much faster than degraded base {t_base}"
     );
+}
+
+/// Everything a faulted run leaves behind that a user can observe:
+/// what the injector counted, the record (or the checkpoint of an
+/// interrupted run), and every file in the store, `TRUST` included.
+fn run_fingerprint(plan: FaultPlan, tag: &str) -> String {
+    let dir = std::env::temp_dir().join(format!("histpc-plan-kinds-{tag}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = SearchConfig {
+        max_time: SimDuration::from_secs(2),
+        faults: plan,
+        ..fast_config()
+    };
+    let session = Session::with_store(&dir).unwrap();
+    let run = session
+        .diagnose_faulted(&PoissonWorkload::new(PoissonVersion::A), &config, "r", None)
+        .unwrap();
+    let mut out = format!("{:?}\n", run.stats);
+    match (&run.diagnosis, &run.checkpoint) {
+        (Some(d), _) => out.push_str(&record_text(d)),
+        (None, Some(ckpt)) => out.push_str(&ckpt.to_text()),
+        (None, None) => unreachable!("a run ends with a diagnosis or a checkpoint"),
+    }
+    drop(session);
+    let mut files = vec![dir.clone()];
+    let mut listing = Vec::new();
+    while let Some(path) = files.pop() {
+        if path.is_dir() {
+            files.extend(std::fs::read_dir(&path).unwrap().map(|e| e.unwrap().path()));
+        } else {
+            let rel = path.strip_prefix(&dir).unwrap().display().to_string();
+            listing.push((rel, std::fs::read(&path).unwrap()));
+        }
+    }
+    listing.sort();
+    for (rel, bytes) in listing {
+        out.push_str(&format!("\n== {rel}\n{}", String::from_utf8_lossy(&bytes)));
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+    out
+}
+
+/// Every kind a fault plan accepts changes what a run leaves behind,
+/// and the kinds that no run injected are refused by name instead of
+/// parsing into a silent no-op.
+#[test]
+fn every_plan_kind_is_injected_and_removed_kinds_are_rejected() {
+    let mut failures = Vec::new();
+    for kind in [
+        "wire-conn-drop",
+        "wire-torn-request",
+        "wire-slow-client",
+        "wire-daemon-kill",
+        "poison-prune",
+        "poison-threshold",
+        "stale-mapping",
+    ] {
+        match FaultPlan::parse(&format!("histpc-faults v1\n{kind} 1\n")) {
+            Err(e) if e.contains(kind) => {}
+            other => failures.push(format!("{kind}: parsed to {other:?}")),
+        }
+    }
+
+    let healthy = run_fingerprint(FaultPlan::none(), "healthy");
+    assert_eq!(healthy, run_fingerprint(FaultPlan::none(), "again"));
+    for line in [
+        "drop 0.3",
+        "delay 0.3 400000",
+        "reorder 0.5",
+        "request-fail 0.5",
+        "request-defer 0.5 300000",
+        "kill-node node02 500000",
+        "kill-proc 1 500000",
+        "crash-tool 500000",
+        "sample-flood 5",
+        "slow-collector 300000",
+        "request-storm 0.5 8",
+        "corrupt-store",
+        "torn-write",
+        "partial-journal",
+        "trust-ledger-corrupt",
+    ] {
+        let plan = FaultPlan::parse(&format!("histpc-faults v1\nseed 3\n{line}\n")).unwrap();
+        let kind = line.split(' ').next().unwrap();
+        if run_fingerprint(plan, kind) == healthy {
+            failures.push(format!("{line}: the run is identical to the healthy one"));
+        }
+    }
+    assert!(failures.is_empty(), "{failures:#?}");
 }

@@ -172,9 +172,9 @@ pub struct SessionSpec {
     pub sample_ms: u64,
     /// Search time bound, milliseconds of application time.
     pub max_time_ms: u64,
-    /// Fault plan text (`histpc-faults v1`), if any. Wire-level kinds
-    /// are stripped before the plan reaches the sim (the transport
-    /// already took its toll client-side).
+    /// Fault plan text (`histpc-faults v1`), if any; the session runs
+    /// under it. Transport faults are not part of a plan: a client
+    /// inflicts them on itself (`histpc::remote::WireInjector`).
     pub faults: Option<String>,
     /// Requested sample-budget slice; defaults to an equal share of
     /// the tenant budget across its slots.
@@ -269,8 +269,8 @@ impl SessionSpec {
     }
 
     /// The search config this session runs with. Per-tenant quotas map
-    /// onto the admission controller only when the (sim-level) fault
-    /// plan touches overload — a zero-fault session must stay
+    /// onto the admission controller only when the fault plan touches
+    /// overload — a zero-fault session must stay
     /// bit-identical to an unsupervised `Session::diagnose`, and the
     /// admission layer is a total no-op only when disabled.
     fn search_config(&self, budget_slice: u64, slots: usize) -> Result<SearchConfig, String> {
@@ -283,14 +283,13 @@ impl SessionSpec {
         };
         if let Some(text) = &self.faults {
             let plan = FaultPlan::parse(text).map_err(|e| e.to_string())?;
-            let sim_plan = plan.without_wire();
-            if sim_plan.touches_overload() {
+            if plan.touches_overload() {
                 let adm = &mut config.collector.admission;
                 adm.enabled = true;
                 adm.sample_budget = budget_slice.max(64);
                 adm.max_in_flight = (adm.max_in_flight / slots.max(1)).max(1);
             }
-            config.faults = sim_plan;
+            config.faults = plan;
         }
         Ok(config)
     }
@@ -1298,10 +1297,10 @@ mod tests {
         let cfg = mk(Some(flood)).search_config(2048, 2).unwrap();
         assert!(cfg.collector.admission.enabled);
         assert_eq!(cfg.collector.admission.sample_budget, 2048);
-        // Wire-only plans are NOT sim faults: no admission, no faults.
-        let wire = "histpc-faults v1\nseed 1\nwire-conn-drop 0.5\n";
-        let cfg = mk(Some(wire)).search_config(2048, 2).unwrap();
+        // A plan without overload kinds runs its faults, admission off.
+        let lossy = "histpc-faults v1\nseed 1\ndrop 0.5\n";
+        let cfg = mk(Some(lossy)).search_config(2048, 2).unwrap();
         assert!(!cfg.collector.admission.enabled);
-        assert!(cfg.faults.is_disabled());
+        assert_eq!(cfg.faults.drop_rate, 0.5);
     }
 }

@@ -8,12 +8,11 @@ use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
 
-use histpc::faults::WireInjector;
 use histpc::history::format::write_record;
 use histpc::history::fsck::fsck;
 use histpc::history::lease::{self, Lease};
 use histpc::prelude::*;
-use histpc::remote::{Client, RemoteError, Request, Response};
+use histpc::remote::{Client, RemoteError, Request, Response, WireFaults, WireInjector};
 use histpc_daemon::{Daemon, DaemonConfig, SessionSpec};
 
 fn scratch(tag: &str) -> PathBuf {
@@ -380,11 +379,14 @@ fn faulty_wire_client_still_converges() {
     // A client whose own transport tears requests and drops
     // connections: every exchange may need retries, yet the session
     // must still run exactly once and classify.
-    let plan =
-        FaultPlan::parse("histpc-faults v1\nseed 11\nwire-conn-drop 0.3\nwire-torn-request 0.2\n")
-            .unwrap();
-    let mut client = Client::new(root.join("d.sock"), "flaky")
-        .with_injector(histpc::faults::WireInjector::new(plan));
+    let faults = WireFaults {
+        seed: 11,
+        conn_drop_rate: 0.3,
+        torn_request_rate: 0.2,
+        slow_client_ms: 0,
+    };
+    let mut client =
+        Client::new(root.join("d.sock"), "flaky").with_injector(WireInjector::new(faults));
     client.max_attempts = 32;
 
     let resp = client.expect_ok(&start_req("tester", "wired")).unwrap();
@@ -422,14 +424,18 @@ impl Rng {
     }
 }
 
-/// The faults rolled for one soak session: the sim-level menu (shipped
-/// to the daemon in the `start` request) plus wire-level client faults
-/// (inflicted locally by the [`WireInjector`]). `wire-daemon-kill` is
-/// not rolled — the kill scenario is staged explicitly so its recovery
-/// gates stay deterministic.
-fn roll_faults(rng: &mut Rng, plan_seed: u64) -> (FaultPlan, String) {
+/// The faults rolled for one soak session: a fault plan (shipped to the
+/// daemon in the `start` request) plus wire-level client faults
+/// (inflicted locally by the [`WireInjector`]). The daemon kill is not
+/// rolled — it is staged explicitly so its recovery gates stay
+/// deterministic.
+fn roll_faults(rng: &mut Rng, plan_seed: u64) -> (FaultPlan, WireFaults, String) {
     let mut plan = FaultPlan::none();
     plan.seed = plan_seed;
+    let mut wire = WireFaults {
+        seed: plan_seed,
+        ..WireFaults::default()
+    };
     let mut parts = Vec::new();
     if rng.chance(30) {
         let at = rng.range(300_000, 2_300_000);
@@ -454,26 +460,23 @@ fn roll_faults(rng: &mut Rng, plan_seed: u64) -> (FaultPlan, String) {
         parts.push(format!("drop{:.0}%", plan.drop_rate * 100.0));
     }
     if rng.chance(30) {
-        plan.wire_conn_drop_rate = (rng.range(10, 40) as f64) / 100.0;
-        parts.push(format!("conn-drop{:.0}%", plan.wire_conn_drop_rate * 100.0));
+        wire.conn_drop_rate = (rng.range(10, 40) as f64) / 100.0;
+        parts.push(format!("conn-drop{:.0}%", wire.conn_drop_rate * 100.0));
     }
     if rng.chance(25) {
-        plan.wire_torn_request_rate = (rng.range(5, 30) as f64) / 100.0;
-        parts.push(format!(
-            "torn-req{:.0}%",
-            plan.wire_torn_request_rate * 100.0
-        ));
+        wire.torn_request_rate = (rng.range(5, 30) as f64) / 100.0;
+        parts.push(format!("torn-req{:.0}%", wire.torn_request_rate * 100.0));
     }
     if rng.chance(15) {
-        plan.wire_slow_client_ms = rng.range(1, 10);
-        parts.push(format!("slow-client{}ms", plan.wire_slow_client_ms));
+        wire.slow_client_ms = rng.range(1, 10);
+        parts.push(format!("slow-client{}ms", wire.slow_client_ms));
     }
     let summary = if parts.is_empty() {
         "healthy".to_string()
     } else {
         parts.join(" ")
     };
-    (plan, summary)
+    (plan, wire, summary)
 }
 
 /// Waits up to 10 s for `path` to exist (`present`) or vanish.
@@ -582,24 +585,24 @@ fn daemon_fleet(
     // Labels are globally unique: all tenants share one store app
     // namespace, which is exactly the contention under test.
     let mut rng = Rng(seed);
-    let mut plans: Vec<Vec<(FaultPlan, String, u64)>> = Vec::with_capacity(tenants);
+    let mut plans: Vec<Vec<(FaultPlan, WireFaults, String, u64)>> = Vec::with_capacity(tenants);
     for t in 0..tenants {
         let mut row = Vec::with_capacity(sessions);
         for s in 0..sessions {
             let idx = (t * sessions + s) as u64;
             let plan_seed = seed ^ idx.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let (plan, summary) = if zero_faults {
-                (FaultPlan::none(), "healthy".to_string())
+            let (plan, wire, summary) = if zero_faults {
+                (FaultPlan::none(), WireFaults::default(), "healthy".into())
             } else {
                 roll_faults(&mut rng, plan_seed)
             };
-            row.push((plan, summary, plan_seed));
+            row.push((plan, wire, summary, plan_seed));
         }
         plans.push(row);
     }
     let mut out = format!("daemon soak: {case}\n");
     for (t, row) in plans.iter().enumerate() {
-        for (s, (_, summary, _)) in row.iter().enumerate() {
+        for (s, (_, _, summary, _)) in row.iter().enumerate() {
             out.push_str(&format!("  plan soak-t{t:02}-s{s:02}: {summary}\n"));
         }
     }
@@ -623,13 +626,11 @@ fn daemon_fleet(
                 scope.spawn(move || {
                     let tenant = format!("tenant-{t:02}");
                     let mut states = Vec::with_capacity(row.len());
-                    for (s, (plan, _, plan_seed)) in row.iter().enumerate() {
+                    for (s, (plan, wire, _, plan_seed)) in row.iter().enumerate() {
                         let label = format!("soak-t{t:02}-s{s:02}");
-                        let mut client = Client::new(socket, &tenant);
+                        let mut client =
+                            Client::new(socket, &tenant).with_injector(WireInjector::new(*wire));
                         client.max_attempts = 8;
-                        if plan.touches_wire() {
-                            client = client.with_injector(WireInjector::new(plan.clone()));
-                        }
                         let mut req = Request::new("start")
                             .arg("app", "tester")
                             .arg("label", &label)
@@ -708,7 +709,7 @@ fn daemon_fleet(
             .name;
         let bare = Session::new();
         let identical = plans.iter().enumerate().all(|(t, row)| {
-            row.iter().enumerate().all(|(s, (_, _, plan_seed))| {
+            row.iter().enumerate().all(|(s, (_, _, _, plan_seed))| {
                 let label = format!("soak-t{t:02}-s{s:02}");
                 let Ok(stored) = store_handle.load(&store_app, &label) else {
                     return false;

@@ -10,7 +10,7 @@
 //! lets the test suite assert that a diagnosis *degrades gracefully*
 //! rather than merely *differently*.
 //!
-//! The plan covers four fault surfaces:
+//! The plan covers five fault surfaces:
 //!
 //! * **sample stream** — drop, delay, or reorder emitted
 //!   [`Interval`]s before the collector sees them
@@ -20,19 +20,23 @@
 //!   ([`FaultInjector::request_outcome`]);
 //! * **resource death** — kill a node or a single process at a
 //!   scheduled [`SimTime`] ([`FaultInjector::due_kills`]);
-//! * **tool crash / store corruption** — crash the consultant itself
-//!   mid-search ([`FaultInjector::crash_due`]) and truncate
-//!   history-store writes ([`corrupt_text`]);
-//! * **history poison** — adversarial harvested directives
-//!   (`poison-prune`, `poison-threshold`, `stale-mapping`; applied by
-//!   `histpc-consultant`'s poison module before the search starts) and
-//!   trust-ledger sidecar corruption (`trust-ledger-corrupt`);
+//! * **tool crash / store damage** — crash the consultant itself
+//!   mid-search ([`FaultInjector::crash_due`]); truncate the record
+//!   written at the end of the run ([`corrupt_text`]), tear it or the
+//!   store's journal mid-write ([`torn_cut_fraction`]), or corrupt the
+//!   trust ledger (`trust-ledger-corrupt`) — staged by `histpc`'s
+//!   faulted session path;
 //! * **overload** — flood the collector with phantom sample traffic
 //!   ([`FaultInjector::flood_units`]), slow every instrumentation
 //!   insertion (`slow-collector`, folded into
 //!   [`FaultInjector::request_outcome`]), and fire bursts of phantom
 //!   in-flight requests ([`FaultInjector::storm_requests`]) that eat
 //!   the admission controller's capacity.
+//!
+//! Every kind a plan names is injected by a run. The daemon transport
+//! faults (`histpc::remote::WireFaults`) and adversarial history
+//! (`histpc_consultant::PoisonRates`) are configured by their
+//! own readers, not by a plan.
 //!
 //! A disabled plan ([`FaultPlan::none`]) is guaranteed zero-cost: the
 //! drive loop in `histpc-consultant` bypasses the injector entirely,
@@ -122,39 +126,9 @@ pub struct FaultPlan {
     pub request_storm_rate: f64,
     /// Size of each storm burst.
     pub request_storm_burst: u64,
-    /// Probability that a daemon client's connection drops mid-exchange
-    /// (wire level; consumed by [`WireInjector`], never by the sim).
-    pub wire_conn_drop_rate: f64,
-    /// Probability that a request line is torn mid-byte before the
-    /// daemon sees a full line (wire level).
-    pub wire_torn_request_rate: f64,
-    /// Extra real-time delay a slow client inserts before each request,
-    /// in milliseconds (wire level). 0 disables it.
-    pub wire_slow_client_ms: u64,
-    /// Kill the daemon process after this many accepted sessions
-    /// (wire/harness level; consumed by the soak harness, which
-    /// SIGKILLs the real `histpcd` child). 0 disables it.
-    pub wire_daemon_kill_after: u64,
-    /// Probability that a true-bottleneck pair gains an adversarial
-    /// pair-prune directive at harvest (history poison; consumed by
-    /// `histpc-consultant`'s `poison` module, never by the sim).
-    pub poison_prune_rate: f64,
-    /// Probability that a bottlenecked hypothesis gains an adversarial
-    /// near-1.0 threshold directive at harvest (history poison).
-    pub poison_threshold_rate: f64,
-    /// Probability that a harvested directive's resource/focus is
-    /// rewritten to a nonexistent name — a mapping gone stale across
-    /// code versions (history poison).
-    pub stale_mapping_rate: f64,
     /// Corrupt the store's `TRUST` sidecar after the run's feedback is
     /// written — as if the tool died mid-save of the trust ledger.
     pub trust_ledger_corrupt: bool,
-}
-
-impl Default for FaultPlan {
-    fn default() -> Self {
-        FaultPlan::none()
-    }
 }
 
 impl FaultPlan {
@@ -178,30 +152,15 @@ impl FaultPlan {
             slow_collector: SimDuration::ZERO,
             request_storm_rate: 0.0,
             request_storm_burst: 0,
-            wire_conn_drop_rate: 0.0,
-            wire_torn_request_rate: 0.0,
-            wire_slow_client_ms: 0,
-            wire_daemon_kill_after: 0,
-            poison_prune_rate: 0.0,
-            poison_threshold_rate: 0.0,
-            stale_mapping_rate: 0.0,
             trust_ledger_corrupt: false,
         }
     }
 
-    /// True if the plan injects nothing *into the simulation*; the
-    /// drive loop uses this to bypass the injector entirely.
-    ///
-    /// Wire-level faults ([`FaultPlan::touches_wire`]) deliberately do
-    /// NOT enable the plan here: they perturb the transport between a
-    /// daemon client and `histpcd`, never the diagnosis itself, so a
-    /// wire-faults-only plan must keep the bit-identical zero-cost sim
-    /// path. History-poison rates ([`FaultPlan::touches_poison`]) are
-    /// likewise excluded — they corrupt the *harvested guidance* before
-    /// the search ever starts, not the simulation under it. The
-    /// `trust-ledger-corrupt` fault does enable the plan: like
-    /// `corrupt-store` it is staged through the faulted session path,
-    /// which damages the sidecar after the run's feedback is saved.
+    /// True if the plan injects nothing; the drive loop uses this to
+    /// bypass the injector entirely. The store kinds
+    /// (`corrupt-store`, `torn-write`, `partial-journal`,
+    /// `trust-ledger-corrupt`) enable the plan too: they are staged
+    /// through the faulted session path.
     pub fn is_disabled(&self) -> bool {
         self.drop_rate == 0.0
             && self.delay_rate == 0.0
@@ -217,14 +176,6 @@ impl FaultPlan {
             && !self.touches_overload()
     }
 
-    /// True if any history-poison rate is set (adversarial directives
-    /// injected at harvest; never touches the sim).
-    pub fn touches_poison(&self) -> bool {
-        self.poison_prune_rate > 0.0
-            || self.poison_threshold_rate > 0.0
-            || self.stale_mapping_rate > 0.0
-    }
-
     /// True if any overload-class fault is set.
     pub fn touches_overload(&self) -> bool {
         self.sample_flood > 1.0
@@ -235,27 +186,6 @@ impl FaultPlan {
     /// True if any sample-stream fault rate is set.
     pub fn touches_samples(&self) -> bool {
         self.drop_rate > 0.0 || self.delay_rate > 0.0 || self.reorder_rate > 0.0
-    }
-
-    /// True if any wire-level (daemon transport) fault is set.
-    pub fn touches_wire(&self) -> bool {
-        self.wire_conn_drop_rate > 0.0
-            || self.wire_torn_request_rate > 0.0
-            || self.wire_slow_client_ms > 0
-            || self.wire_daemon_kill_after > 0
-    }
-
-    /// A copy of the plan with every wire-level fault cleared — the
-    /// part of the plan the daemon should feed into the sim-level
-    /// injector after the transport has already taken its toll.
-    pub fn without_wire(&self) -> FaultPlan {
-        FaultPlan {
-            wire_conn_drop_rate: 0.0,
-            wire_torn_request_rate: 0.0,
-            wire_slow_client_ms: 0,
-            wire_daemon_kill_after: 0,
-            ..self.clone()
-        }
     }
 
     /// Parse a fault plan from its text form.
@@ -280,13 +210,6 @@ impl FaultPlan {
     /// sample-flood 5
     /// slow-collector 200000
     /// request-storm 0.25 8
-    /// wire-conn-drop 0.10
-    /// wire-torn-request 0.05
-    /// wire-slow-client 20
-    /// wire-daemon-kill 3
-    /// poison-prune 0.25
-    /// poison-threshold 0.25
-    /// stale-mapping 0.10
     /// trust-ledger-corrupt
     /// ```
     ///
@@ -374,27 +297,6 @@ impl FaultPlan {
                     plan.request_storm_rate = parse_rate(&words, 0, n, "request-storm")?;
                     plan.request_storm_burst = parse_u64(&words, 1, n, "request-storm")?;
                 }
-                "wire-conn-drop" => {
-                    plan.wire_conn_drop_rate = parse_rate(&words, 0, n, "wire-conn-drop")?;
-                }
-                "wire-torn-request" => {
-                    plan.wire_torn_request_rate = parse_rate(&words, 0, n, "wire-torn-request")?;
-                }
-                "wire-slow-client" => {
-                    plan.wire_slow_client_ms = parse_u64(&words, 0, n, "wire-slow-client")?;
-                }
-                "wire-daemon-kill" => {
-                    plan.wire_daemon_kill_after = parse_u64(&words, 0, n, "wire-daemon-kill")?;
-                }
-                "poison-prune" => {
-                    plan.poison_prune_rate = parse_rate(&words, 0, n, "poison-prune")?;
-                }
-                "poison-threshold" => {
-                    plan.poison_threshold_rate = parse_rate(&words, 0, n, "poison-threshold")?;
-                }
-                "stale-mapping" => {
-                    plan.stale_mapping_rate = parse_rate(&words, 0, n, "stale-mapping")?;
-                }
                 "trust-ledger-corrupt" => plan.trust_ledger_corrupt = true,
                 other => return Err(format!("line {n}: unknown fault kind `{other}`")),
             }
@@ -466,36 +368,6 @@ impl FaultPlan {
                 "request-storm {} {}\n",
                 self.request_storm_rate, self.request_storm_burst
             ));
-        }
-        if self.wire_conn_drop_rate > 0.0 {
-            out.push_str(&format!("wire-conn-drop {}\n", self.wire_conn_drop_rate));
-        }
-        if self.wire_torn_request_rate > 0.0 {
-            out.push_str(&format!(
-                "wire-torn-request {}\n",
-                self.wire_torn_request_rate
-            ));
-        }
-        if self.wire_slow_client_ms > 0 {
-            out.push_str(&format!("wire-slow-client {}\n", self.wire_slow_client_ms));
-        }
-        if self.wire_daemon_kill_after > 0 {
-            out.push_str(&format!(
-                "wire-daemon-kill {}\n",
-                self.wire_daemon_kill_after
-            ));
-        }
-        if self.poison_prune_rate > 0.0 {
-            out.push_str(&format!("poison-prune {}\n", self.poison_prune_rate));
-        }
-        if self.poison_threshold_rate > 0.0 {
-            out.push_str(&format!(
-                "poison-threshold {}\n",
-                self.poison_threshold_rate
-            ));
-        }
-        if self.stale_mapping_rate > 0.0 {
-            out.push_str(&format!("stale-mapping {}\n", self.stale_mapping_rate));
         }
         if self.trust_ledger_corrupt {
             out.push_str("trust-ledger-corrupt\n");
@@ -590,11 +462,6 @@ impl FaultInjector {
             stats: FaultStats::default(),
             plan,
         }
-    }
-
-    /// The plan this injector runs.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
     }
 
     /// What the plan did so far.
@@ -729,106 +596,6 @@ impl FaultInjector {
     }
 }
 
-/// What the wire does to one client→daemon exchange.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireFault {
-    /// The exchange goes through untouched.
-    Clean,
-    /// The request line is torn mid-byte: the daemon receives a
-    /// truncated line (or nothing) and must answer with a protocol
-    /// error the client can retry on.
-    TornRequest,
-    /// The connection drops before the response arrives; the client
-    /// must reconnect and retry (idempotently).
-    ConnDrop,
-}
-
-/// Counters of what the wire injector actually did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WireStats {
-    /// Exchanges whose request line was torn.
-    pub torn_requests: u64,
-    /// Exchanges whose connection was dropped.
-    pub conn_drops: u64,
-    /// Exchanges delayed by the slow-client fault.
-    pub slowed: u64,
-}
-
-/// Client-side injector for the wire-level fault kinds: connection
-/// drops, torn request lines, and slow-client delays, drawn from their
-/// own seeded substream (6) so enabling wire faults never perturbs the
-/// sim-level fault pattern. The `wire-daemon-kill` kind is not drawn
-/// here — the soak harness consumes it directly (it SIGKILLs the real
-/// daemon process after N accepted sessions).
-#[derive(Debug, Clone)]
-pub struct WireInjector {
-    plan: FaultPlan,
-    rng: Rng,
-    stats: WireStats,
-}
-
-impl WireInjector {
-    /// Build a wire injector for a plan; draws derive from `plan.seed`.
-    pub fn new(plan: FaultPlan) -> WireInjector {
-        let root = Rng::new(plan.seed);
-        WireInjector {
-            rng: root.substream(6),
-            stats: WireStats::default(),
-            plan,
-        }
-    }
-
-    /// What the injector did so far.
-    pub fn stats(&self) -> WireStats {
-        self.stats
-    }
-
-    /// Draw the fate of one request exchange. With no wire fault rates
-    /// configured this returns [`WireFault::Clean`] without consuming
-    /// randomness.
-    pub fn next_fault(&mut self) -> WireFault {
-        if self.plan.wire_torn_request_rate > 0.0
-            && self.rng.next_f64() < self.plan.wire_torn_request_rate
-        {
-            self.stats.torn_requests += 1;
-            return WireFault::TornRequest;
-        }
-        if self.plan.wire_conn_drop_rate > 0.0
-            && self.rng.next_f64() < self.plan.wire_conn_drop_rate
-        {
-            self.stats.conn_drops += 1;
-            return WireFault::ConnDrop;
-        }
-        WireFault::Clean
-    }
-
-    /// Real-time delay a slow client inserts before each request, if
-    /// configured. Counted per call.
-    pub fn slow_client_delay(&mut self) -> Option<std::time::Duration> {
-        if self.plan.wire_slow_client_ms == 0 {
-            return None;
-        }
-        self.stats.slowed += 1;
-        Some(std::time::Duration::from_millis(
-            self.plan.wire_slow_client_ms,
-        ))
-    }
-
-    /// Tear a request line at a seed-drawn byte offset (at least one
-    /// byte short of complete; possibly empty), modelling a client cut
-    /// off mid-send.
-    pub fn tear_line(&mut self, line: &str) -> String {
-        if line.is_empty() {
-            return String::new();
-        }
-        let mut cut = self.rng.next_below(line.len() as u64) as usize;
-        while cut > 0 && !line.is_char_boundary(cut) {
-            cut -= 1;
-        }
-        line[..cut].to_string()
-    }
-}
-
 /// Deterministically corrupt a history-store text artifact: truncate it
 /// at a seed-drawn point between 20 % and 80 % of its length, modelling
 /// a crash mid-write. The result is guaranteed to differ from `text`
@@ -901,13 +668,6 @@ mod tests {
             slow_collector: SimDuration::from_millis(2),
             request_storm_rate: 0.5,
             request_storm_burst: 4,
-            wire_conn_drop_rate: 0.0,
-            wire_torn_request_rate: 0.0,
-            wire_slow_client_ms: 0,
-            wire_daemon_kill_after: 0,
-            poison_prune_rate: 0.25,
-            poison_threshold_rate: 0.25,
-            stale_mapping_rate: 0.25,
             trust_ledger_corrupt: true,
         }
     }
@@ -923,30 +683,19 @@ mod tests {
     }
 
     #[test]
-    fn poison_only_plan_stays_disabled_for_the_sim() {
-        // History poison corrupts harvested guidance, not the sim: a
-        // poison-rates-only plan must keep the zero-cost drive path.
-        let mut plan = FaultPlan::none();
-        plan.poison_prune_rate = 0.25;
-        plan.poison_threshold_rate = 0.1;
-        plan.stale_mapping_rate = 0.1;
-        assert!(plan.is_disabled());
-        assert!(plan.touches_poison());
-        let parsed = FaultPlan::parse(&plan.to_text()).unwrap();
-        assert_eq!(parsed, plan);
-        // Ledger corruption is store-level, staged like corrupt-store:
-        // it must force the faulted session path.
-        plan.trust_ledger_corrupt = true;
-        assert!(!plan.is_disabled());
-    }
-
-    #[test]
     fn empty_plan_round_trips_and_is_disabled() {
         let plan = FaultPlan::none();
         assert!(plan.is_disabled());
         let parsed = FaultPlan::parse(&plan.to_text()).unwrap();
         assert_eq!(parsed, plan);
         assert!(!lossy_plan().is_disabled());
+        // Ledger corruption is staged like corrupt-store: it must force
+        // the faulted session path.
+        let ledger = FaultPlan {
+            trust_ledger_corrupt: true,
+            ..FaultPlan::none()
+        };
+        assert!(!ledger.is_disabled());
     }
 
     #[test]
@@ -1128,97 +877,6 @@ mod tests {
         assert_eq!(a, run(3));
         assert_ne!(a, run(4));
         assert!(a.contains(&4) && a.contains(&0));
-    }
-
-    #[test]
-    fn wire_faults_round_trip_but_do_not_enable_the_sim_plan() {
-        let mut plan = FaultPlan::none();
-        plan.wire_conn_drop_rate = 0.1;
-        plan.wire_torn_request_rate = 0.05;
-        plan.wire_slow_client_ms = 20;
-        plan.wire_daemon_kill_after = 3;
-        assert!(plan.touches_wire());
-        // Wire faults live on the transport, not in the sim: the plan
-        // still counts as disabled so a zero-sim-fault remote run keeps
-        // the bit-identical bypass path.
-        assert!(plan.is_disabled());
-        let parsed = FaultPlan::parse(&plan.to_text()).unwrap();
-        assert_eq!(parsed, plan);
-        let stripped = plan.without_wire();
-        assert!(!stripped.touches_wire());
-        assert_eq!(stripped, FaultPlan::none());
-        // And a mixed plan strips to its sim half.
-        plan.drop_rate = 0.2;
-        assert!(!plan.is_disabled());
-        assert_eq!(plan.without_wire().drop_rate, 0.2);
-    }
-
-    #[test]
-    fn wire_parse_rejects_garbage() {
-        assert!(FaultPlan::parse("histpc-faults v1\nwire-conn-drop 1.5\n").is_err());
-        assert!(FaultPlan::parse("histpc-faults v1\nwire-torn-request\n").is_err());
-        assert!(FaultPlan::parse("histpc-faults v1\nwire-slow-client x\n").is_err());
-        assert!(FaultPlan::parse("histpc-faults v1\nwire-daemon-kill\n").is_err());
-    }
-
-    #[test]
-    fn wire_injector_is_deterministic_and_independent() {
-        let mut plan = FaultPlan::none();
-        plan.seed = 11;
-        plan.wire_conn_drop_rate = 0.3;
-        plan.wire_torn_request_rate = 0.2;
-        let run = |plan: &FaultPlan| {
-            let mut w = WireInjector::new(plan.clone());
-            (0..64).map(|_| w.next_fault()).collect::<Vec<_>>()
-        };
-        let a = run(&plan);
-        assert_eq!(a, run(&plan));
-        let mut other = plan.clone();
-        other.seed = 12;
-        assert_ne!(a, run(&other));
-        assert!(a.contains(&WireFault::Clean));
-        assert!(a.contains(&WireFault::ConnDrop));
-        assert!(a.contains(&WireFault::TornRequest));
-        // Enabling wire faults must not shift sim-level draws: the
-        // sample substream is independent of substream 6.
-        let base: Vec<Interval> = (0..50).map(|i| iv(0, i * 100, i * 100 + 90)).collect();
-        let mut sim_plan = lossy_plan();
-        sim_plan.kills.clear();
-        let mut with_wire = sim_plan.clone();
-        with_wire.wire_conn_drop_rate = 0.5;
-        let drain = |p: FaultPlan| {
-            let mut inj = FaultInjector::new(p);
-            inj.filter_intervals(base.clone(), SimTime::from_micros(10_000))
-        };
-        assert_eq!(drain(sim_plan), drain(with_wire));
-    }
-
-    #[test]
-    fn wire_injector_clean_plan_draws_nothing() {
-        let mut w = WireInjector::new(FaultPlan::none());
-        for _ in 0..8 {
-            assert_eq!(w.next_fault(), WireFault::Clean);
-        }
-        assert_eq!(w.slow_client_delay(), None);
-        assert_eq!(w.stats(), WireStats::default());
-    }
-
-    #[test]
-    fn slow_client_and_tear_line_behave() {
-        let mut plan = FaultPlan::none();
-        plan.wire_slow_client_ms = 15;
-        plan.wire_torn_request_rate = 1.0;
-        let mut w = WireInjector::new(plan);
-        assert_eq!(
-            w.slow_client_delay(),
-            Some(std::time::Duration::from_millis(15))
-        );
-        let line = "start tenant=alpha app=poisson-a label=r1";
-        let torn = w.tear_line(line);
-        assert!(torn.len() < line.len());
-        assert!(line.starts_with(&torn));
-        assert_eq!(w.tear_line(""), "");
-        assert!(w.stats().slowed == 1);
     }
 
     #[test]

@@ -17,6 +17,7 @@
 //! as [`Decoded::Legacy`] and stay loadable until `histpc store migrate`
 //! rewrites them.
 
+use histpc_resources::fnv64;
 use std::fmt;
 
 /// First token of a frame header line.
@@ -24,18 +25,6 @@ pub const FRAME_MAGIC: &str = "histpc-frame";
 
 /// Full header prefix for the current frame version.
 pub const FRAME_HEADER_V1: &str = "histpc-frame v1";
-
-/// FNV-1a 64-bit hash (same function the consultant uses for search
-/// checkpoint digests; reimplemented here so `histpc-history` stays
-/// dependency-light).
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in bytes {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why a framed file failed to decode.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,12 +198,5 @@ mod tests {
             decode(&text),
             Err(FrameError::ChecksumMismatch { .. })
         ));
-    }
-
-    #[test]
-    fn fnv_matches_known_vectors() {
-        // Standard FNV-1a 64 test vectors.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

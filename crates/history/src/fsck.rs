@@ -351,7 +351,7 @@ fn check_manifest_drift(root: &Path, out: &mut Vec<Diagnostic>, m: &Manifest) {
                     continue; // already reported by the record walk
                 };
                 let actual = match frame::decode(&text) {
-                    Ok(d) => frame::fnv64(d.payload().as_bytes()),
+                    Ok(d) => histpc_resources::fnv64(d.payload().as_bytes()),
                     Err(_) => continue, // already an HL023 above
                 };
                 if actual != recorded {

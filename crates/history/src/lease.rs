@@ -142,7 +142,7 @@ fn sanitize(s: &str) -> String {
 /// Path of the lease file for a (tenant, label) session. A short
 /// checksum of the raw pair keeps sanitized collisions apart.
 pub fn lease_path(root: &Path, tenant: &str, label: &str) -> PathBuf {
-    let digest = frame::fnv64(format!("{tenant}\n{label}").as_bytes()) & 0xffff_ffff;
+    let digest = histpc_resources::fnv64(format!("{tenant}\n{label}").as_bytes()) & 0xffff_ffff;
     root.join(LEASE_DIR).join(format!(
         "{}--{}-{digest:08x}.lease",
         sanitize(tenant),

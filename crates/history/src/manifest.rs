@@ -19,6 +19,7 @@
 //! it stays loadable and `histpc store migrate` upgrades it in place.
 
 use crate::frame;
+use histpc_resources::fnv64;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -185,10 +186,10 @@ impl Manifest {
         for (rel, path) in scan_data_files(root)? {
             let text = std::fs::read_to_string(&path)?;
             let payload_fnv = match frame::decode(&text) {
-                Ok(d) => frame::fnv64(d.payload().as_bytes()),
+                Ok(d) => fnv64(d.payload().as_bytes()),
                 // Damaged frame: index the raw bytes so the entry at
                 // least pins current contents; fsck flags the damage.
-                Err(_) => frame::fnv64(text.as_bytes()),
+                Err(_) => fnv64(text.as_bytes()),
             };
             self.entries.push(ManifestEntry {
                 fnv: payload_fnv,
@@ -320,10 +321,7 @@ mod tests {
         m.rebuild_index(&root).unwrap();
         let rels: Vec<&str> = m.entries.iter().map(|e| e.rel_path.as_str()).collect();
         assert_eq!(rels, vec!["poisson/a1.record", "poisson/a1.shg"]);
-        assert_eq!(
-            m.lookup("poisson/a1.record"),
-            Some(frame::fnv64(b"payload\n"))
-        );
-        assert_eq!(m.lookup("poisson/a1.shg"), Some(frame::fnv64(b"graph\n")));
+        assert_eq!(m.lookup("poisson/a1.record"), Some(fnv64(b"payload\n")));
+        assert_eq!(m.lookup("poisson/a1.shg"), Some(fnv64(b"graph\n")));
     }
 }

@@ -28,6 +28,7 @@ use crate::journal::{Journal, JournalEntry};
 use crate::lock::{self, LockError, StoreLock};
 use crate::manifest::{self, Manifest, ManifestState};
 use crate::record::ExecutionRecord;
+use histpc_resources::fnv64;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -300,7 +301,7 @@ impl ExecutionStore {
     ) -> Result<(), StoreError> {
         let dir = self.root.join(app);
         std::fs::create_dir_all(&dir)?;
-        let payload_fnv = frame::fnv64(payload.as_bytes());
+        let payload_fnv = fnv64(payload.as_bytes());
         let _lock = StoreLock::acquire(&self.root)?;
         let journal = Journal::at(&self.root);
         journal.append(&JournalEntry::Put {
@@ -375,7 +376,7 @@ impl ExecutionStore {
             what: rel,
             reason: e.to_string(),
         })?;
-        Ok(frame::fnv64(decoded.payload().as_bytes()))
+        Ok(fnv64(decoded.payload().as_bytes()))
     }
 
     /// Loads an auxiliary artifact saved with
@@ -701,7 +702,7 @@ impl ExecutionStore {
             return Err(StoreError::NotFound(format!("{app}/{label}")));
         }
         let text = std::fs::read_to_string(&target)?;
-        let payload_fnv = frame::fnv64(payload_candidate(&text).as_bytes());
+        let payload_fnv = fnv64(payload_candidate(&text).as_bytes());
         Journal::at(&self.root).append(&JournalEntry::Put {
             fnv: payload_fnv,
             ext: "record".to_string(),
@@ -850,7 +851,7 @@ impl ExecutionStore {
         if target.exists() {
             let text = std::fs::read_to_string(&target)?;
             match frame::decode(&text) {
-                Ok(d) if frame::fnv64(d.payload().as_bytes()) == fnv => {
+                Ok(d) if fnv64(d.payload().as_bytes()) == fnv => {
                     let _ = std::fs::remove_file(&tmp);
                     notes.push(format!("rolled forward completed write of {what}"));
                     return Ok(());
@@ -911,7 +912,7 @@ impl ExecutionStore {
         }
         let text = std::fs::read_to_string(tmp)?;
         let complete = match frame::decode(&text) {
-            Ok(d) if frame::fnv64(d.payload().as_bytes()) == fnv => {
+            Ok(d) if fnv64(d.payload().as_bytes()) == fnv => {
                 ext != "record" || parse_record(d.payload()).is_ok()
             }
             _ => false,
@@ -1341,7 +1342,7 @@ mod tests {
         let new_payload = write_record(&r2);
         Journal::at(&dir)
             .append(&JournalEntry::Put {
-                fnv: frame::fnv64(new_payload.as_bytes()),
+                fnv: fnv64(new_payload.as_bytes()),
                 ext: "record".into(),
                 app: "poisson".into(),
                 label: "a1".into(),
@@ -1373,7 +1374,7 @@ mod tests {
         let new_payload = write_record(&r2);
         Journal::at(&dir)
             .append(&JournalEntry::Put {
-                fnv: frame::fnv64(new_payload.as_bytes()),
+                fnv: fnv64(new_payload.as_bytes()),
                 ext: "record".into(),
                 app: "poisson".into(),
                 label: "a1".into(),

@@ -36,12 +36,12 @@
 //! ([`crate::factcache`]): one root-level `TRUST` file, invisible to
 //! `fsck`'s data walk (listed as "skipped: sidecar"), atomic tmp +
 //! rename saves, and tolerant loading — with one upgrade: the body is
-//! checksum-framed (FNV-64, [`crate::frame::fnv64`]), and a torn or
+//! checksum-framed (FNV-64, [`histpc_resources::fnv64`]), and a torn or
 //! corrupt `TRUST` falls back to a committed `TRUST.tmp` before
 //! degrading to an empty ledger. Losing the ledger is safe: every
 //! source simply starts back at full trust.
 
-use crate::frame::fnv64;
+use histpc_resources::fnv64;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;

@@ -35,9 +35,9 @@ use crate::passes;
 use crate::LintReport;
 use histpc_consultant::directive::{PriorityLevel, SearchDirectives};
 use histpc_history::factcache::{FactCache, FACTCACHE_FILE};
-use histpc_history::frame::fnv64;
 use histpc_history::manifest::{Manifest, ManifestState};
 use histpc_history::{ExecutionStore, ExtractionOptions, StoreError};
+use histpc_resources::fnv64;
 use histpc_resources::intern::Interner;
 use histpc_resources::Focus;
 use std::collections::BTreeSet;

@@ -18,23 +18,10 @@
 //! distinct name once), and [`Interner::set_signature`] combines member
 //! hashes order-independently into a signature of a resource-name set.
 
+use crate::fnv::{fnv64, FNV_PRIME};
 use crate::focus::Focus;
 use crate::name::ResourceName;
 use std::collections::HashMap;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// FNV-1a 64 of a byte string. Matches the framing checksum used by
-/// `histpc-history` so signatures stay stable across crates.
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut hash = FNV_OFFSET;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(FNV_PRIME);
-    }
-    hash
-}
 
 /// Dense, copyable id of an interned [`ResourceName`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]

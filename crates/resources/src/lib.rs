@@ -28,6 +28,7 @@
 
 pub mod diag;
 pub mod error;
+pub mod fnv;
 pub mod focus;
 pub mod hierarchy;
 pub mod intern;
@@ -36,6 +37,7 @@ pub mod space;
 
 pub use diag::{Diagnostic, Severity, Span};
 pub use error::ResourceError;
+pub use fnv::{fnv64, Fnv64};
 pub use focus::Focus;
 pub use hierarchy::{ExecTagSet, NodeId, ResourceHierarchy};
 pub use intern::{FocusId, Interner, NameId};

@@ -70,17 +70,17 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0);
 
     /// Builds a duration from whole seconds.
-    pub fn from_secs(s: u64) -> SimDuration {
+    pub const fn from_secs(s: u64) -> SimDuration {
         SimDuration(s * 1_000_000)
     }
 
     /// Builds a duration from milliseconds.
-    pub fn from_millis(ms: u64) -> SimDuration {
+    pub const fn from_millis(ms: u64) -> SimDuration {
         SimDuration(ms * 1_000)
     }
 
     /// Builds a duration from microsecond ticks.
-    pub fn from_micros(us: u64) -> SimDuration {
+    pub const fn from_micros(us: u64) -> SimDuration {
         SimDuration(us)
     }
 
