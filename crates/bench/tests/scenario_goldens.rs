@@ -206,26 +206,52 @@ fn poison_trust_ledger_corrupt() {
 
 /// A raw (collector-free) version-D engine on the path the diagnosis
 /// drivers take — per-key aggregates, no raw interval capture — stepped
-/// 250 ms at a time to the 900 s horizon.
+/// 250 ms at a time to the 900 s horizon. Pins the work (events) and its
+/// content: an FNV-64 over every drained delta in drain order (every
+/// field, `seconds` by its bits) and one over the ground-truth totals.
 #[test]
 #[ignore = "full-length engine run: run in release mode"]
 fn sim_d() {
+    use histpc::resources::Fnv64;
+    use histpc::sim::TotalsKey;
+    fn key(h: &mut Fnv64, k: TotalsKey, vs: &[u64]) {
+        h.write(&k.proc.0.to_le_bytes());
+        h.write(&k.func.0.to_le_bytes());
+        h.write(&[k.kind.index() as u8, u8::from(k.tag.is_some())]);
+        h.write(&k.tag.map_or(0, |t| t.0).to_le_bytes());
+        vs.iter().for_each(|v| h.write(&v.to_le_bytes()));
+    }
     let mut engine = PoissonWorkload::new(PoissonVersion::D).build_engine();
     engine.set_raw_capture(false);
     let max = SimTime::from_secs(900);
     let mut now = SimTime::ZERO;
+    let (mut deltas, mut hd) = (0u64, Fnv64::default());
     loop {
         now += SimDuration::from_millis(250);
         let status = engine.run_until(now);
-        let _ = engine.drain_deltas();
+        for d in engine.drain_deltas().deltas {
+            let (s, e) = (d.start.as_micros(), d.end.as_micros());
+            key(
+                &mut hd,
+                d.key(),
+                &[s, e, d.seconds.to_bits(), d.bytes, d.msgs],
+            );
+            deltas += 1;
+        }
         if status != EngineStatus::Running || now >= max {
             break;
         }
     }
+    let mut ht = Fnv64::default();
+    for (k, dur) in engine.totals().iter() {
+        key(&mut ht, k, &[dur.as_micros()]);
+    }
     let text = format!(
-        "events {}\nsim_us {}\n",
+        "events {}\nsim_us {}\ndeltas {deltas}\ndeltas_fnv {:016x}\ntotals_fnv {:016x}\n",
         engine.events_drained(),
-        now.as_micros()
+        now.as_micros(),
+        hd.finish(),
+        ht.finish(),
     );
     check("sim-d", &text);
 }

@@ -1202,7 +1202,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
         return Err(format!("unknown --format {format:?}: want text or json"));
     }
 
-    if matches!(action.as_str(), "repair" | "compact" | "migrate") {
+    if matches!(action.as_str(), "repair" | "compact" | "migrate" | "trust") {
         existing_store(store_dir)?;
     }
     match action.as_str() {

@@ -351,7 +351,7 @@ fn read_only_verbs_refuse_a_missing_store() {
     let dir = scratch("missing");
     let typo = dir.join("TYPO");
     let p = typo.to_str().unwrap();
-    let verbs: [&[&str]; 9] = [
+    let verbs: [&[&str]; 11] = [
         &["ls", "--store", p],
         &["shg", "--store", p, "--app", "synth", "--label", "r1"],
         &[
@@ -365,6 +365,8 @@ fn read_only_verbs_refuse_a_missing_store() {
         &["store", "compact", "--store", p],
         &["store", "repair", "--store", p],
         &["store", "migrate", "--store", p],
+        &["store", "trust", "--store", p],
+        &["store", "trust", "--store", p, "--format", "json"],
     ];
     for args in verbs {
         let out = bin().args(args).output().unwrap();

@@ -10,7 +10,8 @@ use histpc_instr::{
 };
 use histpc_resources::ResourceName;
 use histpc_sim::workloads::{
-    PoissonVersion, PoissonWorkload, SyntheticWorkload, TesterWorkload, Workload,
+    OceanWorkload, PoissonVersion, PoissonWorkload, SyntheticWorkload, TesterWorkload,
+    WavefrontWorkload, Workload,
 };
 use histpc_sim::{
     Action, AppSpec, Engine, FuncId, Interval, MachineModel, ModuleSpec, ProcId, ProcessScript,
@@ -19,7 +20,7 @@ use histpc_sim::{
 use proptest::prelude::*;
 
 fn workload(kind: u8, seed: u64) -> Box<dyn Workload> {
-    match kind % 4 {
+    match kind % 7 {
         // Ring payloads straddle the eager threshold, so both message
         // protocols and the I/O path show up.
         0 => Box::new(
@@ -33,7 +34,19 @@ fn workload(kind: u8, seed: u64) -> Box<dyn Workload> {
             max_iters: Some(40 + seed % 200),
         }),
         2 => Box::new(PoissonWorkload::new(PoissonVersion::B).with_seed(seed)),
-        _ => Box::new(PoissonWorkload::new(PoissonVersion::C).with_seed(seed)),
+        3 => Box::new(PoissonWorkload::new(PoissonVersion::C).with_seed(seed)),
+        // The benchmark's 8 ranks.
+        4 => Box::new(PoissonWorkload::new(PoissonVersion::D).with_seed(seed)),
+        // Rendezvous-heavy on the slow `now_cluster` network.
+        5 => Box::new(OceanWorkload {
+            seed,
+            ..OceanWorkload::new()
+        }),
+        // The only `AllReduce` user.
+        _ => Box::new(WavefrontWorkload {
+            seed,
+            ..WavefrontWorkload::new()
+        }),
     }
 }
 
@@ -106,7 +119,7 @@ proptest! {
     /// (iii) `events_drained` counts intervals, not deltas.
     #[test]
     fn engine_deltas_equal_the_aggregate_of_raw_intervals(
-        kind in 0u8..4,
+        kind in 0u8..7,
         seed in 0u64..1000,
         plan in schedule(),
         drain_every in 1usize..4,
@@ -168,7 +181,7 @@ proptest! {
     /// pressure, and shedding.
     #[test]
     fn collectors_agree_on_fused_and_raw_batches(
-        kind in 0u8..4,
+        kind in 0u8..7,
         seed in 0u64..1000,
         plan in schedule(),
         admission in 0u8..3,

@@ -13,7 +13,7 @@ use crate::time::SimDuration;
 pub struct ReqId(pub u32);
 
 /// One primitive operation of a simulated process.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Action {
     /// Execute on the CPU for `dur` of unperturbed time, attributed to
     /// `func`. (Instrumentation perturbation can stretch the actual time.)
@@ -69,12 +69,15 @@ pub enum Action {
         /// Local request handle.
         req: ReqId,
     },
-    /// Block until all listed requests complete.
+    /// Block until requests `first`, `first + 1`, … (`count` of them)
+    /// complete.
     WaitAll {
         /// Function issuing the wait.
         func: FuncId,
-        /// Requests to complete.
-        reqs: Vec<ReqId>,
+        /// The first request to complete.
+        first: ReqId,
+        /// How many consecutive requests to complete.
+        count: u32,
     },
     /// Block until every process has entered the barrier; models both
     /// `MPI_Barrier` and (cost-wise) small collective reductions.

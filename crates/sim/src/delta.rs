@@ -96,30 +96,63 @@ pub struct StepDeltas {
     pub per_proc: Vec<u64>,
 }
 
-/// A table slot: the step's delta plus the exact integer sums the
-/// ground-truth totals are fed from.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    delta: Delta,
+/// The hot half of a table slot: everything [`DeltaTable::fold`] touches.
+/// The key is the slot's position (or its spill entry). `count == 0`
+/// marks a closed slot.
+#[derive(Debug, Clone, Copy, Default)]
+struct Acc {
+    /// Intervals folded since the slot was opened.
+    count: u64,
+    start: SimTime,
+    end: SimTime,
+    seconds: f64,
     /// Exact activity time since the slot was opened.
     time: SimDuration,
-    /// How much of `(time, delta.msgs, delta.bytes)` has already been
-    /// added to the ground-truth totals.
-    flushed: (SimDuration, u64, u64),
+    bytes: u64,
+    msgs: u64,
 }
 
-impl Slot {
-    fn opening(iv: &Interval) -> Slot {
-        Slot {
-            delta: Delta::opening(iv),
-            time: SimDuration::ZERO,
-            flushed: (SimDuration::ZERO, 0, 0),
+impl Acc {
+    /// Folds one interval of this slot's key in: [`Delta::fold`]'s
+    /// arithmetic, in the same order, plus the exact time and the count.
+    #[inline(always)]
+    fn fold(&mut self, iv: &Interval) {
+        if self.count == 0 {
+            *self = Acc {
+                start: iv.start,
+                end: iv.end,
+                ..Acc::default()
+            };
+        }
+        self.count += 1;
+        self.start = self.start.min(iv.start);
+        self.end = self.end.max(iv.end);
+        let d = iv.duration();
+        self.seconds += d.as_secs_f64();
+        self.time += d;
+        if iv.tag.is_some() && iv.bytes > 0 {
+            self.bytes += iv.bytes;
+            self.msgs += 1;
+        }
+    }
+
+    fn delta(&self, key: TotalsKey) -> Delta {
+        Delta {
+            proc: key.proc,
+            func: key.func,
+            kind: key.kind,
+            tag: key.tag,
+            start: self.start,
+            end: self.end,
+            seconds: self.seconds,
+            bytes: self.bytes,
+            msgs: self.msgs,
         }
     }
 }
 
 /// Dense per-step aggregation state sized to one application's
-/// attribution-key space: a flat slot table indexed by
+/// attribution-key space: a flat accumulator array indexed by
 /// `((proc * nfuncs + func) * 3 + kind) * (ntags + 1) + tagcode`, reused
 /// across steps. Every per-step cost (drain, reset, totals flush) is
 /// proportional to the keys touched, never to the table size.
@@ -132,26 +165,33 @@ pub struct DeltaTable {
     nprocs: usize,
     nfuncs: usize,
     ntags: usize,
-    slots: Vec<Option<Slot>>,
+    accs: Vec<Acc>,
     /// Out-of-table keys, searched linearly.
-    spill: Vec<Option<Slot>>,
-    /// Open slots in first-touch order; values `>= slots.len()` index
+    spill: Vec<(TotalsKey, Acc)>,
+    /// Open slots in first-touch order; values `>= accs.len()` index
     /// `spill`.
     touched: Vec<u32>,
-    per_proc: Vec<u64>,
+    /// Cold half, by the same index as `touched`: how much of
+    /// `(time, msgs, bytes)` has already been added to the totals.
+    flushed: Vec<(SimDuration, u64, u64)>,
+    /// Length of the per-process count table: `nprocs`, or one past the
+    /// highest rank a spilled key has carried.
+    per_proc_len: usize,
 }
 
 impl DeltaTable {
     /// A table for an app with the given dimensions.
     pub fn new(nprocs: usize, nfuncs: usize, ntags: usize) -> DeltaTable {
+        let slots = nprocs * nfuncs * 3 * (ntags + 1);
         DeltaTable {
             nprocs,
             nfuncs,
             ntags,
-            slots: vec![None; nprocs * nfuncs * 3 * (ntags + 1)],
+            accs: vec![Acc::default(); slots],
             spill: Vec::new(),
             touched: Vec::new(),
-            per_proc: vec![0; nprocs],
+            flushed: vec![Default::default(); slots],
+            per_proc_len: nprocs,
         }
     }
 
@@ -165,69 +205,68 @@ impl DeltaTable {
         Some(((p * self.nfuncs + f) * 3 + iv.kind.index()) * (self.ntags + 1) + t)
     }
 
+    /// The key of touched slot `n`, and its accumulator.
+    fn slot(&self, n: usize) -> (TotalsKey, Acc) {
+        let Some(s) = n.checked_sub(self.accs.len()) else {
+            let t = n % (self.ntags + 1);
+            let rest = n / (self.ntags + 1);
+            let key = TotalsKey {
+                proc: ProcId((rest / 3 / self.nfuncs) as u16),
+                func: FuncId((rest / 3 % self.nfuncs) as u16),
+                kind: ActivityKind::ALL[rest % 3],
+                tag: t.checked_sub(1).map(|t| TagId(t as u16)),
+            };
+            return (key, self.accs[n]);
+        };
+        self.spill[s]
+    }
+
     /// Folds one interval into its key's slot.
     #[inline(always)]
     pub fn fold(&mut self, iv: &Interval) {
-        let slot = match self.index(iv) {
-            Some(i) => {
-                let slot = &mut self.slots[i];
-                if slot.is_none() {
-                    self.touched.push(i as u32);
-                }
-                slot.get_or_insert_with(|| Slot::opening(iv))
-            }
-            None => self.spill_slot(iv),
+        let Some(i) = self.index(iv) else {
+            return self.fold_spill(iv);
         };
-        slot.delta.fold(iv);
-        slot.time += iv.duration();
-        let p = iv.proc.0 as usize;
-        if p >= self.per_proc.len() {
-            self.per_proc.resize(p + 1, 0);
+        let acc = &mut self.accs[i];
+        if acc.count == 0 {
+            self.touched.push(i as u32);
         }
-        self.per_proc[p] += 1;
+        acc.fold(iv);
     }
 
     #[cold]
-    fn spill_slot(&mut self, iv: &Interval) -> &mut Slot {
-        let at = self
-            .spill
-            .iter()
-            .position(|s| s.is_some_and(|s| s.delta.key() == iv.key()))
-            .unwrap_or_else(|| {
+    fn fold_spill(&mut self, iv: &Interval) {
+        let key = iv.key();
+        let at = match self.spill.iter().position(|(k, _)| *k == key) {
+            Some(at) => at,
+            None => {
                 self.touched
-                    .push((self.slots.len() + self.spill.len()) as u32);
-                self.spill.push(None);
+                    .push((self.accs.len() + self.spill.len()) as u32);
+                self.flushed.push(Default::default());
+                self.spill.push((key, Acc::default()));
+                self.per_proc_len = self.per_proc_len.max(key.proc.0 as usize + 1);
                 self.spill.len() - 1
-            });
-        self.spill[at].get_or_insert_with(|| Slot::opening(iv))
-    }
-
-    fn slot_mut(&mut self, touched: u32) -> &mut Option<Slot> {
-        let i = touched as usize;
-        match i.checked_sub(self.slots.len()) {
-            None => &mut self.slots[i],
-            Some(s) => &mut self.spill[s],
-        }
+            }
+        };
+        self.spill[at].1.fold(iv);
     }
 
     /// Adds what the open slots gained since the last flush to the
     /// cumulative `totals`. Integer sums, so the totals equal observing
     /// every interval one by one.
     pub fn flush_totals(&mut self, totals: &mut TraceAccumulator) {
-        for n in 0..self.touched.len() {
-            let Some(slot) = self.slot_mut(self.touched[n]) else {
-                continue;
-            };
-            let d = &slot.delta;
-            let now = (slot.time, d.msgs, d.bytes);
+        for &n in &self.touched {
+            let n = n as usize;
+            let (key, acc) = self.slot(n);
+            let now = (acc.time, acc.msgs, acc.bytes);
+            let was = std::mem::replace(&mut self.flushed[n], now);
             totals.add(
-                d.key(),
-                SimDuration(now.0.as_micros() - slot.flushed.0.as_micros()),
-                now.1 - slot.flushed.1,
-                now.2 - slot.flushed.2,
-                d.end,
+                key,
+                SimDuration(now.0.as_micros() - was.0.as_micros()),
+                now.1 - was.1,
+                now.2 - was.2,
+                acc.end,
             );
-            slot.flushed = now;
         }
     }
 
@@ -235,16 +274,21 @@ impl DeltaTable {
     /// resets the table for the next step.
     pub fn drain(&mut self) -> StepDeltas {
         let mut deltas = Vec::with_capacity(self.touched.len());
-        for n in 0..self.touched.len() {
-            deltas.extend(self.slot_mut(self.touched[n]).take().map(|s| s.delta));
+        let mut per_proc = vec![0; self.per_proc_len];
+        for &n in &self.touched {
+            let n = n as usize;
+            let (key, acc) = self.slot(n);
+            deltas.push(acc.delta(key));
+            per_proc[key.proc.0 as usize] += acc.count;
+            if let Some(acc) = self.accs.get_mut(n) {
+                acc.count = 0;
+                self.flushed[n] = Default::default();
+            }
         }
         self.touched.clear();
         self.spill.clear();
-        let nprocs = self.per_proc.len();
-        StepDeltas {
-            deltas,
-            per_proc: std::mem::replace(&mut self.per_proc, vec![0; nprocs]),
-        }
+        self.flushed.truncate(self.accs.len());
+        StepDeltas { deltas, per_proc }
     }
 }
 

@@ -49,7 +49,7 @@ enum ReqState {
 }
 
 /// Why a process is blocked.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum Blocked {
     /// Blocking receive on a channel.
     Recv {
@@ -64,11 +64,12 @@ enum Blocked {
         since: SimTime,
         bytes: u64,
     },
-    /// Waiting for a set of requests to complete.
+    /// Waiting for requests `first..first + count`.
     WaitAll {
         func: FuncId,
-        reqs: Vec<ReqId>,
         since: SimTime,
+        first: ReqId,
+        count: u32,
     },
     /// Waiting in a barrier or data-carrying collective.
     Barrier {
@@ -78,7 +79,7 @@ enum Blocked {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 enum ProcState {
     Ready,
     Blocked(Blocked),
@@ -90,17 +91,64 @@ enum ProcState {
 struct Proc {
     clock: SimTime,
     script: Box<dyn ProcessScript>,
-    /// Actions fetched from the script and not yet executed, last one
-    /// first (so taking the next is a `pop`).
-    prefetched: Vec<Action>,
+    /// The script's current batch of actions; `next` indexes the first
+    /// one not yet executed.
+    batch: Vec<Action>,
+    next: usize,
     state: ProcState,
     slowdown: f64,
     /// A CPU burst interrupted by the horizon: (func, remaining unperturbed).
     pending_compute: Option<(FuncId, SimDuration)>,
-    reqs: BTreeMap<ReqId, ReqState>,
+    /// Outstanding non-blocking requests, a handful at most.
+    reqs: Vec<(ReqId, ReqState)>,
 }
 
-#[derive(Debug, Clone, Default)]
+impl Proc {
+    fn set_req(&mut self, req: ReqId, state: ReqState) {
+        match self.reqs.iter_mut().find(|(r, _)| *r == req) {
+            Some(slot) => slot.1 = state,
+            None => self.reqs.push((req, state)),
+        }
+    }
+
+    /// If requests `first..first + count` all have a known completion
+    /// time, the latest of them.
+    fn waitall_ready(&self, first: ReqId, count: u32) -> Option<SimTime> {
+        let mut done = SimTime::ZERO;
+        for r in (first.0..first.0 + count).map(ReqId) {
+            match self.reqs.iter().find(|(q, _)| *q == r) {
+                Some((_, ReqState::CompleteAt(t, _, _))) => done = done.max(*t),
+                _ => return None,
+            }
+        }
+        Some(done)
+    }
+
+    /// Removes requests `first..first + count`, returning the total
+    /// moved bytes and — when every request involved the same message
+    /// tag — that tag, so a wait over a homogeneous exchange stays
+    /// attributable to its SyncObject.
+    fn consume_reqs(&mut self, first: ReqId, count: u32) -> (u64, Option<TagId>) {
+        let mut bytes = 0;
+        let mut tag: Option<Option<TagId>> = None;
+        for r in (first.0..first.0 + count).map(ReqId) {
+            let Some(at) = self.reqs.iter().position(|(q, _)| *q == r) else {
+                continue;
+            };
+            if let (_, ReqState::CompleteAt(_, b, t)) = self.reqs.swap_remove(at) {
+                bytes += b;
+                tag = match tag {
+                    None => Some(t),
+                    Some(prev) if prev == t => Some(prev),
+                    Some(_) => Some(None), // mixed tags: unattributed
+                };
+            }
+        }
+        (bytes, tag.flatten())
+    }
+}
+
+#[derive(Debug, Clone)]
 struct Channel {
     inflight: VecDeque<Msg>,
     /// A rendezvous sender blocked on this channel: (block time, bytes).
@@ -108,6 +156,30 @@ struct Channel {
     pending_rdv: Option<(SimTime, u64)>,
     /// Posted `Irecv`s awaiting a message: (request, post time).
     posted_irecvs: VecDeque<(ReqId, SimTime)>,
+    /// The last payload size sent on this channel and its
+    /// [`MachineModel::transfer_time`].
+    wire: (u64, SimDuration),
+}
+
+impl Channel {
+    fn new(machine: &MachineModel) -> Channel {
+        Channel {
+            inflight: VecDeque::new(),
+            pending_rdv: None,
+            posted_irecvs: VecDeque::new(),
+            wire: (0, machine.transfer_time(0)),
+        }
+    }
+
+    /// The wire time of a `bytes`-byte message, recomputed only when the
+    /// payload size differs from the last one.
+    #[inline]
+    fn wire_time(&mut self, machine: &MachineModel, bytes: u64) -> SimDuration {
+        if self.wire.0 != bytes {
+            self.wire = (bytes, machine.transfer_time(bytes));
+        }
+        self.wire.1
+    }
 }
 
 /// Result of driving the engine.
@@ -127,12 +199,17 @@ pub struct Engine {
     app: AppSpec,
     machine: MachineModel,
     procs: Vec<Proc>,
+    /// Each process's clock while it is Ready, `u64::MAX` otherwise: all
+    /// the scheduler reads. Kept current wherever a state or a Ready
+    /// clock changes.
+    ready: Vec<u64>,
     /// Channels for the app's declared tags, dense by
     /// `(from * nprocs + to) * ntags + tag` — message ops index straight
-    /// in instead of walking a map.
+    /// in instead of walking a map — then those for tags outside the
+    /// app's tag table (rare), in `chan_spill` order of first use.
     channels: Vec<Channel>,
-    /// Channels for tags outside the app's tag table (rare).
-    chan_spill: BTreeMap<ChanKey, Channel>,
+    /// Where each out-of-table channel sits in `channels`.
+    chan_spill: BTreeMap<ChanKey, usize>,
     /// The intervals emitted since the last drain, per attribution key.
     step: DeltaTable,
     /// Whether `emitted` is kept (see [`Engine::set_raw_capture`]).
@@ -171,11 +248,12 @@ impl Engine {
             .map(|script| Proc {
                 clock: SimTime::ZERO,
                 script,
-                prefetched: Vec::new(),
+                batch: Vec::new(),
+                next: 0,
                 state: ProcState::Ready,
                 slowdown: 1.0,
                 pending_compute: None,
-                reqs: BTreeMap::new(),
+                reqs: Vec::new(),
             })
             .collect();
         let nprocs = app.process_count();
@@ -183,12 +261,11 @@ impl Engine {
         Engine {
             step: DeltaTable::new(nprocs, app.function_count(), ntags),
             raw_capture: true,
+            ready: vec![0; nprocs],
+            channels: vec![Channel::new(&machine); nprocs * nprocs * ntags],
             app,
             machine,
             procs,
-            channels: (0..nprocs * nprocs * ntags)
-                .map(|_| Channel::default())
-                .collect(),
             chan_spill: BTreeMap::new(),
             emitted: Vec::new(),
             totals: TraceAccumulator::new(),
@@ -196,20 +273,28 @@ impl Engine {
         }
     }
 
-    /// Index of `key` in the dense channel table, or `None` when the tag
-    /// is outside the app's tag table.
-    fn chan_index(&self, key: ChanKey) -> Option<usize> {
+    /// Index of channel `key` in `channels`.
+    #[inline]
+    fn chan(&mut self, key: ChanKey) -> usize {
         let nprocs = self.procs.len();
         let ntags = self.app.tags.len();
         let t = key.2 .0 as usize;
-        (t < ntags).then(|| (key.0 .0 as usize * nprocs + key.1 .0 as usize) * ntags + t)
+        if t < ntags {
+            return (key.0 .0 as usize * nprocs + key.1 .0 as usize) * ntags + t;
+        }
+        self.spill_chan(key)
     }
 
-    fn channel(&self, key: ChanKey) -> Option<&Channel> {
-        match self.chan_index(key) {
-            Some(i) => self.channels.get(i),
-            None => self.chan_spill.get(&key),
+    /// Index of the channel for a tag outside the app's tag table,
+    /// appended to `channels` on first use.
+    #[cold]
+    fn spill_chan(&mut self, key: ChanKey) -> usize {
+        let next = self.channels.len();
+        let c = *self.chan_spill.entry(key).or_insert(next);
+        if c == next {
+            self.channels.push(Channel::new(&self.machine));
         }
+        c
     }
 
     /// The application being simulated.
@@ -311,10 +396,13 @@ impl Engine {
         if matches!(self.procs[i].state, ProcState::Done | ProcState::Dead) {
             return;
         }
-        self.procs[i].state = ProcState::Dead;
-        self.procs[i].pending_compute = None;
-        self.procs[i].prefetched = Vec::new();
-        self.procs[i].reqs.clear();
+        let p = &mut self.procs[i];
+        p.state = ProcState::Dead;
+        p.pending_compute = None;
+        p.batch = Vec::new();
+        p.next = 0;
+        p.reqs.clear();
+        self.ready[i] = u64::MAX;
         // Withdraw the dead process from every channel it touched so the
         // resume paths never try to wake it: its blocked rendezvous sends
         // and its posted Irecvs simply vanish with it.
@@ -333,7 +421,8 @@ impl Engine {
                 }
             }
         }
-        for (key, chan) in self.chan_spill.iter_mut() {
+        for (key, &c) in &self.chan_spill {
+            let chan = &mut self.channels[c];
             if key.0 == proc {
                 chan.pending_rdv = None;
             }
@@ -365,15 +454,14 @@ impl Engine {
     /// or a deadlock is detected.
     pub fn run_until(&mut self, horizon: SimTime) -> EngineStatus {
         let status = loop {
-            // Deterministically pick the ready process with the smallest
-            // clock (ties by rank) that is still below the horizon.
-            let next = self
-                .procs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| matches!(p.state, ProcState::Ready) && p.clock < horizon)
-                .min_by_key(|(i, p)| (p.clock, *i))
-                .map(|(i, _)| i);
+            // The ready process with the smallest clock below the
+            // horizon, ties to the lowest rank.
+            let (mut best, mut next) = (horizon.0, None);
+            for (i, &clock) in self.ready.iter().enumerate() {
+                if clock < best {
+                    (best, next) = (clock, Some(i));
+                }
+            }
             let Some(i) = next else {
                 break if self.all_finished() {
                     EngineStatus::AllDone
@@ -407,7 +495,7 @@ impl Engine {
                         Blocked::SendRdv { key, .. } => {
                             format!("rendezvous send to {} tag {}", key.1, key.2 .0)
                         }
-                        Blocked::WaitAll { reqs, .. } => format!("waitall on {} reqs", reqs.len()),
+                        Blocked::WaitAll { count, .. } => format!("waitall on {count} reqs"),
                         Blocked::Barrier { .. } => "barrier".to_string(),
                     };
                     Some(format!("{}: blocked in {what}", ProcId(i as u16)))
@@ -419,36 +507,45 @@ impl Engine {
 
     /// Runs process `i` until it blocks, finishes, or reaches the horizon.
     fn step_proc(&mut self, i: usize, horizon: SimTime) {
-        loop {
-            if !matches!(self.procs[i].state, ProcState::Ready) {
-                return;
-            }
-            if self.procs[i].clock >= horizon {
-                return;
-            }
-            // Resume an interrupted CPU burst first.
-            if let Some((func, remaining)) = self.procs[i].pending_compute.take() {
-                self.exec_compute(i, func, remaining, horizon);
-                continue;
-            }
+        // Resume an interrupted CPU burst first. Only a burst chunked at
+        // the horizon leaves one, so it is never set inside the loop.
+        if let Some((func, remaining)) = self.procs[i].pending_compute.take() {
+            self.exec_compute(i, func, remaining, horizon);
+        }
+        while matches!(self.procs[i].state, ProcState::Ready) && self.procs[i].clock < horizon {
             let p = &mut self.procs[i];
-            if p.prefetched.is_empty() {
+            if p.next == p.batch.len() {
                 // One call per script iteration, into the same buffer.
-                if !p.script.next_batch(&mut p.prefetched) {
+                p.batch.clear();
+                p.next = 0;
+                if !p.script.next_batch(&mut p.batch) {
                     p.state = ProcState::Done;
                     // A process exiting can complete a barrier for the others.
                     self.check_barrier();
-                    return;
+                    break;
                 }
-                p.prefetched.reverse();
             }
-            let action = p.prefetched.pop().expect("next_batch appended an action");
-            self.exec_action(i, action, horizon);
+            let n = p.next;
+            p.next += 1;
+            self.exec_action(i, n, horizon);
         }
+        let p = &self.procs[i];
+        self.ready[i] = match p.state {
+            ProcState::Ready => p.clock.0,
+            _ => u64::MAX,
+        };
     }
 
-    fn exec_action(&mut self, i: usize, action: Action, horizon: SimTime) {
-        match action {
+    /// Makes blocked process `p` ready at `clock`.
+    fn wake(&mut self, p: usize, clock: SimTime) {
+        self.procs[p].clock = clock;
+        self.procs[p].state = ProcState::Ready;
+        self.ready[p] = clock.0;
+    }
+
+    /// Executes action `n` of process `i`'s batch.
+    fn exec_action(&mut self, i: usize, n: usize, horizon: SimTime) {
+        match self.procs[i].batch[n] {
             Action::Compute { func, dur } => self.exec_compute(i, func, dur, horizon),
             Action::Io { func, bytes } => {
                 let start = self.procs[i].clock;
@@ -484,21 +581,9 @@ impl Engine {
                 tag,
                 req,
             } => self.exec_irecv(i, func, from, tag, req),
-            Action::WaitAll { func, reqs } => self.exec_waitall(i, func, reqs),
-            Action::Barrier { func } => {
-                let since = self.procs[i].clock;
-                self.procs[i].state = ProcState::Blocked(Blocked::Barrier {
-                    func,
-                    since,
-                    bytes: 0,
-                });
-                self.check_barrier();
-            }
-            Action::AllReduce { func, bytes } => {
-                let since = self.procs[i].clock;
-                self.procs[i].state = ProcState::Blocked(Blocked::Barrier { func, since, bytes });
-                self.check_barrier();
-            }
+            Action::WaitAll { func, first, count } => self.exec_waitall(i, func, first, count),
+            Action::Barrier { func } => self.enter_barrier(i, func, 0),
+            Action::AllReduce { func, bytes } => self.enter_barrier(i, func, bytes),
         }
     }
 
@@ -547,11 +632,12 @@ impl Engine {
     fn exec_send(&mut self, i: usize, func: FuncId, to: ProcId, tag: TagId, bytes: u64) {
         let key: ChanKey = (ProcId(i as u16), to, tag);
         let clock = self.procs[i].clock;
+        let c = self.chan(key);
+        let wire = self.channels[c].wire_time(&self.machine, bytes);
         if self.machine.is_eager(bytes) {
             // Eager: local completion after the posting overhead; the
             // payload lands at the receiver after the wire time.
             let end = clock + self.machine.msg_overhead;
-            let avail = end + self.machine.transfer_time(bytes);
             self.emit(Interval {
                 proc: ProcId(i as u16),
                 func,
@@ -562,72 +648,65 @@ impl Engine {
                 bytes,
             });
             self.procs[i].clock = end;
-            self.deliver(key, Msg { avail, bytes });
-        } else {
-            // Rendezvous: complete against an already-blocked receiver or
-            // a posted Irecv, otherwise block.
-            let recv_blocked_since = match &self.procs[to.0 as usize].state {
-                ProcState::Blocked(Blocked::Recv { key: k, since, .. }) if *k == key => {
-                    Some(*since)
-                }
-                _ => None,
-            };
-            if let Some(r_since) = recv_blocked_since {
-                let done = clock.max(r_since) + self.machine.transfer_time(bytes);
-                self.emit(Interval {
-                    proc: ProcId(i as u16),
-                    func,
-                    kind: ActivityKind::SyncWait,
-                    tag: Some(tag),
-                    start: clock,
-                    end: done,
-                    bytes,
-                });
-                self.procs[i].clock = done;
-                self.resume_recv(to, done, bytes);
-                return;
-            }
-            // A posted Irecv lets the transfer start immediately.
-            let has_posted = self
-                .channel(key)
-                .is_some_and(|c| !c.posted_irecvs.is_empty());
-            if has_posted {
-                let (req, post) = self
-                    .channel_mut(key)
-                    .posted_irecvs
-                    .pop_front()
-                    .expect("just checked");
-                let done = clock.max(post) + self.machine.transfer_time(bytes);
-                self.emit(Interval {
-                    proc: ProcId(i as u16),
-                    func,
-                    kind: ActivityKind::SyncWait,
-                    tag: Some(tag),
-                    start: clock,
-                    end: done,
-                    bytes,
-                });
-                self.procs[i].clock = done;
-                self.complete_req(to, req, done, bytes, Some(tag));
-                return;
-            }
-            let chan = self.channel_mut(key);
-            debug_assert!(chan.pending_rdv.is_none(), "one blocking send per proc");
-            chan.pending_rdv = Some((clock, bytes));
-            self.procs[i].state = ProcState::Blocked(Blocked::SendRdv {
+            self.deliver(
                 key,
-                func,
-                since: clock,
-                bytes,
-            });
+                c,
+                Msg {
+                    avail: end + wire,
+                    bytes,
+                },
+            );
+            return;
+        }
+        // Rendezvous: complete against an already-blocked receiver or a
+        // posted Irecv, otherwise block.
+        let recv_blocked_since = match self.procs[to.0 as usize].state {
+            ProcState::Blocked(Blocked::Recv { key: k, since, .. }) if k == key => Some(since),
+            _ => None,
+        };
+        let (start, posted) = match recv_blocked_since {
+            Some(since) => (since, None),
+            // A posted Irecv lets the transfer start immediately.
+            None => match self.channels[c].posted_irecvs.pop_front() {
+                Some((req, post)) => (post, Some(req)),
+                None => {
+                    let chan = &mut self.channels[c];
+                    debug_assert!(chan.pending_rdv.is_none(), "one blocking send per proc");
+                    chan.pending_rdv = Some((clock, bytes));
+                    self.procs[i].state = ProcState::Blocked(Blocked::SendRdv {
+                        key,
+                        func,
+                        since: clock,
+                        bytes,
+                    });
+                    return;
+                }
+            },
+        };
+        let done = clock.max(start) + wire;
+        self.emit(Interval {
+            proc: ProcId(i as u16),
+            func,
+            kind: ActivityKind::SyncWait,
+            tag: Some(tag),
+            start: clock,
+            end: done,
+            bytes,
+        });
+        self.procs[i].clock = done;
+        match posted {
+            None => self.resume_recv(to, done, bytes),
+            Some(req) => self.complete_req(to, req, done, bytes, Some(tag)),
         }
     }
 
     fn exec_recv(&mut self, i: usize, func: FuncId, from: ProcId, tag: TagId) {
         let key: ChanKey = (from, ProcId(i as u16), tag);
         let clock = self.procs[i].clock;
+        let c = self.chan(key);
+        let chan = &mut self.channels[c];
         // 1. A queued (eager/Isend) message.
-        if let Some(msg) = self.channel_mut(key).inflight.pop_front() {
+        if let Some(msg) = chan.inflight.pop_front() {
             let end = (clock + self.machine.msg_overhead).max(msg.avail);
             self.emit(Interval {
                 proc: ProcId(i as u16),
@@ -642,8 +721,8 @@ impl Engine {
             return;
         }
         // 2. A rendezvous sender already blocked on this channel.
-        if let Some((s_since, bytes)) = self.channel_mut(key).pending_rdv.take() {
-            let done = clock.max(s_since) + self.machine.transfer_time(bytes);
+        if let Some((s_since, bytes)) = chan.pending_rdv.take() {
+            let done = clock.max(s_since) + chan.wire_time(&self.machine, bytes);
             self.emit(Interval {
                 proc: ProcId(i as u16),
                 func,
@@ -677,7 +756,8 @@ impl Engine {
         let key: ChanKey = (ProcId(i as u16), to, tag);
         let clock = self.procs[i].clock;
         let end = clock + self.machine.msg_overhead;
-        let avail = end + self.machine.transfer_time(bytes);
+        let c = self.chan(key);
+        let avail = end + self.channels[c].wire_time(&self.machine, bytes);
         self.emit(Interval {
             proc: ProcId(i as u16),
             func,
@@ -690,10 +770,8 @@ impl Engine {
         self.procs[i].clock = end;
         // The send request is complete as soon as the payload is handed to
         // the transport (a simplification of MPI buffering semantics).
-        self.procs[i]
-            .reqs
-            .insert(req, ReqState::CompleteAt(end, 0, Some(tag)));
-        self.deliver(key, Msg { avail, bytes });
+        self.procs[i].set_req(req, ReqState::CompleteAt(end, 0, Some(tag)));
+        self.deliver(key, c, Msg { avail, bytes });
     }
 
     fn exec_irecv(&mut self, i: usize, func: FuncId, from: ProcId, tag: TagId, req: ReqId) {
@@ -711,130 +789,93 @@ impl Engine {
         });
         self.procs[i].clock = end;
         // Match a queued message, a blocked rendezvous sender, or post.
-        if let Some(msg) = self.channel_mut(key).inflight.pop_front() {
-            self.procs[i].reqs.insert(
-                req,
-                ReqState::CompleteAt(end.max(msg.avail), msg.bytes, Some(tag)),
-            );
+        let c = self.chan(key);
+        let chan = &mut self.channels[c];
+        if let Some(msg) = chan.inflight.pop_front() {
+            let state = ReqState::CompleteAt(end.max(msg.avail), msg.bytes, Some(tag));
+            self.procs[i].set_req(req, state);
             return;
         }
-        if let Some((s_since, bytes)) = self.channel_mut(key).pending_rdv.take() {
-            let done = end.max(s_since) + self.machine.transfer_time(bytes);
-            self.procs[i]
-                .reqs
-                .insert(req, ReqState::CompleteAt(done, bytes, Some(tag)));
+        if let Some((s_since, bytes)) = chan.pending_rdv.take() {
+            let done = end.max(s_since) + chan.wire_time(&self.machine, bytes);
+            self.procs[i].set_req(req, ReqState::CompleteAt(done, bytes, Some(tag)));
             self.resume_sender(from, done);
             return;
         }
-        self.procs[i].reqs.insert(req, ReqState::PendingRecv);
-        self.channel_mut(key).posted_irecvs.push_back((req, end));
+        chan.posted_irecvs.push_back((req, end));
+        self.procs[i].set_req(req, ReqState::PendingRecv);
     }
 
-    fn exec_waitall(&mut self, i: usize, func: FuncId, reqs: Vec<ReqId>) {
-        let clock = self.procs[i].clock;
-        if let Some(done) = self.waitall_ready(i, &reqs) {
-            let end = clock.max(done);
-            let (bytes, tag) = self.consume_reqs(i, &reqs);
-            self.emit(Interval {
-                proc: ProcId(i as u16),
+    fn exec_waitall(&mut self, i: usize, func: FuncId, first: ReqId, count: u32) {
+        let p = &mut self.procs[i];
+        let clock = p.clock;
+        let Some(done) = p.waitall_ready(first, count) else {
+            p.state = ProcState::Blocked(Blocked::WaitAll {
                 func,
-                kind: ActivityKind::SyncWait,
-                tag,
-                start: clock,
-                end,
-                bytes,
-            });
-            self.procs[i].clock = end;
-        } else {
-            self.procs[i].state = ProcState::Blocked(Blocked::WaitAll {
-                func,
-                reqs,
                 since: clock,
+                first,
+                count,
             });
-        }
-    }
-
-    /// If every request has a known completion time, the latest of them.
-    fn waitall_ready(&self, i: usize, reqs: &[ReqId]) -> Option<SimTime> {
-        let mut done = SimTime::ZERO;
-        for r in reqs {
-            match self.procs[i].reqs.get(r) {
-                Some(ReqState::CompleteAt(t, _, _)) => done = done.max(*t),
-                _ => return None,
-            }
-        }
-        Some(done)
-    }
-
-    /// Removes completed requests, returning the total moved bytes and —
-    /// when every request involved the same message tag — that tag, so a
-    /// wait over a homogeneous exchange stays attributable to its
-    /// SyncObject.
-    fn consume_reqs(&mut self, i: usize, reqs: &[ReqId]) -> (u64, Option<TagId>) {
-        let mut bytes = 0;
-        let mut tag: Option<Option<TagId>> = None;
-        for r in reqs {
-            if let Some(ReqState::CompleteAt(_, b, t)) = self.procs[i].reqs.remove(r) {
-                bytes += b;
-                tag = match tag {
-                    None => Some(t),
-                    Some(prev) if prev == t => Some(prev),
-                    Some(_) => Some(None), // mixed tags: unattributed
-                };
-            }
-        }
-        (bytes, tag.flatten())
-    }
-
-    /// Delivers a message: wakes a blocked receiver, completes a posted
-    /// `Irecv`, or queues it.
-    fn deliver(&mut self, key: ChanKey, msg: Msg) {
-        let to = key.1;
-        let recv_blocked = matches!(
-            &self.procs[to.0 as usize].state,
-            ProcState::Blocked(Blocked::Recv { key: k, .. }) if *k == key
-        );
-        if recv_blocked {
-            self.resume_recv_with(to, msg);
             return;
+        };
+        let end = clock.max(done);
+        let (bytes, tag) = p.consume_reqs(first, count);
+        p.clock = end;
+        self.emit(Interval {
+            proc: ProcId(i as u16),
+            func,
+            kind: ActivityKind::SyncWait,
+            tag,
+            start: clock,
+            end,
+            bytes,
+        });
+    }
+
+    /// Delivers a message on channel `key` (index `c`): wakes a blocked
+    /// receiver, completes a posted `Irecv`, or queues it.
+    fn deliver(&mut self, key: ChanKey, c: usize, msg: Msg) {
+        let to = key.1;
+        match self.procs[to.0 as usize].state {
+            ProcState::Blocked(Blocked::Recv {
+                key: k,
+                func,
+                since,
+            }) if k == key => {
+                // Resume the receiver blocked in a blocking recv.
+                let end = since.max(msg.avail);
+                self.wake(to.0 as usize, end);
+                self.emit(Interval {
+                    proc: to,
+                    func,
+                    kind: ActivityKind::SyncWait,
+                    tag: Some(key.2),
+                    start: since,
+                    end,
+                    bytes: msg.bytes,
+                });
+                return;
+            }
+            _ => {}
         }
-        if let Some((req, post)) = self.channel_mut(key).posted_irecvs.pop_front() {
+        let chan = &mut self.channels[c];
+        if let Some((req, post)) = chan.posted_irecvs.pop_front() {
             let done = post.max(msg.avail);
             self.complete_req(to, req, done, msg.bytes, Some(key.2));
             return;
         }
-        self.channel_mut(key).inflight.push_back(msg);
-    }
-
-    /// Resumes a receiver blocked in a blocking recv with `msg`.
-    fn resume_recv_with(&mut self, to: ProcId, msg: Msg) {
-        let p = &mut self.procs[to.0 as usize];
-        let ProcState::Blocked(Blocked::Recv { func, since, key }) = p.state.clone() else {
-            unreachable!("caller checked the state");
-        };
-        let end = since.max(msg.avail);
-        p.clock = end;
-        p.state = ProcState::Ready;
-        self.emit(Interval {
-            proc: to,
-            func,
-            kind: ActivityKind::SyncWait,
-            tag: Some(key.2),
-            start: since,
-            end,
-            bytes: msg.bytes,
-        });
+        chan.inflight.push_back(msg);
     }
 
     /// Resumes a receiver blocked in a blocking recv at `done` (rendezvous
     /// completion path, where the sender already emitted the transfer).
     fn resume_recv(&mut self, to: ProcId, done: SimTime, bytes: u64) {
-        let p = &mut self.procs[to.0 as usize];
-        let ProcState::Blocked(Blocked::Recv { func, since, key }) = p.state.clone() else {
+        let ProcState::Blocked(Blocked::Recv { func, since, key }) =
+            self.procs[to.0 as usize].state
+        else {
             unreachable!("caller checked the state");
         };
-        p.clock = done;
-        p.state = ProcState::Ready;
+        self.wake(to.0 as usize, done);
         self.emit(Interval {
             proc: to,
             func,
@@ -848,18 +889,16 @@ impl Engine {
 
     /// Resumes a rendezvous sender at `done`.
     fn resume_sender(&mut self, from: ProcId, done: SimTime) {
-        let p = &mut self.procs[from.0 as usize];
         let ProcState::Blocked(Blocked::SendRdv {
             func,
             since,
             key,
             bytes,
-        }) = p.state.clone()
+        }) = self.procs[from.0 as usize].state
         else {
             unreachable!("caller holds the pending_rdv entry");
         };
-        p.clock = done;
-        p.state = ProcState::Ready;
+        self.wake(from.0 as usize, done);
         self.emit(Interval {
             proc: from,
             func,
@@ -881,70 +920,70 @@ impl Engine {
         bytes: u64,
         tag: Option<TagId>,
     ) {
-        self.procs[to.0 as usize]
-            .reqs
-            .insert(req, ReqState::CompleteAt(done, bytes, tag));
-        let waiting = match &self.procs[to.0 as usize].state {
-            ProcState::Blocked(Blocked::WaitAll { reqs, .. }) => Some(reqs.clone()),
-            _ => None,
+        let p = &mut self.procs[to.0 as usize];
+        p.set_req(req, ReqState::CompleteAt(done, bytes, tag));
+        let ProcState::Blocked(Blocked::WaitAll {
+            func,
+            since,
+            first,
+            count,
+        }) = p.state
+        else {
+            return;
         };
-        if let Some(reqs) = waiting {
-            if let Some(all_done) = self.waitall_ready(to.0 as usize, &reqs) {
-                let ProcState::Blocked(Blocked::WaitAll { func, since, .. }) =
-                    self.procs[to.0 as usize].state.clone()
-                else {
-                    unreachable!();
-                };
-                let end = since.max(all_done);
-                let (total, wait_tag) = self.consume_reqs(to.0 as usize, &reqs);
-                let p = &mut self.procs[to.0 as usize];
-                p.clock = end;
-                p.state = ProcState::Ready;
-                self.emit(Interval {
-                    proc: to,
-                    func,
-                    kind: ActivityKind::SyncWait,
-                    tag: wait_tag,
-                    start: since,
-                    end,
-                    bytes: total,
-                });
-            }
-        }
+        let Some(all_done) = p.waitall_ready(first, count) else {
+            return;
+        };
+        let end = since.max(all_done);
+        let (total, wait_tag) = p.consume_reqs(first, count);
+        self.wake(to.0 as usize, end);
+        self.emit(Interval {
+            proc: to,
+            func,
+            kind: ActivityKind::SyncWait,
+            tag: wait_tag,
+            start: since,
+            end,
+            bytes: total,
+        });
+    }
+
+    fn enter_barrier(&mut self, i: usize, func: FuncId, bytes: u64) {
+        let since = self.procs[i].clock;
+        self.procs[i].state = ProcState::Blocked(Blocked::Barrier { func, since, bytes });
+        self.check_barrier();
     }
 
     /// Completes the barrier/collective when every live process has
     /// arrived. A data-carrying collective additionally pays a log-tree
     /// transfer cost for the largest payload contributed.
     fn check_barrier(&mut self) {
-        let mut arrivals = Vec::new();
-        let mut max_bytes = 0u64;
-        for (idx, p) in self.procs.iter().enumerate() {
-            match &p.state {
+        let (mut arrived, mut latest, mut max_bytes) = (0usize, SimTime::ZERO, 0u64);
+        for p in &self.procs {
+            match p.state {
                 ProcState::Done | ProcState::Dead => continue,
                 ProcState::Blocked(Blocked::Barrier { since, bytes, .. }) => {
-                    arrivals.push((idx, *since));
-                    max_bytes = max_bytes.max(*bytes);
+                    arrived += 1;
+                    latest = latest.max(since);
+                    max_bytes = max_bytes.max(bytes);
                 }
                 _ => return, // someone has not arrived yet
             }
         }
-        if arrivals.is_empty() {
+        if arrived == 0 {
             return;
         }
-        let latest = arrivals.iter().map(|&(_, t)| t).max().expect("non-empty");
-        let mut done = latest + self.machine.barrier_cost(arrivals.len());
+        let mut done = latest + self.machine.barrier_cost(arrived);
         if max_bytes > 0 {
-            let stages = (arrivals.len() as f64).log2().ceil().max(1.0);
+            let stages = (arrived as f64).log2().ceil().max(1.0);
             done += self.machine.transfer_time(max_bytes).mul_f64(stages);
         }
-        for (idx, since) in arrivals {
-            let ProcState::Blocked(Blocked::Barrier { func, .. }) = self.procs[idx].state.clone()
+        for idx in 0..self.procs.len() {
+            let ProcState::Blocked(Blocked::Barrier { func, since, .. }) = self.procs[idx].state
             else {
-                unreachable!();
+                continue;
             };
-            self.procs[idx].clock = done;
-            self.procs[idx].state = ProcState::Ready;
+            self.wake(idx, done);
             self.emit(Interval {
                 proc: ProcId(idx as u16),
                 func,
@@ -957,17 +996,9 @@ impl Engine {
         }
     }
 
-    fn channel_mut(&mut self, key: ChanKey) -> &mut Channel {
-        match self.chan_index(key) {
-            Some(i) => &mut self.channels[i],
-            None => self.chan_spill.entry(key).or_default(),
-        }
-    }
-
     /// Inlined into every call site on purpose: there the interval's
     /// kind and tagged-ness are constants and, with raw capture off, the
-    /// `Interval` is never materialised (~30 -> ~20 ns per event on
-    /// version D).
+    /// `Interval` is never materialised.
     #[inline(always)]
     fn emit(&mut self, iv: Interval) {
         if iv.duration().is_zero() && iv.bytes == 0 {
@@ -1118,7 +1149,8 @@ mod tests {
                 },
                 Action::WaitAll {
                     func: G,
-                    reqs: vec![req],
+                    first: req,
+                    count: 1,
                 },
             ],
             vec![Action::Recv {
@@ -1151,7 +1183,8 @@ mod tests {
                 },
                 Action::WaitAll {
                     func: G,
-                    reqs: vec![req],
+                    first: req,
+                    count: 1,
                 },
             ],
             vec![

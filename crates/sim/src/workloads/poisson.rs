@@ -288,15 +288,61 @@ impl Workload for PoissonWorkload {
 
         (0..procs)
             .map(|rank| {
-                let wl = self.clone();
                 let mut rng = root.substream(rank as u64);
-                let flops = wl.sweep_flops(rank);
+                let flops = self.sweep_flops(rank);
                 let rate = machine.flops_per_sec;
+                let (amp, checkpoint_every) = (self.jitter, self.checkpoint_every);
                 let x = rank % px;
                 let y = rank / px;
-                let nonblocking = wl.version == PoissonVersion::B;
+                let nonblocking = self.version == PoissonVersion::B;
+                // Neighbour ranks in the decomposition.
+                let left = (x > 0).then(|| rank - 1);
+                let right = (x + 1 < px).then(|| rank + 1);
+                let down = (y > 0).then(|| rank - px);
+                let up = (y + 1 < py).then(|| rank + px);
+                let (ghost_x, ghost_y) = (self.ghost_bytes(0), self.ghost_bytes(1));
+                // Every iteration's blocking ghost exchange: x dimension
+                // (tag 3_0), then y (tag 3_1, 2-D only).
+                let mut exchange = Vec::new();
+                for peer in [left, right].into_iter().flatten() {
+                    blocking_exchange(&mut exchange, f_exch, rank, peer, tag_x, ghost_x);
+                }
+                for peer in [down, up].into_iter().flatten() {
+                    blocking_exchange(&mut exchange, f_exch, rank, peer, tag_y, ghost_y);
+                }
+                // The residual reduction rooted at rank 0 (attributed to
+                // main, tag 3_-1), as in the paper's profile where `main`
+                // carries ~20% of the wait.
+                let reduce: Vec<Action> = if rank == 0 {
+                    let recvs = (1..procs).map(|p| Action::Recv {
+                        func: f_main,
+                        from: ProcId(p as u16),
+                        tag: tag_reduce,
+                    });
+                    let sends = (1..procs).map(|p| Action::Send {
+                        func: f_main,
+                        to: ProcId(p as u16),
+                        tag: tag_reduce,
+                        bytes: 16,
+                    });
+                    recvs.chain(sends).collect()
+                } else {
+                    vec![
+                        Action::Send {
+                            func: f_main,
+                            to: ProcId(0),
+                            tag: tag_reduce,
+                            bytes: 16,
+                        },
+                        Action::Recv {
+                            func: f_main,
+                            from: ProcId(0),
+                            tag: tag_reduce,
+                        },
+                    ]
+                };
                 let body = move |iter: u64, acts: &mut Vec<Action>| {
-                    let jit = rng.jitter(wl.jitter);
+                    let jit = rng.jitter(amp);
                     let sweep_time = SimDuration::from_secs_f64(flops * jit / rate);
 
                     // One-time setup on the first iteration: domain
@@ -327,22 +373,15 @@ impl Workload for PoissonWorkload {
                         });
                     }
 
-                    // Neighbour ranks in the decomposition.
-                    let left = (x > 0).then(|| rank - 1);
-                    let right = (x + 1 < px).then(|| rank + 1);
-                    let down = (y > 0).then(|| rank - px);
-                    let up = (y + 1 < py).then(|| rank + px);
-
                     if nonblocking {
                         // Post receives and sends, overlap the sweep, then
                         // wait and finish the boundary rows.
+                        let first = ReqId(iter as u32 * 64);
                         let mut req = 0u32;
-                        let mut reqs = Vec::new();
                         for peer in [left, right].into_iter().flatten() {
                             for mk in 0..2 {
-                                let r = ReqId(iter as u32 * 64 + req);
+                                let r = ReqId(first.0 + req);
                                 req += 1;
-                                reqs.push(r);
                                 if mk == 0 {
                                     acts.push(Action::Irecv {
                                         func: f_exch,
@@ -355,7 +394,7 @@ impl Workload for PoissonWorkload {
                                         func: f_exch,
                                         to: ProcId(peer as u16),
                                         tag: tag_x,
-                                        bytes: wl.ghost_bytes(0),
+                                        bytes: ghost_x,
                                         req: r,
                                     });
                                 }
@@ -366,7 +405,11 @@ impl Workload for PoissonWorkload {
                             func: f_sweep,
                             dur: sweep_time.mul_f64(0.8),
                         });
-                        acts.push(Action::WaitAll { func: f_exch, reqs });
+                        acts.push(Action::WaitAll {
+                            func: f_exch,
+                            first,
+                            count: req,
+                        });
                         // Boundary rows once ghost data has arrived.
                         acts.push(Action::Compute {
                             func: f_sweep,
@@ -377,58 +420,21 @@ impl Workload for PoissonWorkload {
                             func: f_sweep,
                             dur: sweep_time,
                         });
-                        // x-dimension ghost exchange, tag 3_0.
-                        for peer in [left, right].into_iter().flatten() {
-                            blocking_exchange(acts, f_exch, rank, peer, tag_x, wl.ghost_bytes(0));
-                        }
-                        // y-dimension ghost exchange, tag 3_1 (2-D only).
-                        for peer in [down, up].into_iter().flatten() {
-                            blocking_exchange(acts, f_exch, rank, peer, tag_y, wl.ghost_bytes(1));
-                        }
+                        acts.extend_from_slice(&exchange);
                     }
 
-                    // Local residual, then the reduction rooted at rank 0
-                    // (attributed to main, tag 3_-1), as in the paper's
-                    // profile where `main` carries ~20% of the wait.
+                    // Local residual, then the reduction.
                     acts.push(Action::Compute {
                         func: f_diff,
                         dur: sweep_time.mul_f64(0.06),
                     });
-                    if rank == 0 {
-                        for p in 1..procs {
-                            acts.push(Action::Recv {
-                                func: f_main,
-                                from: ProcId(p as u16),
-                                tag: tag_reduce,
-                            });
-                        }
-                        for p in 1..procs {
-                            acts.push(Action::Send {
-                                func: f_main,
-                                to: ProcId(p as u16),
-                                tag: tag_reduce,
-                                bytes: 16,
-                            });
-                        }
-                    } else {
-                        acts.push(Action::Send {
-                            func: f_main,
-                            to: ProcId(0),
-                            tag: tag_reduce,
-                            bytes: 16,
-                        });
-                        acts.push(Action::Recv {
-                            func: f_main,
-                            from: ProcId(0),
-                            tag: tag_reduce,
-                        });
-                    }
+                    acts.extend_from_slice(&reduce);
 
                     // Periodic checkpoint from rank 0.
                     if rank == 0
-                        && wl.checkpoint_every > 0
+                        && checkpoint_every > 0
                         && iter > 0
-                        && iter.is_multiple_of(wl.checkpoint_every)
+                        && iter.is_multiple_of(checkpoint_every)
                     {
                         acts.push(Action::Io {
                             func: f_main,
