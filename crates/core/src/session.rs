@@ -374,10 +374,9 @@ impl Session {
         // source run in audits, revocations, and reports.
         harvested.stamp_provenance(&source, generation);
 
-        let mut ledger = TrustLedger::load(store.root());
-        let mut ledger_dirty = false;
         // Every HL030 conflict decays both sides' trust, once per
         // distinct contradicted pair.
+        let mut conflicts = Vec::new();
         for v in verdicts.iter() {
             let key = format!("{}/{} {} {}", v.app, v.version, v.hypothesis, v.focus);
             for src_label in [&v.prune_source, &v.priority_source] {
@@ -385,7 +384,22 @@ impl Session {
                     Some(t) => format!("{t}/{}/{src_label}", v.app),
                     None => format!("{}/{src_label}", v.app),
                 };
-                ledger_dirty |= ledger.record_conflict(&src, &key);
+                conflicts.push((src, key.clone()));
+            }
+        }
+        let mut ledger = TrustLedger::load(store.root());
+        let charge = |ledger: &mut TrustLedger| {
+            conflicts.iter().fold(false, |fresh, (src, key)| {
+                ledger.record_conflict(src, key) | fresh
+            })
+        };
+        if charge(&mut ledger) {
+            // Non-fatal: worst case the next session re-learns the
+            // same distrust from the same corpus.
+            if let Ok(saved) = store.update_trust(|l| {
+                charge(l);
+            }) {
+                ledger = saved;
             }
         }
         let (mut vetted, dropped) = verdicts.down_rank(&harvested, &rec.app_name, &rec.app_version);
@@ -448,11 +462,6 @@ impl Session {
             );
         }
 
-        if ledger_dirty {
-            // Non-fatal: worst case the next session re-learns the
-            // same distrust from the same corpus.
-            let _ = ledger.save(store.root());
-        }
         Ok(vetted)
     }
 
@@ -465,14 +474,15 @@ impl Session {
         if report.audits.is_empty() {
             return;
         }
-        let mut ledger = TrustLedger::load(store.root());
-        for a in &report.audits {
-            ledger.record_audit(&a.source_run, a.passed);
-            if !a.passed {
-                ledger.record_revocation(&a.source_run, &a.directive);
+        // Non-fatal, like every trust save.
+        let _ = store.update_trust(|ledger| {
+            for a in &report.audits {
+                ledger.record_audit(&a.source_run, a.passed);
+                if !a.passed {
+                    ledger.record_revocation(&a.source_run, &a.directive);
+                }
             }
-        }
-        let _ = ledger.save(store.root());
+        });
     }
 
     /// Harvests directives from a record of a *different* execution or

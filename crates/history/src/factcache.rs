@@ -9,16 +9,23 @@
 //! facts for records whose bytes actually changed (O(changed records)).
 //!
 //! The cache is *strictly advisory*: it lives in a single root-level
-//! `FACTS` file (invisible to [`crate::fsck`], which only walks
-//! `<app>/` data directories), a damaged or missing file simply means a
-//! cold re-derivation, and saves are atomic (tmp + rename) and
+//! `FACTS` file (a sidecar [`crate::fsck`] only names as skipped), a
+//! damaged or missing file simply means a cold re-derivation, and saves
+//! are atomic (tmp + rename), taken under the store lock, and
 //! best-effort. The payload format is opaque to this crate — callers
 //! (the lint crate) define their own fact serialization and version it
 //! themselves via the `key` they pass.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::io;
-use std::path::Path;
+
+/// The `len` bytes after the line ending at `line_end`, which must be
+/// followed by a newline: a length-prefixed payload of `FACTS` or
+/// `TRUST`.
+pub(crate) fn payload_after(text: &str, line_end: usize, len: usize) -> Option<&str> {
+    let end = (line_end + 1).checked_add(len)?;
+    let payload = text.get(line_end + 1..end)?;
+    (text.as_bytes().get(end) == Some(&b'\n')).then_some(payload)
+}
 
 /// The sidecar file name, directly under the store root.
 pub const FACTCACHE_FILE: &str = "FACTS";
@@ -26,8 +33,9 @@ pub const FACTCACHE_FILE: &str = "FACTS";
 /// First line of the sidecar file.
 pub const FACTCACHE_HEADER: &str = "histpc-factcache v1";
 
-/// A persistent map of `rel_path -> (key, payload)` with tolerant
-/// loading and atomic best-effort saving.
+/// A persistent map of `rel_path -> (key, payload)`, loaded and saved
+/// by [`ExecutionStore::load_facts`](crate::ExecutionStore::load_facts)
+/// and [`ExecutionStore::save_facts`](crate::ExecutionStore::save_facts).
 ///
 /// `key` is an opaque 64-bit cache key chosen by the caller (typically
 /// the record's payload checksum XOR a fingerprint of the derivation
@@ -43,17 +51,6 @@ impl FactCache {
     /// An empty cache.
     pub fn new() -> FactCache {
         FactCache::default()
-    }
-
-    /// Loads the sidecar from a store root. A missing, unreadable, or
-    /// malformed file yields an empty cache — never an error; the worst
-    /// outcome of a damaged cache is a cold re-derivation.
-    pub fn load(root: &Path) -> FactCache {
-        let path = root.join(FACTCACHE_FILE);
-        match std::fs::read_to_string(&path) {
-            Ok(text) => Self::parse(&text).unwrap_or_default(),
-            Err(_) => FactCache::default(),
-        }
     }
 
     /// The cached payload for a record, if present *and* keyed with the
@@ -124,38 +121,21 @@ impl FactCache {
             let key = u64::from_str_radix(parts.next()?, 16).ok()?;
             let len: usize = parts.next()?.parse().ok()?;
             let rel = parts.next()?.to_string();
-            let payload_start = line_end + 1;
-            let payload_end = payload_start.checked_add(len)?;
-            if payload_end > rest.len() || !rest.is_char_boundary(payload_end) {
-                return None;
-            }
-            let payload = rest[payload_start..payload_end].to_string();
-            if rest.as_bytes().get(payload_end) != Some(&b'\n') {
-                return None;
-            }
+            let payload = payload_after(rest, line_end, len)?.to_string();
             entries.insert(rel, (key, payload));
-            pos = payload_end + 1;
+            pos = line_end + len + 2;
         }
         Some(FactCache {
             entries,
             dirty: false,
         })
     }
-
-    /// Writes the sidecar atomically (tmp + rename) under a store root.
-    /// Callers on the analysis path should treat failure as non-fatal:
-    /// the cache is an accelerator, not a source of truth.
-    pub fn save(&self, root: &Path) -> io::Result<()> {
-        let tmp = root.join(format!("{FACTCACHE_FILE}.tmp"));
-        let target = root.join(FACTCACHE_FILE);
-        std::fs::write(&tmp, self.to_text())?;
-        std::fs::rename(&tmp, &target)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ExecutionStore;
     use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
@@ -202,7 +182,7 @@ mod tests {
         );
         let dir = scratch("damaged");
         std::fs::write(dir.join(FACTCACHE_FILE), "garbage").unwrap();
-        assert!(FactCache::load(&dir).is_empty());
+        assert!(ExecutionStore::open(&dir).unwrap().load_facts().is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -212,8 +192,9 @@ mod tests {
         let mut c = FactCache::new();
         c.insert("app/one.record", 11, "one".into());
         c.insert("app/two.record", 22, "two".into());
-        c.save(&dir).unwrap();
-        let mut back = FactCache::load(&dir);
+        let store = ExecutionStore::open(&dir).unwrap();
+        store.save_facts(&c).unwrap();
+        let mut back = store.load_facts();
         assert_eq!(back.lookup("app/two.record", 22), Some("two"));
         let live: BTreeSet<String> = ["app/one.record".to_string()].into_iter().collect();
         back.retain_paths(&live);

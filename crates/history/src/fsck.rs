@@ -23,11 +23,12 @@
 //! rather than aborting the walk, so one unreadable file cannot hide the
 //! rest of the report.
 
+use crate::durable::{self, Entry, Kind, RealFs, Vfs};
 use crate::format::parse_record;
 use crate::frame;
 use crate::journal::{Journal, JOURNAL_FILE};
 use crate::lock::{self, StoreLock};
-use crate::manifest::{self, Manifest, ManifestState, MANIFEST_FILE};
+use crate::manifest::{Manifest, ManifestState, MANIFEST_FILE};
 use histpc_resources::diag::Diagnostic;
 use std::path::Path;
 
@@ -38,347 +39,253 @@ pub const CODE_UNCLEAN: &str = "HL024";
 /// Lint code: legacy layout or manifest drift (warning).
 pub const CODE_LEGACY: &str = "HL025";
 
-fn err(path: &Path, msg: String) -> Diagnostic {
+fn err(path: &Path, msg: impl Into<String>) -> Diagnostic {
     Diagnostic::error(CODE_INTEGRITY, msg).with_file(path.display().to_string())
 }
 
-fn unclean(path: &Path, msg: String) -> Diagnostic {
+fn unclean(path: &Path, msg: impl Into<String>) -> Diagnostic {
     Diagnostic::warning(CODE_UNCLEAN, msg).with_file(path.display().to_string())
 }
 
-fn legacy(path: &Path, msg: String) -> Diagnostic {
+fn legacy(path: &Path, msg: impl Into<String>) -> Diagnostic {
     Diagnostic::warning(CODE_LEGACY, msg).with_file(path.display().to_string())
 }
+
+const REPAIR: &str = "reopen the store or run `histpc store repair` to recover";
+const REINDEX: &str = "run `histpc store repair` (or `compact`) to reindex";
+const SALVAGE: &str = "run `histpc store repair` to salvage or quarantine it";
 
 /// Checks the store rooted at `root` without modifying anything, and
 /// returns every finding. An empty result means the store is fully
 /// consistent, checksummed, and in the current (v1) layout.
 pub fn fsck(root: &Path) -> Vec<Diagnostic> {
+    fsck_in(&RealFs, root)
+}
+
+/// [`fsck`] on the file system `fs`.
+pub(crate) fn fsck_in(fs: &dyn Vfs, root: &Path) -> Vec<Diagnostic> {
     let mut out = Vec::new();
-    check_lock(root, &mut out);
-    let journal_present = check_journal(root, &mut out);
-    let manifest_loaded = check_manifest_presence(root, &mut out, journal_present);
-    check_data_files(root, &mut out, manifest_loaded.as_ref());
-    if let Some(m) = manifest_loaded {
-        check_manifest_drift(root, &mut out, &m);
+    check_lock(fs, root, &mut out);
+    let journal_present = check_journal(fs, root, &mut out);
+    match durable::walk(fs, root) {
+        Ok(walked) => {
+            let m = check_manifest(fs, root, &mut out, journal_present, &walked);
+            check_files(fs, root, &mut out, &walked, m.as_ref());
+        }
+        Err(e) => {
+            out.push(err(root, format!("cannot read store root: {e}")));
+            check_manifest(fs, root, &mut out, journal_present, &[]);
+        }
     }
     out
 }
 
-fn check_lock(root: &Path, out: &mut Vec<Diagnostic>) {
-    let lock_path = StoreLock::path_in(root);
+fn check_lock(fs: &dyn Vfs, root: &Path, out: &mut Vec<Diagnostic>) {
+    let path = StoreLock::path_in(root);
     // Judge holder epochs against the store's persisted lease epoch, so
     // fsck spots a previous daemon incarnation's lock even when the
     // holder pid was reused by a live process.
-    let store_epoch = match crate::lease::current_epoch(root) {
-        0 => None,
-        e => Some(e),
+    let store_epoch = Some(crate::lease::current_epoch(fs, root)).filter(|&e| e != 0);
+    let meta = match lock::read_holder_meta(fs, &path) {
+        Ok(Some(meta)) => meta,
+        Ok(None) => return,
+        Err(e) => return out.push(err(&path, format!("cannot read lock file: {e}"))),
     };
-    match lock::read_holder_meta(&lock_path) {
-        Ok(None) => {}
-        Ok(Some(meta)) if meta.pid == 0 => out.push(
-            unclean(
-                &lock_path,
-                "malformed lock file (holder unknown)".to_string(),
-            )
-            .with_suggestion("reopen the store or run `histpc store repair` to clear it"),
-        ),
-        Ok(Some(meta)) if !lock::pid_alive(meta.pid) => out.push(
-            unclean(
-                &lock_path,
-                format!(
-                    "stale lock left by dead process {} (unclean shutdown)",
-                    meta.pid
-                ),
-            )
-            .with_suggestion("reopen the store or run `histpc store repair` to recover"),
-        ),
-        Ok(Some(meta)) if lock::holder_stale_for(meta, store_epoch) => out.push(
-            unclean(
-                &lock_path,
-                format!(
-                    "stale lock from daemon epoch {} (store is at epoch {}); \
-                     holder pid {} may be a reused pid",
-                    meta.epoch.unwrap_or(0),
-                    store_epoch.unwrap_or(0),
-                    meta.pid
-                ),
-            )
-            .with_suggestion("reopen the store or run `histpc store repair` to recover"),
-        ),
-        Ok(Some(meta)) => out.push(unclean(
-            &lock_path,
-            format!(
-                "store is locked by live process {} (a session may be writing right now)",
-                meta.pid
-            ),
-        )),
-        Err(e) => out.push(err(&lock_path, format!("cannot read lock file: {e}"))),
-    }
+    out.push(if meta.pid == 0 {
+        unclean(&path, "malformed lock file (holder unknown)")
+            .with_suggestion("reopen the store or run `histpc store repair` to clear it")
+    } else if !lock::pid_alive(meta.pid) {
+        let msg = format!(
+            "stale lock left by dead process {} (unclean shutdown)",
+            meta.pid
+        );
+        unclean(&path, msg).with_suggestion(REPAIR)
+    } else if lock::holder_stale_for(meta, store_epoch) {
+        let msg = format!(
+            "stale lock from daemon epoch {} (store is at epoch {}); \
+             holder pid {} may be a reused pid",
+            meta.epoch.unwrap_or(0),
+            store_epoch.unwrap_or(0),
+            meta.pid
+        );
+        unclean(&path, msg).with_suggestion(REPAIR)
+    } else {
+        let msg = format!(
+            "store is locked by live process {} (a session may be writing right now)",
+            meta.pid
+        );
+        unclean(&path, msg)
+    });
 }
 
 /// Returns true if the journal file exists.
-fn check_journal(root: &Path, out: &mut Vec<Diagnostic>) -> bool {
-    let journal = Journal::at(root);
+fn check_journal(fs: &dyn Vfs, root: &Path, out: &mut Vec<Diagnostic>) -> bool {
+    let journal = Journal::at(fs, root);
     if !journal.exists() {
         return false;
     }
+    let path = journal.path();
     match journal.read() {
         Ok(st) => {
             if st.torn {
                 out.push(
                     unclean(
-                        journal.path(),
-                        "journal has a torn trailing entry (append cut mid-write)".to_string(),
+                        path,
+                        "journal has a torn trailing entry (append cut mid-write)",
                     )
                     .with_suggestion("run `histpc store repair` to settle and reset the journal"),
                 );
             }
             if let Some(entry) = st.uncommitted() {
+                let msg = format!(
+                    "journal ends with an uncommitted intent ({entry:?}) — a mutation was interrupted"
+                );
                 out.push(
-                    unclean(
-                        journal.path(),
-                        format!(
-                            "journal ends with an uncommitted intent ({entry:?}) — \
-                             a mutation was interrupted"
-                        ),
-                    )
-                    .with_suggestion("run `histpc store repair` to roll it forward or back"),
+                    unclean(path, msg)
+                        .with_suggestion("run `histpc store repair` to roll it forward or back"),
                 );
             }
         }
-        Err(e) => out.push(err(journal.path(), format!("cannot read journal: {e}"))),
+        Err(e) => out.push(err(path, format!("cannot read journal: {e}"))),
     }
     true
 }
 
 /// Reports manifest problems; returns the manifest when it loaded.
-fn check_manifest_presence(
+fn check_manifest(
+    fs: &dyn Vfs,
     root: &Path,
     out: &mut Vec<Diagnostic>,
     journal_present: bool,
+    walked: &[Entry],
 ) -> Option<Manifest> {
-    let mpath = root.join(MANIFEST_FILE);
-    match Manifest::load(root) {
+    let path = root.join(MANIFEST_FILE);
+    match Manifest::load(fs, root) {
         Ok(ManifestState::Loaded(m)) => {
             if !journal_present {
+                let msg = "manifest present but journal missing (control file deleted?)";
                 out.push(
-                    unclean(
-                        &root.join(JOURNAL_FILE),
-                        "manifest present but journal missing (control file deleted?)".to_string(),
-                    )
-                    .with_suggestion("reopen the store to recreate it"),
+                    unclean(&root.join(JOURNAL_FILE), msg)
+                        .with_suggestion("reopen the store to recreate it"),
                 );
             }
-            Some(m)
+            return Some(m);
         }
-        Ok(ManifestState::Damaged(reason)) => {
-            out.push(
-                unclean(&mpath, format!("manifest is damaged: {reason}"))
-                    .with_suggestion("run `histpc store repair` to rebuild it"),
-            );
-            None
-        }
-        Ok(ManifestState::Missing) => {
-            let has_data = manifest::scan_data_files(root)
-                .map(|v| !v.is_empty())
-                .unwrap_or(false);
-            if has_data {
-                out.push(
-                    legacy(
-                        &mpath,
-                        "no manifest: this is a v0 loose-file store".to_string(),
-                    )
-                    .with_suggestion("run `histpc store migrate` to upgrade it in place"),
-                );
-            }
-            None
-        }
-        Err(e) => {
-            out.push(err(&mpath, format!("cannot read manifest: {e}")));
-            None
-        }
-    }
-}
-
-fn check_data_files(root: &Path, out: &mut Vec<Diagnostic>, m: Option<&Manifest>) {
-    let entries = match std::fs::read_dir(root) {
-        Ok(e) => e,
-        Err(e) => {
-            out.push(err(root, format!("cannot read store root: {e}")));
-            return;
-        }
-    };
-    for entry in entries {
-        let Ok(entry) = entry else { continue };
-        let Ok(ft) = entry.file_type() else { continue };
-        if !ft.is_dir() {
-            check_root_file(&entry.path(), out);
-            continue;
-        }
-        if entry.file_name().to_string_lossy() == crate::lease::LEASE_DIR {
-            // Daemon control state, not data; orphaned leases are
-            // HL035's job (`histpc_history::lease::orphaned_leases_at`).
-            continue;
-        }
-        let dir = entry.path();
-        let files = match std::fs::read_dir(&dir) {
-            Ok(f) => f,
-            Err(e) => {
-                out.push(err(&dir, format!("cannot read application directory: {e}")));
-                continue;
-            }
-        };
-        for file in files {
-            let Ok(file) = file else { continue };
-            let name = file.file_name().to_string_lossy().to_string();
-            let path = file.path();
-            if name.ends_with(".tmp") {
-                out.push(
-                    unclean(
-                        &path,
-                        "stray temp file from an interrupted write".to_string(),
-                    )
-                    .with_suggestion("run `histpc store repair` (or `compact`) to remove it"),
-                );
-                continue;
-            }
-            if name.ends_with(".corrupt") {
-                out.push(unclean(
-                    &path,
-                    "quarantined corrupt file from a previous recovery".to_string(),
-                ));
-                continue;
-            }
-            if name.ends_with(".record") {
-                check_record(&path, out, m.is_some());
-            }
-            // Other artifacts (.shg, .ckpt, ...) are plain text by
-            // design; their integrity is covered by the manifest drift
-            // check below.
-        }
-    }
-}
-
-/// Root files are either control files (LOCK/JOURNAL/MANIFEST — checked
-/// by their own passes above), *sidecars* (derived caches like `FACTS`
-/// and crash-safe accumulators like `TRUST`), or litter. Sidecars are
-/// deliberately invisible to integrity checking: each carries its own
-/// checksum frame and fails safe to a rebuild/fresh-start on damage, so
-/// fsck only names them as skipped. Anything else in the root is a
-/// warning — the store never puts data files there.
-fn check_root_file(path: &Path, out: &mut Vec<Diagnostic>) {
-    let name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().to_string())
-        .unwrap_or_default();
-    let base = name.strip_suffix(".tmp").unwrap_or(&name);
-    if matches!(base, lock::LOCK_FILE | JOURNAL_FILE | MANIFEST_FILE) {
-        return; // control files: covered by their own checks
-    }
-    if matches!(
-        base,
-        crate::factcache::FACTCACHE_FILE | crate::trust::TRUST_FILE
-    ) {
-        out.push(
-            Diagnostic::note(
-                CODE_UNCLEAN,
-                format!("skipped: sidecar ({base} is self-checking and fails safe to a rebuild)"),
-            )
-            .with_file(path.display().to_string()),
-        );
-        return;
-    }
-    out.push(
-        unclean(
-            path,
-            format!("unknown file {name:?} in the store root (not a control file or sidecar)"),
-        )
-        .with_suggestion("the store never writes data files to its root; remove it by hand"),
-    );
-}
-
-fn check_record(path: &Path, out: &mut Vec<Diagnostic>, store_is_v1: bool) {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            out.push(err(path, format!("cannot read record: {e}")));
-            return;
-        }
-    };
-    match frame::decode(&text) {
-        Ok(d) => {
-            if let Err(e) = parse_record(d.payload()) {
-                out.push(
-                    err(path, format!("record does not parse: {e}"))
-                        .with_suggestion("run `histpc store repair` to salvage or quarantine it"),
-                );
-                return;
-            }
-            if !d.is_framed() && store_is_v1 {
-                out.push(
-                    legacy(
-                        path,
-                        "record is unframed (no checksum) in a v1 store".to_string(),
-                    )
-                    .with_suggestion("run `histpc store migrate` to frame it"),
-                );
-            }
-        }
-        Err(e) => out.push(
-            err(path, format!("integrity check failed: {e}"))
-                .with_suggestion("run `histpc store repair` to salvage or quarantine it"),
+        Ok(ManifestState::Damaged(reason)) => out.push(
+            unclean(&path, format!("manifest is damaged: {reason}"))
+                .with_suggestion("run `histpc store repair` to rebuild it"),
         ),
+        Ok(ManifestState::Missing) if walked.iter().any(|e| e.kind == Kind::Data) => out.push(
+            legacy(&path, "no manifest: this is a v0 loose-file store")
+                .with_suggestion("run `histpc store migrate` to upgrade it in place"),
+        ),
+        Ok(ManifestState::Missing) => {}
+        Err(e) => out.push(err(&path, format!("cannot read manifest: {e}"))),
+    }
+    None
+}
+
+/// Reports each file by its kind: stray temp files, quarantined files
+/// and litter warn, sidecars are named as skipped, and data files are
+/// checked against their frame and the manifest index.
+fn check_files(
+    fs: &dyn Vfs,
+    root: &Path,
+    out: &mut Vec<Diagnostic>,
+    walked: &[Entry],
+    m: Option<&Manifest>,
+) {
+    for e in walked {
+        let path = root.join(&e.rel);
+        match e.kind {
+            Kind::Tmp => out.push(
+                unclean(&path, "stray temp file from an interrupted write")
+                    .with_suggestion("run `histpc store repair` (or `compact`) to remove it"),
+            ),
+            Kind::Corrupt => out.push(unclean(
+                &path,
+                "quarantined corrupt file from a previous recovery",
+            )),
+            // Sidecars are deliberately invisible to integrity checking:
+            // each carries its own checksum and fails safe to a rebuild.
+            Kind::Sidecar => {
+                let base = e.rel.strip_suffix(durable::TMP).unwrap_or(&e.rel);
+                let msg = format!(
+                    "skipped: sidecar ({base} is self-checking and fails safe to a rebuild)"
+                );
+                out.push(Diagnostic::note(CODE_UNCLEAN, msg).with_file(path.display().to_string()));
+            }
+            Kind::Litter => out.push(
+                unclean(
+                    &path,
+                    format!(
+                        "unknown file {:?} in the store (not data, a control file, a sidecar or a lease)",
+                        e.rel
+                    ),
+                )
+                .with_suggestion("the store never writes such a file; remove it by hand"),
+            ),
+            Kind::Data => check_data(fs, &path, &e.rel, out, m),
+            // Control files have their own checks; orphaned leases are
+            // HL035's job (`histpc_history::lease::orphaned_leases_at`).
+            Kind::Control | Kind::Lease => {}
+        }
+    }
+    for entry in m.map_or(&[][..], |m| &m.entries) {
+        let at = walked.binary_search_by(|e| e.rel.as_str().cmp(&entry.rel_path));
+        if !at.is_ok_and(|at| walked[at].kind == Kind::Data) {
+            let path = root.join(&entry.rel_path);
+            let msg = "file is in the manifest index but missing on disk";
+            out.push(legacy(&path, msg).with_suggestion(REINDEX));
+        }
     }
 }
 
-fn check_manifest_drift(root: &Path, out: &mut Vec<Diagnostic>, m: &Manifest) {
-    let on_disk = match manifest::scan_data_files(root) {
-        Ok(v) => v,
-        Err(e) => {
-            out.push(err(root, format!("cannot scan store for drift check: {e}")));
-            return;
-        }
-    };
-    for (rel, path) in &on_disk {
-        match m.lookup(rel) {
-            None => out.push(
-                legacy(path, "file is not in the manifest index".to_string())
-                    .with_suggestion("run `histpc store repair` (or `compact`) to reindex"),
-            ),
-            Some(recorded) => {
-                let Ok(text) = std::fs::read_to_string(path) else {
-                    continue; // already reported by the record walk
-                };
-                let actual = match frame::decode(&text) {
-                    Ok(d) => histpc_resources::fnv64(d.payload().as_bytes()),
-                    Err(_) => continue, // already an HL023 above
-                };
-                if actual != recorded {
-                    out.push(
-                        legacy(
-                            path,
-                            format!(
-                                "manifest drift: index records checksum {recorded:016x}, \
-                                 file hashes to {actual:016x} (edited out-of-band?)"
-                            ),
-                        )
-                        .with_suggestion("run `histpc store repair` (or `compact`) to reindex"),
-                    );
-                }
-            }
-        }
+/// Checks a record's frame and text, and any data file's checksum
+/// against the manifest index. Other artifacts (.shg, .ckpt, ...) are
+/// plain text by design; the index covers their integrity.
+fn check_data(
+    fs: &dyn Vfs,
+    path: &Path,
+    rel: &str,
+    out: &mut Vec<Diagnostic>,
+    m: Option<&Manifest>,
+) {
+    let record = rel.ends_with(".record");
+    let recorded = m.map(|m| m.lookup(rel));
+    if recorded == Some(None) {
+        out.push(legacy(path, "file is not in the manifest index").with_suggestion(REINDEX));
     }
-    for e in &m.entries {
-        if !on_disk.iter().any(|(rel, _)| rel == &e.rel_path) {
+    let text = match fs.read(path) {
+        Ok(bytes) => String::from_utf8_lossy(&bytes).into_owned(),
+        Err(e) if record => return out.push(err(path, format!("cannot read record: {e}"))),
+        Err(_) => return,
+    };
+    let d = match frame::decode(&text) {
+        Ok(d) => d,
+        Err(e) if record => {
+            let msg = format!("integrity check failed: {e}");
+            return out.push(err(path, msg).with_suggestion(SALVAGE));
+        }
+        Err(_) => return,
+    };
+    if record {
+        if let Err(e) = parse_record(d.payload()) {
+            out.push(err(path, format!("record does not parse: {e}")).with_suggestion(SALVAGE));
+        } else if !d.is_framed() && m.is_some() {
             out.push(
-                legacy(
-                    &root.join(&e.rel_path),
-                    "file is in the manifest index but missing on disk".to_string(),
-                )
-                .with_suggestion("run `histpc store repair` (or `compact`) to reindex"),
+                legacy(path, "record is unframed (no checksum) in a v1 store")
+                    .with_suggestion("run `histpc store migrate` to frame it"),
             );
         }
+    }
+    let actual = histpc_resources::fnv64(d.payload().as_bytes());
+    if let Some(Some(recorded)) = recorded.filter(|r| *r != Some(actual)) {
+        let msg = format!(
+            "manifest drift: index records checksum {recorded:016x}, \
+             file hashes to {actual:016x} (edited out-of-band?)"
+        );
+        out.push(legacy(path, msg).with_suggestion(REINDEX));
     }
 }
 
@@ -484,7 +391,7 @@ mod tests {
     #[test]
     fn uncommitted_intent_is_hl024() {
         let store = store_with_record("intent");
-        Journal::at(store.root())
+        Journal::at(&RealFs, store.root())
             .append(&crate::journal::JournalEntry::Del {
                 ext: "record".into(),
                 app: "poisson".into(),
@@ -599,6 +506,23 @@ mod tests {
             .expect("unknown root file not flagged");
         assert_eq!(d.code, CODE_UNCLEAN);
         assert!(d.message.contains("NOTES.txt"), "got {diags:?}");
+    }
+
+    #[test]
+    fn stray_root_manifest_tmp_is_hl024_until_repaired() {
+        // An unfinished manifest install, like an application tmp.
+        let store = store_with_record("manifesttmp");
+        let tmp = store.root().join(format!("{MANIFEST_FILE}.tmp"));
+        std::fs::write(&tmp, "histpc-store v1\ngeneration 9\n").unwrap();
+        let diags = fsck(store.root());
+        assert_eq!(codes(&diags), vec![CODE_UNCLEAN], "got {diags:?}");
+        assert!(
+            diags[0].message.contains("stray temp file"),
+            "got {diags:?}"
+        );
+        store.repair().unwrap();
+        assert!(!tmp.exists());
+        assert!(fsck(store.root()).is_empty());
     }
 
     #[test]

@@ -22,7 +22,8 @@
 //! trailing line — an append cut mid-line parses as "no entry", which is
 //! exactly what an unfinished append means.
 
-use std::io::{self, Write};
+use crate::durable::{self, Vfs};
+use std::io;
 use std::path::{Path, PathBuf};
 
 /// Header line of the journal file.
@@ -78,33 +79,28 @@ impl JournalEntry {
         if line == "ok" {
             return Some(JournalEntry::Ok);
         }
-        if let Some(rest) = line.strip_prefix("put ") {
-            let mut words = rest.splitn(4, ' ');
-            let fnv = u64::from_str_radix(words.next()?, 16).ok()?;
-            let ext = words.next()?.to_string();
-            let app = words.next()?.to_string();
-            let label = words.next()?.to_string();
-            if ext.is_empty() || app.is_empty() || label.is_empty() {
-                return None;
-            }
-            return Some(JournalEntry::Put {
+        let (verb, rest) = line.split_once(' ')?;
+        let put = verb == "put";
+        let mut words = rest.splitn(if put { 4 } else { 3 }, ' ');
+        let fnv = if put {
+            Some(u64::from_str_radix(words.next()?, 16).ok()?)
+        } else {
+            None
+        };
+        let [ext, app, label] = [words.next()?, words.next()?, words.next()?].map(str::to_string);
+        if ext.is_empty() || app.is_empty() || label.is_empty() {
+            return None;
+        }
+        match (verb, fnv) {
+            ("put", Some(fnv)) => Some(JournalEntry::Put {
                 fnv,
                 ext,
                 app,
                 label,
-            });
+            }),
+            ("del", None) => Some(JournalEntry::Del { ext, app, label }),
+            _ => None,
         }
-        if let Some(rest) = line.strip_prefix("del ") {
-            let mut words = rest.splitn(3, ' ');
-            let ext = words.next()?.to_string();
-            let app = words.next()?.to_string();
-            let label = words.next()?.to_string();
-            if ext.is_empty() || app.is_empty() || label.is_empty() {
-                return None;
-            }
-            return Some(JournalEntry::Del { ext, app, label });
-        }
-        None
     }
 }
 
@@ -130,94 +126,107 @@ impl JournalState {
 
 /// Handle to a store's journal file.
 #[derive(Debug, Clone)]
-pub struct Journal {
+pub(crate) struct Journal<'a> {
+    fs: &'a dyn Vfs,
     path: PathBuf,
 }
 
-impl Journal {
+impl<'a> Journal<'a> {
     /// The journal of the store rooted at `root`.
-    pub fn at(root: &Path) -> Journal {
+    pub(crate) fn at(fs: &'a dyn Vfs, root: &Path) -> Journal<'a> {
         Journal {
+            fs,
             path: root.join(JOURNAL_FILE),
         }
     }
 
     /// Path of the journal file.
-    pub fn path(&self) -> &Path {
+    pub(crate) fn path(&self) -> &Path {
         &self.path
     }
 
     /// True if the journal file exists (the store has been touched by
     /// the v1 write protocol at least once).
-    pub fn exists(&self) -> bool {
-        self.path.exists()
+    pub(crate) fn exists(&self) -> bool {
+        self.fs.len(&self.path).is_ok()
+    }
+
+    /// The journal's length in bytes (0 when missing).
+    pub(crate) fn len(&self) -> u64 {
+        self.fs.len(&self.path).unwrap_or(0)
     }
 
     /// Appends one entry, creating the journal (with its header) first
     /// if needed.
-    pub fn append(&self, entry: &JournalEntry) -> io::Result<()> {
-        let mut f = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&self.path)?;
-        if f.metadata()?.len() == 0 {
-            writeln!(f, "{JOURNAL_HEADER}")?;
+    pub(crate) fn append(&self, entry: &JournalEntry) -> io::Result<()> {
+        if self.len() == 0 {
+            self.fs
+                .append(&self.path, format_args!("{JOURNAL_HEADER}\n"))?;
         }
-        writeln!(f, "{}", entry.to_line())?;
-        Ok(())
+        self.fs
+            .append(&self.path, format_args!("{}\n", entry.to_line()))
     }
 
     /// Reads the journal. A missing file reads as empty and clean; a
     /// header-only file likewise. Unparseable lines stop the read and
     /// set `torn` (a torn trailing append is the normal crash shape).
-    pub fn read(&self) -> io::Result<JournalState> {
-        let text = match std::fs::read_to_string(&self.path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Ok(JournalState {
-                    entries: Vec::new(),
-                    torn: false,
-                })
-            }
-            Err(e) => return Err(e),
+    pub(crate) fn read(&self) -> io::Result<JournalState> {
+        let state = |torn| JournalState {
+            entries: Vec::new(),
+            torn,
         };
-        let mut entries = Vec::new();
-        let mut torn = false;
-        let ends_clean = text.ends_with('\n');
-        let lines: Vec<&str> = text.lines().collect();
-        for (i, line) in lines.iter().enumerate() {
-            if i == 0 {
-                if line.trim() != JOURNAL_HEADER {
-                    torn = true;
-                    break;
-                }
-                continue;
-            }
-            let last = i + 1 == lines.len();
-            match JournalEntry::parse(line) {
-                // A final line without its newline is an append that
-                // never finished — even if the bytes happen to parse,
-                // the entry was not durably written.
-                Some(e) if !last || ends_clean => entries.push(e),
-                _ => {
-                    torn = true;
-                    break;
-                }
-            }
-        }
-        Ok(JournalState { entries, torn })
+        Ok(
+            match durable::read_tolerant(self.fs, &self.path, false, |t| Ok(parse(t)))? {
+                None => state(false),
+                Some(Ok(st)) => st,
+                // Not UTF-8: nothing in it can be trusted.
+                Some(Err(_)) => state(true),
+            },
+        )
     }
 
     /// Truncates the journal back to just its header (after recovery has
     /// settled every entry, history is no longer needed).
-    pub fn reset(&self) -> io::Result<()> {
-        std::fs::write(&self.path, format!("{JOURNAL_HEADER}\n"))
+    pub(crate) fn reset(&self) -> io::Result<()> {
+        self.fs
+            .write(&self.path, format!("{JOURNAL_HEADER}\n").as_bytes())
     }
+}
+
+/// Parses journal text; parsing stops at the first line that does not
+/// parse.
+fn parse(text: &str) -> JournalState {
+    let mut entries = Vec::new();
+    let mut torn = false;
+    let ends_clean = text.ends_with('\n');
+    let lines: Vec<&str> = text.lines().collect();
+    for (i, line) in lines.iter().enumerate() {
+        if i == 0 {
+            if line.trim() != JOURNAL_HEADER {
+                torn = true;
+                break;
+            }
+            continue;
+        }
+        let last = i + 1 == lines.len();
+        match JournalEntry::parse(line) {
+            // A final line without its newline is an append that
+            // never finished — even if the bytes happen to parse,
+            // the entry was not durably written.
+            Some(e) if !last || ends_clean => entries.push(e),
+            _ => {
+                torn = true;
+                break;
+            }
+        }
+    }
+    JournalState { entries, torn }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::RealFs;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -238,7 +247,7 @@ mod tests {
 
     #[test]
     fn append_and_read_roundtrip() {
-        let j = Journal::at(&scratch("roundtrip"));
+        let j = Journal::at(&RealFs, &scratch("roundtrip"));
         assert!(!j.exists());
         j.append(&put("a1")).unwrap();
         j.append(&JournalEntry::Ok).unwrap();
@@ -258,7 +267,7 @@ mod tests {
 
     #[test]
     fn missing_journal_reads_empty() {
-        let j = Journal::at(&scratch("missing"));
+        let j = Journal::at(&RealFs, &scratch("missing"));
         let st = j.read().unwrap();
         assert!(st.entries.is_empty());
         assert!(!st.torn);
@@ -267,7 +276,7 @@ mod tests {
 
     #[test]
     fn label_with_spaces_survives() {
-        let j = Journal::at(&scratch("spaces"));
+        let j = Journal::at(&RealFs, &scratch("spaces"));
         j.append(&put("run one two")).unwrap();
         let st = j.read().unwrap();
         assert_eq!(st.entries[0], put("run one two"));
@@ -276,7 +285,7 @@ mod tests {
     #[test]
     fn torn_trailing_line_is_tolerated() {
         let dir = scratch("torn");
-        let j = Journal::at(&dir);
+        let j = Journal::at(&RealFs, &dir);
         j.append(&put("a1")).unwrap();
         j.append(&JournalEntry::Ok).unwrap();
         // Simulate an append cut mid-line: no trailing newline.
@@ -292,7 +301,7 @@ mod tests {
     #[test]
     fn complete_looking_line_without_newline_is_still_torn() {
         let dir = scratch("nonewline");
-        let j = Journal::at(&dir);
+        let j = Journal::at(&RealFs, &dir);
         j.append(&put("a1")).unwrap();
         let mut text = std::fs::read_to_string(j.path()).unwrap();
         text.push_str("ok"); // parses, but the append never finished
@@ -304,7 +313,7 @@ mod tests {
 
     #[test]
     fn reset_leaves_header_only() {
-        let j = Journal::at(&scratch("reset"));
+        let j = Journal::at(&RealFs, &scratch("reset"));
         j.append(&put("a1")).unwrap();
         j.reset().unwrap();
         let st = j.read().unwrap();

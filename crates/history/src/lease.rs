@@ -34,6 +34,7 @@
 use std::io;
 use std::path::{Path, PathBuf};
 
+use crate::durable::{self, Kind, RealFs, Vfs};
 use crate::frame;
 
 /// Directory under the store root that holds lease files and the epoch
@@ -150,40 +151,22 @@ pub fn lease_path(root: &Path, tenant: &str, label: &str) -> PathBuf {
     ))
 }
 
-/// Atomically install `text` at `path` (tmp+rename, fsynced), framed by
-/// the caller.
-fn atomic_install(path: &Path, text: &str) -> io::Result<()> {
-    let tmp = path.with_extension("lease.tmp");
-    {
-        use std::io::Write;
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(text.as_bytes())?;
-        f.sync_all()?;
-    }
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = std::fs::File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+/// Write (or overwrite) a session lease, checksum-framed and installed
+/// atomically and fsynced. Creates `LEASES/` on first use.
+pub fn write_lease(root: &Path, lease: &Lease) -> io::Result<()> {
+    write_lease_in(&RealFs, root, lease)
 }
 
-/// Write (or overwrite) a session lease, checksum-framed and installed
-/// atomically. Creates `LEASES/` on first use.
-pub fn write_lease(root: &Path, lease: &Lease) -> io::Result<()> {
+/// [`write_lease`] on the file system `fs`.
+pub(crate) fn write_lease_in(fs: &dyn Vfs, root: &Path, lease: &Lease) -> io::Result<()> {
+    fs.create_dir_all(&root.join(LEASE_DIR))?;
     let path = lease_path(root, &lease.tenant, &lease.label);
-    std::fs::create_dir_all(root.join(LEASE_DIR))?;
-    atomic_install(&path, &frame::encode(&lease.to_text()))
+    durable::install(fs, &path, frame::encode(&lease.to_text()).as_bytes(), true)
 }
 
 /// Remove a session lease; `Ok(false)` if none existed.
 pub fn remove_lease(root: &Path, tenant: &str, label: &str) -> io::Result<bool> {
-    match std::fs::remove_file(lease_path(root, tenant, label)) {
-        Ok(()) => Ok(true),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(false),
-        Err(e) => Err(e),
-    }
+    durable::remove_if_present(&RealFs, &lease_path(root, tenant, label))
 }
 
 /// Every lease file under the store root: `(file name, parse result)`,
@@ -192,25 +175,16 @@ pub fn remove_lease(root: &Path, tenant: &str, label: &str) -> io::Result<bool> 
 /// that is fatal (daemon adoption treats it as abandoned; lint flags
 /// it).
 pub fn read_leases(root: &Path) -> io::Result<Vec<(String, Result<Lease, String>)>> {
-    let dir = root.join(LEASE_DIR);
+    let parse =
+        |text: &str| Lease::parse(frame::decode(text).map_err(|e| e.to_string())?.payload());
     let mut out = Vec::new();
-    let entries = match std::fs::read_dir(&dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        let name = entry.file_name().to_string_lossy().to_string();
-        if !name.ends_with(".lease") {
-            continue;
+    for (name, kind) in durable::walk_dir(&RealFs, root, LEASE_DIR)? {
+        if kind == Kind::Lease {
+            let path = root.join(LEASE_DIR).join(&name);
+            let gone = || io::Error::new(io::ErrorKind::NotFound, path.display().to_string());
+            let parsed = durable::read_tolerant(&RealFs, &path, false, parse)?;
+            out.push((name, parsed.ok_or_else(gone)?));
         }
-        let text = std::fs::read_to_string(entry.path())?;
-        let parsed = match frame::decode(&text) {
-            Ok(d) => Lease::parse(d.payload()),
-            Err(e) => Err(e.to_string()),
-        };
-        out.push((name, parsed));
     }
     out.sort_by(|a, b| a.0.cmp(&b.0));
     Ok(out)
@@ -228,7 +202,7 @@ pub fn orphaned_leases_at(root: &Path) -> io::Result<Vec<(String, String)>> {
         match parsed {
             Ok(lease) => {
                 let ckpt = root.join(&lease.app).join(format!("{}.ckpt", lease.label));
-                if !ckpt.exists() {
+                if RealFs.len(&ckpt).is_err() {
                     out.push((
                         file,
                         format!(
@@ -246,23 +220,20 @@ pub fn orphaned_leases_at(root: &Path) -> io::Result<Vec<(String, String)>> {
 }
 
 /// Read the persisted lease epoch (0 if absent or damaged).
-pub fn current_epoch(root: &Path) -> u64 {
-    let path = root.join(LEASE_DIR).join(EPOCH_FILE);
-    let Ok(text) = std::fs::read_to_string(&path) else {
-        return 0;
+pub(crate) fn current_epoch(fs: &dyn Vfs, root: &Path) -> u64 {
+    let parse = |text: &str| {
+        let decoded = frame::decode(text).map_err(|e| e.to_string())?;
+        let mut lines = decoded.payload().lines().map(str::trim);
+        let (header, line) = (lines.next(), lines.next());
+        match (header, line.and_then(|l| l.strip_prefix("epoch "))) {
+            (Some(EPOCH_HEADER), Some(e)) => e.trim().parse().map_err(|_| String::new()),
+            _ => Err(String::new()),
+        }
     };
-    let Ok(decoded) = frame::decode(&text) else {
-        return 0;
-    };
-    let mut lines = decoded.payload().lines();
-    if lines.next().map(str::trim) != Some(EPOCH_HEADER) {
-        return 0;
+    match durable::read_tolerant(fs, &root.join(LEASE_DIR).join(EPOCH_FILE), false, parse) {
+        Ok(Some(Ok(epoch))) => epoch,
+        _ => 0,
     }
-    lines
-        .next()
-        .and_then(|l| l.trim().strip_prefix("epoch "))
-        .and_then(|e| e.trim().parse().ok())
-        .unwrap_or(0)
 }
 
 /// Advance and persist the lease epoch for a new daemon incarnation:
@@ -271,19 +242,17 @@ pub fn current_epoch(root: &Path) -> u64 {
 /// epoch backwards past live leases). The new value is installed
 /// atomically before being returned.
 pub fn next_epoch(root: &Path) -> io::Result<u64> {
-    let mut base = current_epoch(root);
+    let mut base = current_epoch(&RealFs, root);
     for (_, parsed) in read_leases(root)? {
         if let Ok(lease) = parsed {
             base = base.max(lease.epoch);
         }
     }
     let next = base + 1;
-    std::fs::create_dir_all(root.join(LEASE_DIR))?;
-    let payload = format!("{EPOCH_HEADER}\nepoch {next}\n");
-    atomic_install(
-        &root.join(LEASE_DIR).join(EPOCH_FILE),
-        &frame::encode(&payload),
-    )?;
+    RealFs.create_dir_all(&root.join(LEASE_DIR))?;
+    let payload = frame::encode(&format!("{EPOCH_HEADER}\nepoch {next}\n"));
+    let path = root.join(LEASE_DIR).join(EPOCH_FILE);
+    durable::install(&RealFs, &path, payload.as_bytes(), true)?;
     Ok(next)
 }
 
@@ -365,14 +334,14 @@ mod tests {
     #[test]
     fn epoch_is_monotonic_and_lease_aware() {
         let root = scratch("epoch");
-        assert_eq!(current_epoch(&root), 0);
+        assert_eq!(current_epoch(&RealFs, &root), 0);
         assert_eq!(next_epoch(&root).unwrap(), 1);
-        assert_eq!(current_epoch(&root), 1);
+        assert_eq!(current_epoch(&RealFs, &root), 1);
         assert_eq!(next_epoch(&root).unwrap(), 2);
         // A damaged counter cannot roll backwards past a live lease.
         write_lease(&root, &lease("t1", "poisson", "a1", 9)).unwrap();
         std::fs::write(root.join(LEASE_DIR).join(EPOCH_FILE), "garbage").unwrap();
-        assert_eq!(current_epoch(&root), 0);
+        assert_eq!(current_epoch(&RealFs, &root), 0);
         assert_eq!(next_epoch(&root).unwrap(), 10);
     }
 }

@@ -15,7 +15,7 @@
 //!   per-record derived-fact sidecar ([`factcache`]) for incremental
 //!   corpus analysis, crash-safe daemon session [`lease`]s, and a
 //!   per-source-run [`trust`] ledger fed by shadow audits and corpus
-//!   conflicts.
+//!   conflicts — all over one durable-file layer (`durable.rs`).
 //! * [`format`] — a line-oriented, human-diffable text serialization.
 //! * [`extract`] — directive harvesting: priorities from true/false
 //!   outcomes, historic prunes (trivial functions, false pairs, redundant
@@ -32,6 +32,7 @@
 
 pub mod combine;
 pub mod compare;
+mod durable;
 pub mod extract;
 pub mod factcache;
 pub mod format;

@@ -29,6 +29,7 @@
 //! acquirers before they touch the file: at most one thread per store
 //! root races other processes for `LOCK` at a time.
 
+use crate::durable::{self, RealFs, Vfs};
 use std::collections::BTreeSet;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -60,7 +61,7 @@ static HELD_ROOTS: Mutex<BTreeSet<PathBuf>> = Mutex::new(BTreeSet::new());
 /// `daemon_fleet` (2 vCPUs) that raised the median op time by about a
 /// quarter.
 fn claim_root(root: &Path, deadline: std::time::Instant) -> Result<PathBuf, LockError> {
-    let key = std::fs::canonicalize(root).unwrap_or_else(|_| root.to_path_buf());
+    let key = durable::canonical(root);
     // The set is only ever inserted into or removed from whole, so a
     // panicking holder cannot leave it half-updated.
     while !HELD_ROOTS
@@ -168,7 +169,7 @@ pub fn pid_alive(pid: u32) -> bool {
 }
 
 /// Who a lock file says holds it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HolderMeta {
     /// Holder pid; 0 if the file was malformed (unknown, treated stale).
     pub pid: u32,
@@ -180,41 +181,28 @@ pub struct HolderMeta {
 /// Reads the pid recorded in a lock file. `Ok(None)` if the file does
 /// not exist; a malformed file reads as pid 0 (unknown, treated stale).
 pub fn read_holder(lock_path: &Path) -> io::Result<Option<u32>> {
-    Ok(read_holder_meta(lock_path)?.map(|m| m.pid))
+    Ok(read_holder_meta(&RealFs, lock_path)?.map(|m| m.pid))
 }
 
 /// Reads the full holder metadata (pid + optional lease epoch) from a
 /// lock file. `Ok(None)` if the file does not exist; a malformed file
 /// reads as pid 0 with no epoch.
-pub fn read_holder_meta(lock_path: &Path) -> io::Result<Option<HolderMeta>> {
-    match std::fs::read_to_string(lock_path) {
-        Ok(text) => {
-            let mut lines = text.lines();
-            let header_ok = lines.next().map(str::trim) == Some(LOCK_HEADER);
-            if !header_ok {
-                return Ok(Some(HolderMeta {
-                    pid: 0,
-                    epoch: None,
-                }));
-            }
-            let mut pid = None;
-            let mut epoch = None;
+pub(crate) fn read_holder_meta(fs: &dyn Vfs, lock_path: &Path) -> io::Result<Option<HolderMeta>> {
+    let parse = |text: &str| {
+        let mut meta = HolderMeta::default();
+        let mut lines = text.lines().map(str::trim);
+        if lines.next() == Some(LOCK_HEADER) {
             for line in lines {
-                let line = line.trim();
                 if let Some(p) = line.strip_prefix("pid ") {
-                    pid = p.trim().parse().ok();
+                    meta.pid = p.trim().parse().unwrap_or(0);
                 } else if let Some(e) = line.strip_prefix("epoch ") {
-                    epoch = e.trim().parse().ok();
+                    meta.epoch = e.trim().parse().ok();
                 }
             }
-            Ok(Some(HolderMeta {
-                pid: pid.unwrap_or(0),
-                epoch,
-            }))
         }
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
+        Ok(meta)
+    };
+    Ok(durable::read_tolerant(fs, lock_path, false, parse)?.map(Result::unwrap_or_default))
 }
 
 /// True if this holder should be treated as stale and broken: an
@@ -242,20 +230,26 @@ pub fn holder_stale_for(meta: HolderMeta, ours: Option<u64>) -> bool {
 
 /// A held store lock; released (file removed) on drop.
 #[derive(Debug)]
-pub struct StoreLock {
+pub struct StoreLock<'a> {
+    fs: &'a dyn Vfs,
     path: PathBuf,
     /// This process's guard for the store root, released after the file.
     root: PathBuf,
 }
 
-impl StoreLock {
+impl<'a> StoreLock<'a> {
+    /// Acquires the lock of the store rooted at `root`, breaking stale
+    /// (dead-holder) locks and briefly waiting out live holders.
+    pub fn acquire(root: &Path) -> Result<StoreLock<'static>, LockError> {
+        StoreLock::acquire_in(&RealFs, root)
+    }
+
     /// Path of the lock file for a store rooted at `root`.
     pub fn path_in(root: &Path) -> PathBuf {
         root.join(LOCK_FILE)
     }
 
-    /// Acquires the store lock, breaking stale (dead-holder) locks and
-    /// briefly waiting out live holders.
+    /// [`StoreLock::acquire`] on the file system `fs`.
     ///
     /// Dead-holder breaking is hardened against the two-breaker race
     /// (both waiters read the same dead pid and break "the" lock
@@ -271,14 +265,18 @@ impl StoreLock {
     ///
     /// Threads of one process first queue on a per-root guard, so the
     /// file protocol only ever arbitrates between processes.
-    pub fn acquire(root: &Path) -> Result<StoreLock, LockError> {
+    pub(crate) fn acquire_in(fs: &'a dyn Vfs, root: &Path) -> Result<StoreLock<'a>, LockError> {
         // det-audit: allow(wall-clock) — lock give-up deadline; never
         // feeds recorded data, only bounds how long we wait for a peer.
         let deadline = std::time::Instant::now() + GIVE_UP_AFTER;
         let key = claim_root(root, deadline)?;
         let path = Self::path_in(root);
-        match Self::acquire_file(&path, deadline) {
-            Ok(()) => Ok(StoreLock { path, root: key }),
+        match Self::acquire_file(fs, &path, deadline) {
+            Ok(()) => Ok(StoreLock {
+                fs,
+                path,
+                root: key,
+            }),
             Err(e) => {
                 release_root(&key);
                 Err(e)
@@ -286,47 +284,45 @@ impl StoreLock {
         }
     }
 
-    /// The cross-process half of [`StoreLock::acquire`]: claims the
+    /// The cross-process half of [`StoreLock::acquire_in`]: claims the
     /// `LOCK` file at `path`, with the caller holding its root's guard.
-    fn acquire_file(path: &Path, deadline: std::time::Instant) -> Result<(), LockError> {
+    fn acquire_file(
+        fs: &dyn Vfs,
+        path: &Path,
+        deadline: std::time::Instant,
+    ) -> Result<(), LockError> {
         let nonce = ACQUIRE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let me = std::process::id();
         let mut attempt: u32 = 0;
         loop {
-            match std::fs::OpenOptions::new()
-                .write(true)
-                .create_new(true)
-                .open(path)
-            {
-                Ok(mut f) => {
-                    use std::io::Write;
-                    match lease_epoch() {
-                        Some(e) => write!(f, "{LOCK_HEADER}\npid {me}\nepoch {e}\n")?,
-                        None => write!(f, "{LOCK_HEADER}\npid {me}\n")?,
-                    }
-                    f.sync_all()?;
-                    drop(f);
+            let created = match lease_epoch() {
+                Some(e) => {
+                    fs.create_new(path, format_args!("{LOCK_HEADER}\npid {me}\nepoch {e}\n"))
+                }
+                None => fs.create_new(path, format_args!("{LOCK_HEADER}\npid {me}\n")),
+            };
+            match created {
+                Ok(()) => {
+                    fs.fsync(path)?;
                     // Generation re-check: a waiter that read the
                     // previous (dead) holder may have broken our fresh
                     // claim in the window. Only the claim the file
                     // still names is the real one.
-                    if read_holder(path)?.unwrap_or(0) == me {
+                    if read_holder_meta(fs, path)?.map_or(0, |m| m.pid) == me {
                         return Ok(());
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                    let meta = read_holder_meta(path)?.unwrap_or(HolderMeta {
-                        pid: 0,
-                        epoch: None,
-                    });
+                    let meta = read_holder_meta(fs, path)?.unwrap_or_default();
                     let holder = meta.pid;
                     if holder_is_stale(meta) {
                         // Dead (or unidentifiable) holder: break this
                         // lock generation by renaming it aside. Exactly
                         // one breaker's rename succeeds; the losers see
                         // NotFound and simply re-race.
-                        let tomb = path.with_extension(format!("broken.{me}.{nonce}"));
-                        if std::fs::rename(path, &tomb).is_ok() {
+                        let tomb =
+                            durable::sibling(path, &format!("{}{me}.{nonce}", durable::TOMB));
+                        if fs.rename(path, &tomb).is_ok() {
                             // Re-check what we actually broke: if a
                             // racing waiter already broke the dead lock
                             // and re-acquired, the file we renamed is
@@ -334,14 +330,14 @@ impl StoreLock {
                             // refuses to clobber a newer claim, and the
                             // victim's own post-create re-check covers
                             // the remainder.
-                            let stolen = read_holder_meta(&tomb)
+                            let stolen = read_holder_meta(fs, &tomb)
                                 .ok()
                                 .flatten()
                                 .is_some_and(|m| !holder_is_stale(m));
                             if stolen {
-                                let _ = std::fs::hard_link(&tomb, path);
+                                let _ = fs.hard_link(&tomb, path);
                             }
-                            let _ = std::fs::remove_file(&tomb);
+                            let _ = fs.remove(&tomb);
                         }
                     } else {
                         // det-audit: allow(wall-clock) — same deadline check.
@@ -362,16 +358,15 @@ impl StoreLock {
     }
 }
 
-impl Drop for StoreLock {
+impl Drop for StoreLock<'_> {
     fn drop(&mut self) {
         // Release only the claim that is actually ours: if a breaker
         // stole this generation despite the re-checks, the path now
         // names the new holder and removing it would unlock a peer.
-        match read_holder(&self.path) {
-            Ok(Some(pid)) if pid == std::process::id() => {
-                let _ = std::fs::remove_file(&self.path);
+        if let Ok(Some(meta)) = read_holder_meta(self.fs, &self.path) {
+            if meta.pid == std::process::id() {
+                let _ = self.fs.remove(&self.path);
             }
-            _ => {}
         }
         release_root(&self.root);
     }
@@ -557,7 +552,7 @@ mod tests {
         let path = StoreLock::path_in(&root);
         std::fs::write(&path, format!("{LOCK_HEADER}\npid 41172\n")).unwrap();
         assert_eq!(
-            read_holder_meta(&path).unwrap(),
+            read_holder_meta(&RealFs, &path).unwrap(),
             Some(HolderMeta {
                 pid: 41172,
                 epoch: None
@@ -565,7 +560,7 @@ mod tests {
         );
         std::fs::write(&path, format!("{LOCK_HEADER}\npid 41172\nepoch 7\n")).unwrap();
         assert_eq!(
-            read_holder_meta(&path).unwrap(),
+            read_holder_meta(&RealFs, &path).unwrap(),
             Some(HolderMeta {
                 pid: 41172,
                 epoch: Some(7)
@@ -574,14 +569,14 @@ mod tests {
         assert_eq!(read_holder(&path).unwrap(), Some(41172));
         std::fs::write(&path, "not a lock\n").unwrap();
         assert_eq!(
-            read_holder_meta(&path).unwrap(),
+            read_holder_meta(&RealFs, &path).unwrap(),
             Some(HolderMeta {
                 pid: 0,
                 epoch: None
             })
         );
         let _ = std::fs::remove_file(&path);
-        assert_eq!(read_holder_meta(&path).unwrap(), None);
+        assert_eq!(read_holder_meta(&RealFs, &path).unwrap(), None);
     }
 
     #[test]

@@ -18,10 +18,11 @@
 //! directory. A store with no manifest is the v0 loose-file layout;
 //! it stays loadable and `histpc store migrate` upgrades it in place.
 
+use crate::durable::{self, Kind, Vfs};
 use crate::frame;
 use histpc_resources::fnv64;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Header line of the manifest.
 pub const MANIFEST_HEADER: &str = "histpc-store v1";
@@ -114,23 +115,24 @@ impl Manifest {
     }
 
     /// Loads `<root>/MANIFEST`, distinguishing missing from damaged.
-    pub fn load(root: &Path) -> io::Result<ManifestState> {
-        match std::fs::read_to_string(root.join(MANIFEST_FILE)) {
-            Ok(text) => Ok(match Manifest::parse(&text) {
-                Ok(m) => ManifestState::Loaded(m),
-                Err(reason) => ManifestState::Damaged(reason),
-            }),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(ManifestState::Missing),
-            Err(e) => Err(e),
-        }
+    pub(crate) fn load(fs: &dyn Vfs, root: &Path) -> io::Result<ManifestState> {
+        Ok(
+            match durable::read_tolerant(fs, &root.join(MANIFEST_FILE), false, Manifest::parse)? {
+                None => ManifestState::Missing,
+                Some(Err(reason)) => ManifestState::Damaged(reason),
+                Some(Ok(m)) => ManifestState::Loaded(m),
+            },
+        )
     }
 
-    /// Writes `<root>/MANIFEST` atomically (tmp sibling + rename).
-    pub fn save(&self, root: &Path) -> io::Result<()> {
-        let path = root.join(MANIFEST_FILE);
-        let tmp = root.join(format!("{MANIFEST_FILE}.tmp"));
-        std::fs::write(&tmp, self.to_text())?;
-        std::fs::rename(&tmp, &path)
+    /// Installs `<root>/MANIFEST` atomically.
+    pub(crate) fn save(&self, fs: &dyn Vfs, root: &Path) -> io::Result<()> {
+        durable::install(
+            fs,
+            &root.join(MANIFEST_FILE),
+            self.to_text().as_bytes(),
+            false,
+        )
     }
 
     /// Index of the first entry for `rel_path`, or where one would be
@@ -176,15 +178,17 @@ impl Manifest {
         self.position(rel_path).ok().map(|at| self.entries[at].fnv)
     }
 
-    /// Rebuilds the index by scanning the store directory: every
-    /// `<app>/<label>.<ext>` data file is hashed (frame payload when
-    /// framed, whole file otherwise). `.tmp` and `.corrupt` files are
-    /// unfinished/quarantined garbage, never indexed. The generation is
+    /// Rebuilds the index from every data file of the store (frame
+    /// payload when framed, whole file otherwise). The generation is
     /// preserved by the caller.
-    pub fn rebuild_index(&mut self, root: &Path) -> io::Result<()> {
+    pub(crate) fn rebuild_index(&mut self, fs: &dyn Vfs, root: &Path) -> io::Result<()> {
         self.entries.clear();
-        for (rel, path) in scan_data_files(root)? {
-            let text = std::fs::read_to_string(&path)?;
+        for e in durable::walk(fs, root)? {
+            if e.kind != Kind::Data {
+                continue;
+            }
+            let bytes = fs.read(&root.join(&e.rel))?;
+            let text = String::from_utf8_lossy(&bytes);
             let payload_fnv = match frame::decode(&text) {
                 Ok(d) => fnv64(d.payload().as_bytes()),
                 // Damaged frame: index the raw bytes so the entry at
@@ -193,49 +197,18 @@ impl Manifest {
             };
             self.entries.push(ManifestEntry {
                 fnv: payload_fnv,
-                rel_path: rel,
+                rel_path: e.rel,
             });
         }
-        self.entries.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
         Ok(())
     }
-}
-
-/// Lists every data file in the store as `(rel_path, abs_path)`, sorted
-/// by relative path. Data files live one level down
-/// (`<app>/<label>.<ext>`); `.tmp`/`.corrupt` suffixes, the top-level
-/// control files, and the daemon's `LEASES/` control directory are
-/// excluded.
-pub fn scan_data_files(root: &Path) -> io::Result<Vec<(String, PathBuf)>> {
-    let mut out = Vec::new();
-    for entry in std::fs::read_dir(root)? {
-        let entry = entry?;
-        if !entry.file_type()?.is_dir() {
-            continue;
-        }
-        let app = entry.file_name().to_string_lossy().to_string();
-        if app == crate::lease::LEASE_DIR {
-            continue;
-        }
-        for file in std::fs::read_dir(entry.path())? {
-            let file = file?;
-            if !file.file_type()?.is_file() {
-                continue;
-            }
-            let name = file.file_name().to_string_lossy().to_string();
-            if name.ends_with(".tmp") || name.ends_with(".corrupt") {
-                continue;
-            }
-            out.push((format!("{app}/{name}"), file.path()));
-        }
-    }
-    out.sort_by(|a, b| a.0.cmp(&b.0));
-    Ok(out)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::durable::RealFs;
+    use std::path::PathBuf;
 
     fn scratch(tag: &str) -> PathBuf {
         let dir =
@@ -273,20 +246,20 @@ mod tests {
     fn load_distinguishes_missing_and_damaged() {
         let root = scratch("states");
         assert!(matches!(
-            Manifest::load(&root).unwrap(),
+            Manifest::load(&RealFs, &root).unwrap(),
             ManifestState::Missing
         ));
         std::fs::write(root.join(MANIFEST_FILE), "garbage\n").unwrap();
         assert!(matches!(
-            Manifest::load(&root).unwrap(),
+            Manifest::load(&RealFs, &root).unwrap(),
             ManifestState::Damaged(_)
         ));
         let m = Manifest {
             generation: 3,
             entries: Vec::new(),
         };
-        m.save(&root).unwrap();
-        match Manifest::load(&root).unwrap() {
+        m.save(&RealFs, &root).unwrap();
+        match Manifest::load(&RealFs, &root).unwrap() {
             ManifestState::Loaded(l) => assert_eq!(l.generation, 3),
             other => panic!("expected loaded, got {other:?}"),
         }
@@ -318,7 +291,7 @@ mod tests {
         std::fs::create_dir_all(&leases).unwrap();
         std::fs::write(leases.join("t1--x-00000000.lease"), "lease").unwrap();
         let mut m = Manifest::default();
-        m.rebuild_index(&root).unwrap();
+        m.rebuild_index(&RealFs, &root).unwrap();
         let rels: Vec<&str> = m.entries.iter().map(|e| e.rel_path.as_str()).collect();
         assert_eq!(rels, vec!["poisson/a1.record", "poisson/a1.shg"]);
         assert_eq!(m.lookup("poisson/a1.record"), Some(fnv64(b"payload\n")));

@@ -1,37 +1,32 @@
-//! A crash-consistent, directory-backed store of execution records.
-//!
-//! This is the "available store of performance data gathered from one or
-//! more previous program runs" of the paper's §6, organized as
-//! `<root>/<application>/<label>.record` text files — but grown from a
-//! scratch directory into a small crash-safe database:
-//!
-//! * every record is wrapped in a checksum [`frame`](crate::frame);
-//! * every mutation is journaled (intent before write, `ok` after) in
-//!   `<root>/JOURNAL`, so a kill at any byte offset is rolled forward or
-//!   back on the next [`ExecutionStore::open`];
-//! * a versioned `<root>/MANIFEST` carries the format generation and an
-//!   index of every file ([`manifest`](crate::manifest));
-//! * writers serialize on an advisory `<root>/LOCK`
-//!   ([`lock`](crate::lock)), so two concurrent sessions cannot
-//!   interleave a write protocol;
-//! * a torn record is *salvaged* — the parseable prefix is kept as a
-//!   (framed) record — and only quarantined to `<label>.record.corrupt`
-//!   when nothing usable remains.
-//!
-//! Stores written before this layout existed (v0: loose files, no
-//! control files) stay loadable; [`ExecutionStore::migrate`] upgrades
-//! them in place. [`crate::fsck`] checks all of the above read-only.
+//! A crash-consistent, directory-backed store of execution records: the
+//! paper's §6 "available store of performance data gathered from one or
+//! more previous program runs", kept as `<root>/<app>/<label>.record`.
+//! Every record is checksum-[`frame`](crate::frame)d, every mutation is
+//! journaled in `<root>/JOURNAL` ([`journal`](crate::journal)) under the
+//! advisory `<root>/LOCK` ([`lock`](crate::lock)), which also serializes
+//! the `FACTS` and `TRUST` sidecars, and `<root>/MANIFEST`
+//! ([`manifest`](crate::manifest)) indexes every file. A kill at any byte
+//! is rolled forward or back by the next [`ExecutionStore::open`]; a torn
+//! record is salvaged, or quarantined to `<label>.record.corrupt` when
+//! nothing usable remains. Every file operation goes through the
+//! durable-file layer (`durable.rs`). v0 stores (loose files, no control
+//! files) stay loadable and [`ExecutionStore::migrate`] upgrades them;
+//! [`crate::fsck`] checks all of it read-only.
 
+use crate::durable::{self, Kind, RealFs, Vfs, CORRUPT, TMP};
+use crate::factcache::{FactCache, FACTCACHE_FILE};
 use crate::format::{parse_record, write_record, FormatError};
 use crate::frame;
 use crate::journal::{Journal, JournalEntry};
 use crate::lock::{self, LockError, StoreLock};
-use crate::manifest::{self, Manifest, ManifestState};
+use crate::manifest::{Manifest, ManifestState};
 use crate::record::ExecutionRecord;
+use crate::trust::TrustLedger;
 use histpc_resources::fnv64;
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Reset (truncate) the journal once it grows past this many bytes; all
 /// entries before the trailing `ok` are settled history.
@@ -102,47 +97,7 @@ impl From<LockError> for StoreError {
 #[derive(Debug, Clone)]
 pub struct ExecutionStore {
     root: PathBuf,
-}
-
-/// `path` with `.tmp` appended to its file name.
-fn tmp_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".tmp");
-    path.with_file_name(name)
-}
-
-/// `path` with `.corrupt` appended to its file name.
-fn corrupt_sibling(path: &Path) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_os_string())
-        .unwrap_or_default();
-    name.push(".corrupt");
-    path.with_file_name(name)
-}
-
-/// Writes `text` to `path` via a `.tmp` sibling + rename, so the target
-/// is only ever the old contents or the new.
-fn atomic_write_raw(path: &Path, text: &str) -> Result<(), StoreError> {
-    let tmp = tmp_sibling(path);
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)?;
-    Ok(())
-}
-
-/// Removes a data file and any `.tmp` / `.corrupt` siblings it left.
-fn remove_with_siblings(path: &Path) -> Result<(), StoreError> {
-    for p in [path.to_path_buf(), tmp_sibling(path), corrupt_sibling(path)] {
-        match std::fs::remove_file(&p) {
-            Ok(()) => {}
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-            Err(e) => return Err(e.into()),
-        }
-    }
-    Ok(())
+    fs: Arc<dyn Vfs>,
 }
 
 /// The payload candidate of a possibly-torn file: the frame payload when
@@ -195,46 +150,39 @@ fn salvage_record_text(label: &str, payload: &str) -> Option<(ExecutionRecord, u
     }
 }
 
-/// All stray `.tmp` files in the store (app dirs plus `MANIFEST.tmp`).
-fn stray_tmps(root: &Path) -> Result<Vec<PathBuf>, StoreError> {
-    let mut out = Vec::new();
-    let mtmp = root.join(format!("{}.tmp", manifest::MANIFEST_FILE));
-    if mtmp.exists() {
-        out.push(mtmp);
-    }
-    for entry in std::fs::read_dir(root)? {
-        let entry = entry?;
-        if !entry.file_type()?.is_dir() {
-            continue;
-        }
-        for file in std::fs::read_dir(entry.path())? {
-            let file = file?;
-            if file.file_name().to_string_lossy().ends_with(".tmp") {
-                out.push(file.path());
-            }
-        }
-    }
-    out.sort();
-    Ok(out)
+/// Decodes the frame of the file `what`, mapping damage to
+/// [`StoreError::Integrity`].
+fn decode(what: &str, text: &str) -> Result<frame::Decoded, StoreError> {
+    frame::decode(text).map_err(|e| StoreError::Integrity {
+        what: what.to_string(),
+        reason: e.to_string(),
+    })
 }
 
 impl ExecutionStore {
-    /// Opens (creating if needed) a store rooted at `root`.
-    ///
-    /// Opening is where crash recovery happens: if the previous session
-    /// died mid-mutation (uncommitted journal intent, torn journal,
-    /// stale lock, damaged manifest), the store rolls the interrupted
-    /// mutation forward or back, salvages or quarantines any torn
-    /// record, removes unfinished temp files, rebuilds the manifest,
-    /// and resets the journal — so every `open` returns a consistent
-    /// store. A store currently locked by a *live* session is left
+    /// Opens (creating if needed) a store rooted at `root`. This is where
+    /// crash recovery happens: after a session died mid-mutation, the
+    /// interrupted mutation is rolled forward or back, a torn record
+    /// salvaged or quarantined, temp files removed, the manifest rebuilt
+    /// and the journal reset. A store locked by a *live* session is left
     /// untouched (its in-flight mutation is not ours to settle).
     pub fn open(root: impl AsRef<Path>) -> Result<ExecutionStore, StoreError> {
-        let root = root.as_ref().to_path_buf();
-        std::fs::create_dir_all(&root)?;
-        let store = ExecutionStore { root };
-        store.maybe_recover()?;
-        Ok(store)
+        Ok(ExecutionStore::open_in(Arc::new(RealFs), root.as_ref())?.0)
+    }
+
+    /// [`ExecutionStore::open`] on the file system `fs`; also returns
+    /// the notes of the recovery it ran (none for a clean store).
+    pub(crate) fn open_in(
+        fs: Arc<dyn Vfs>,
+        root: &Path,
+    ) -> Result<(ExecutionStore, Vec<String>), StoreError> {
+        fs.create_dir_all(root)?;
+        let store = ExecutionStore {
+            root: root.to_path_buf(),
+            fs,
+        };
+        let notes = store.maybe_recover()?;
+        Ok((store, notes))
     }
 
     /// The store's root directory.
@@ -242,18 +190,43 @@ impl ExecutionStore {
         &self.root
     }
 
-    fn record_path(&self, app: &str, label: &str) -> PathBuf {
-        self.root.join(app).join(format!("{label}.record"))
+    fn lock(&self) -> Result<StoreLock<'_>, StoreError> {
+        Ok(StoreLock::acquire_in(&*self.fs, &self.root)?)
+    }
+
+    fn journal(&self) -> Journal<'_> {
+        Journal::at(&*self.fs, &self.root)
+    }
+
+    fn path(&self, app: &str, label: &str, ext: &str) -> PathBuf {
+        self.root.join(app).join(format!("{label}.{ext}"))
     }
 
     fn rel_path(app: &str, label: &str, ext: &str) -> String {
         format!("{app}/{label}.{ext}")
     }
 
+    /// The text of a file, or `None` when it does not exist.
+    fn read_text(&self, path: &Path) -> Result<Option<String>, StoreError> {
+        match self.fs.read(path) {
+            Ok(bytes) => String::from_utf8(bytes)
+                .map(Some)
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e).into()),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
+            Err(e) => Err(e.into()),
+        }
+    }
+
+    /// What `<root>/MANIFEST` holds: the format generation and the
+    /// checksum index of every data file.
+    pub fn manifest(&self) -> Result<ManifestState, StoreError> {
+        Ok(Manifest::load(&*self.fs, &self.root)?)
+    }
+
     /// The manifest generation (committed-mutation counter), or `None`
     /// for a v0 store that has no manifest yet.
     pub fn generation(&self) -> Result<Option<u64>, StoreError> {
-        Ok(match Manifest::load(&self.root)? {
+        Ok(match self.manifest()? {
             ManifestState::Loaded(m) => Some(m.generation),
             _ => None,
         })
@@ -299,123 +272,105 @@ impl ExecutionStore {
         payload: &str,
         framed: bool,
     ) -> Result<(), StoreError> {
-        let dir = self.root.join(app);
-        std::fs::create_dir_all(&dir)?;
+        self.fs.create_dir_all(&self.root.join(app))?;
         let payload_fnv = fnv64(payload.as_bytes());
-        let _lock = StoreLock::acquire(&self.root)?;
-        let journal = Journal::at(&self.root);
+        let _lock = self.lock()?;
+        let journal = self.journal();
         journal.append(&JournalEntry::Put {
             fnv: payload_fnv,
             ext: ext.to_string(),
             app: app.to_string(),
             label: label.to_string(),
         })?;
-        let target = dir.join(format!("{label}.{ext}"));
         let disk_text = if framed {
             frame::encode(payload)
         } else {
             payload.to_string()
         };
-        atomic_write_raw(&target, &disk_text)?;
-        let mut m = match Manifest::load(&self.root)? {
+        durable::install(
+            &*self.fs,
+            &self.path(app, label, ext),
+            disk_text.as_bytes(),
+            false,
+        )?;
+        let mut m = match self.manifest()? {
             ManifestState::Loaded(m) => m,
             // First journaled write into a v0 (or manifest-damaged)
             // store: index everything already on disk too.
             _ => {
                 let mut m = Manifest::default();
-                m.rebuild_index(&self.root)?;
+                m.rebuild_index(&*self.fs, &self.root)?;
                 m
             }
         };
         m.upsert(&Self::rel_path(app, label, ext), payload_fnv);
-        m.generation += 1;
-        m.save(&self.root)?;
+        self.commit_manifest(m)?;
         journal.append(&JournalEntry::Ok)?;
-        if std::fs::metadata(journal.path())?.len() > JOURNAL_RESET_LEN {
+        if journal.len() > JOURNAL_RESET_LEN {
             journal.reset()?;
         }
         Ok(())
     }
 
+    /// Bumps the generation and installs the manifest.
+    fn commit_manifest(&self, mut m: Manifest) -> Result<(), StoreError> {
+        m.generation += 1;
+        Ok(m.save(&*self.fs, &self.root)?)
+    }
+
     /// Loads the record for (application, label). The frame checksum is
     /// verified first; legacy (v0, unframed) records still load.
     pub fn load(&self, app: &str, label: &str) -> Result<ExecutionRecord, StoreError> {
-        let path = self.record_path(app, label);
-        if !path.exists() {
+        let Some(text) = self.read_text(&self.path(app, label, "record"))? else {
             return Err(StoreError::NotFound(format!("{app}/{label}")));
-        }
-        let text = std::fs::read_to_string(&path)?;
-        let decoded = frame::decode(&text).map_err(|e| StoreError::Integrity {
-            what: Self::rel_path(app, label, "record"),
-            reason: e.to_string(),
-        })?;
+        };
+        let decoded = decode(&Self::rel_path(app, label, "record"), &text)?;
         Ok(parse_record(decoded.payload())?)
     }
 
-    /// The FNV-64 payload checksum of a stored record, as indexed by
-    /// the manifest — the cheap per-record identity the corpus fact
-    /// cache keys on. Each call loads and parses the whole manifest
-    /// once and returns the record's entry when it has one; it falls
-    /// back to hashing the file payload for v0 stores or manifest
-    /// misses, so the checksum always matches what a manifest rebuild
-    /// would record. To checksum many records, load the [`Manifest`]
-    /// once and [`Manifest::lookup`] each instead.
+    /// The FNV-64 payload checksum of a stored record — the per-record
+    /// identity the corpus fact cache keys on: the manifest's entry, or
+    /// for v0 stores and manifest misses the hash of the file payload, so
+    /// it always matches what a manifest rebuild would record. Each call
+    /// loads the whole manifest; to checksum many records, load the
+    /// [`manifest`](ExecutionStore::manifest) once and
+    /// [`Manifest::lookup`] each instead.
     pub fn record_checksum(&self, app: &str, label: &str) -> Result<u64, StoreError> {
         let rel = Self::rel_path(app, label, "record");
-        if let ManifestState::Loaded(m) = Manifest::load(&self.root)? {
+        if let ManifestState::Loaded(m) = self.manifest()? {
             if let Some(fnv) = m.lookup(&rel) {
                 return Ok(fnv);
             }
         }
-        let path = self.record_path(app, label);
-        if !path.exists() {
+        let Some(text) = self.read_text(&self.path(app, label, "record"))? else {
             return Err(StoreError::NotFound(format!("{app}/{label}")));
-        }
-        let text = std::fs::read_to_string(&path)?;
-        let decoded = frame::decode(&text).map_err(|e| StoreError::Integrity {
-            what: rel,
-            reason: e.to_string(),
-        })?;
-        Ok(fnv64(decoded.payload().as_bytes()))
+        };
+        Ok(fnv64(decode(&rel, &text)?.payload().as_bytes()))
     }
 
     /// Loads an auxiliary artifact saved with
     /// [`ExecutionStore::save_artifact`]. Returns the payload text
     /// (transparently unwrapping a frame if one is present).
     pub fn load_artifact(&self, app: &str, label: &str, ext: &str) -> Result<String, StoreError> {
-        let path = self.root.join(app).join(format!("{label}.{ext}"));
-        if !path.exists() {
+        let Some(text) = self.read_text(&self.path(app, label, ext))? else {
             return Err(StoreError::NotFound(format!("{app}/{label}.{ext}")));
-        }
-        let text = std::fs::read_to_string(path)?;
-        let decoded = frame::decode(&text).map_err(|e| StoreError::Integrity {
-            what: Self::rel_path(app, label, ext),
-            reason: e.to_string(),
-        })?;
-        Ok(decoded.payload().to_string())
+        };
+        Ok(decode(&Self::rel_path(app, label, ext), &text)?
+            .payload()
+            .to_string())
     }
 
     /// The labels of all stored runs of an application, sorted. Stale
     /// `.tmp` leftovers and `.corrupt` quarantine files never appear —
     /// a crashed run cannot make phantom records.
     pub fn labels(&self, app: &str) -> Result<Vec<String>, StoreError> {
-        let dir = self.root.join(app);
-        if !dir.exists() {
-            return Ok(Vec::new());
-        }
-        let mut out = Vec::new();
-        for entry in std::fs::read_dir(&dir)? {
-            let entry = entry?;
-            let name = entry.file_name().to_string_lossy().to_string();
-            if name.ends_with(".tmp") || name.ends_with(".corrupt") {
-                continue;
-            }
-            if let Some(label) = name.strip_suffix(".record") {
-                out.push(label.to_string());
-            }
-        }
-        out.sort();
-        Ok(out)
+        let mut labels: Vec<String> = durable::walk_dir(&*self.fs, &self.root, app)?
+            .into_iter()
+            .filter(|(_, kind)| *kind == Kind::Data)
+            .filter_map(|(name, _)| Some(name.strip_suffix(".record")?.to_string()))
+            .collect();
+        labels.sort();
+        Ok(labels)
     }
 
     /// The names of all applications with stored runs, sorted. Only
@@ -431,18 +386,17 @@ impl ExecutionStore {
     /// one directory read per application.
     pub fn runs(&self) -> Result<Vec<(String, Vec<String>)>, StoreError> {
         let mut out = Vec::new();
-        for entry in std::fs::read_dir(&self.root)? {
-            let entry = entry?;
-            if !entry.file_type()?.is_dir() {
-                continue;
-            }
-            let app = entry.file_name().to_string_lossy().to_string();
-            let labels = self.labels(&app)?;
+        for (app, is_dir) in self.fs.read_dir(&self.root)? {
+            let labels = if is_dir {
+                self.labels(&app)?
+            } else {
+                Vec::new()
+            };
             if !labels.is_empty() {
                 out.push((app, labels));
             }
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort();
         Ok(out)
     }
 
@@ -480,8 +434,9 @@ impl ExecutionStore {
                 Err(StoreError::Integrity { reason, .. }) => reason,
                 Err(e) => return Err(e),
             };
-            let path = self.record_path(app, &label);
-            let text = std::fs::read_to_string(&path)?;
+            let text = self
+                .read_text(&self.path(app, &label, "record"))?
+                .unwrap_or_default();
             match salvage_record_text(&label, &payload_candidate(&text)) {
                 Some((rec, kept, total)) => {
                     self.put_file(app, &label, "record", &write_record(&rec), true)?;
@@ -506,13 +461,12 @@ impl ExecutionStore {
     /// Moves an unsalvageable record aside to `<label>.record.corrupt`
     /// and drops it from the manifest.
     fn quarantine(&self, app: &str, label: &str) -> Result<(), StoreError> {
-        let path = self.record_path(app, label);
-        let _lock = StoreLock::acquire(&self.root)?;
-        std::fs::rename(&path, corrupt_sibling(&path))?;
-        if let ManifestState::Loaded(mut m) = Manifest::load(&self.root)? {
+        let path = self.path(app, label, "record");
+        let _lock = self.lock()?;
+        self.fs.rename(&path, &durable::sibling(&path, CORRUPT))?;
+        if let ManifestState::Loaded(mut m) = self.manifest()? {
             m.remove(&Self::rel_path(app, label, "record"));
-            m.generation += 1;
-            m.save(&self.root)?;
+            self.commit_manifest(m)?;
         }
         Ok(())
     }
@@ -522,51 +476,44 @@ impl ExecutionStore {
     /// error — when the record (or its whole application directory)
     /// does not exist.
     pub fn delete(&self, app: &str, label: &str) -> Result<(), StoreError> {
-        let target = self.record_path(app, label);
-        if !target.exists() {
+        if !self.delete_artifact(app, label, "record")? {
             return Err(StoreError::NotFound(format!("{app}/{label}")));
         }
-        let _lock = StoreLock::acquire(&self.root)?;
-        let journal = Journal::at(&self.root);
-        journal.append(&JournalEntry::Del {
-            ext: "record".to_string(),
-            app: app.to_string(),
-            label: label.to_string(),
-        })?;
-        remove_with_siblings(&target)?;
-        if let ManifestState::Loaded(mut m) = Manifest::load(&self.root)? {
-            m.remove(&Self::rel_path(app, label, "record"));
-            m.generation += 1;
-            m.save(&self.root)?;
-        }
-        journal.append(&JournalEntry::Ok)?;
         Ok(())
     }
 
-    /// Deletes one auxiliary artifact (journaled, manifest-maintained).
+    /// Deletes one auxiliary artifact (journaled, manifest-maintained),
+    /// along with any `.tmp` / `.corrupt` siblings it left behind.
     /// Returns `Ok(false)` — not an error — when no such artifact
     /// exists, so callers can unconditionally supersede e.g. a stale
     /// crash checkpoint after a completed run.
     pub fn delete_artifact(&self, app: &str, label: &str, ext: &str) -> Result<bool, StoreError> {
-        let target = self.root.join(app).join(format!("{label}.{ext}"));
-        if !target.exists() {
+        let target = self.path(app, label, ext);
+        if self.fs.len(&target).is_err() {
             return Ok(false);
         }
-        let _lock = StoreLock::acquire(&self.root)?;
-        let journal = Journal::at(&self.root);
+        let _lock = self.lock()?;
+        let journal = self.journal();
         journal.append(&JournalEntry::Del {
             ext: ext.to_string(),
             app: app.to_string(),
             label: label.to_string(),
         })?;
-        std::fs::remove_file(&target)?;
-        if let ManifestState::Loaded(mut m) = Manifest::load(&self.root)? {
+        self.remove_with_siblings(&target)?;
+        if let ManifestState::Loaded(mut m) = self.manifest()? {
             m.remove(&Self::rel_path(app, label, ext));
-            m.generation += 1;
-            m.save(&self.root)?;
+            self.commit_manifest(m)?;
         }
         journal.append(&JournalEntry::Ok)?;
         Ok(true)
+    }
+
+    /// Removes a data file and any `.tmp` / `.corrupt` siblings it left.
+    fn remove_with_siblings(&self, path: &Path) -> Result<(), StoreError> {
+        durable::remove_if_present(&*self.fs, path)?;
+        durable::remove_if_present(&*self.fs, &durable::sibling(path, TMP))?;
+        durable::remove_if_present(&*self.fs, &durable::sibling(path, CORRUPT))?;
+        Ok(())
     }
 
     /// Abandoned session checkpoints: every `ckpt` artifact with no
@@ -575,48 +522,46 @@ impl ExecutionStore {
     /// superseded — a completed run deletes it — so survivors mark
     /// sessions that crashed and were never resumed to completion.
     pub fn orphaned_checkpoints(&self) -> Result<Vec<(String, String)>, StoreError> {
-        Ok(orphaned_checkpoints_at(&self.root)?)
+        Ok(orphaned_checkpoints_in(&*self.fs, &self.root)?)
     }
-}
 
-/// [`ExecutionStore::orphaned_checkpoints`] as a read-only scan of a
-/// store root that has not been opened (opening runs recovery, which
-/// mutates): usable from strictly read-only tooling like the linter.
-pub fn orphaned_checkpoints_at(root: &Path) -> std::io::Result<Vec<(String, String)>> {
-    let mut out = Vec::new();
-    let entries = match std::fs::read_dir(root) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(out),
-        Err(e) => return Err(e),
-    };
-    for entry in entries {
-        let entry = entry?;
-        if !entry.file_type()?.is_dir() {
-            continue;
-        }
-        let app = entry.file_name().to_string_lossy().to_string();
-        if app == crate::lease::LEASE_DIR {
-            continue;
-        }
-        for file in std::fs::read_dir(entry.path())? {
-            let file = file?;
-            let name = file.file_name().to_string_lossy().to_string();
-            let Some(label) = name.strip_suffix(".ckpt") else {
-                continue;
-            };
-            if !entry.path().join(format!("{label}.record")).exists() {
-                out.push((app.clone(), label.to_string()));
-            }
+    /// The corpus fact cache; empty when `FACTS` is missing or damaged
+    /// (the worst outcome of a damaged cache is a cold re-derivation).
+    pub fn load_facts(&self) -> FactCache {
+        let parse = |text: &str| FactCache::parse(text).ok_or_else(|| "damaged".to_string());
+        match durable::read_tolerant(&*self.fs, &self.root.join(FACTCACHE_FILE), false, parse) {
+            Ok(Some(Ok(cache))) => cache,
+            _ => FactCache::default(),
         }
     }
-    out.sort();
-    Ok(out)
-}
 
-impl ExecutionStore {
-    // ------------------------------------------------------------------
-    // Maintenance operations (the `histpc store` CLI family)
-    // ------------------------------------------------------------------
+    /// Installs the corpus fact cache under the store lock. Callers on
+    /// the analysis path treat failure as non-fatal: the cache is an
+    /// accelerator, not a source of truth.
+    pub fn save_facts(&self, cache: &FactCache) -> Result<(), StoreError> {
+        let _lock = self.lock()?;
+        let path = self.root.join(FACTCACHE_FILE);
+        durable::install(&*self.fs, &path, cache.to_text().as_bytes(), false)?;
+        Ok(())
+    }
+
+    /// Applies `change` to the trust ledger under the store lock — load,
+    /// change, install — and returns the ledger it saved. Two sessions
+    /// updating at once each keep the other's update. Harvest treats
+    /// failure as non-fatal: worst case the next session re-learns the
+    /// same distrust.
+    pub fn update_trust(
+        &self,
+        change: impl FnOnce(&mut TrustLedger),
+    ) -> Result<TrustLedger, StoreError> {
+        let _lock = self.lock()?;
+        let mut ledger = TrustLedger::load_in(&*self.fs, &self.root);
+        change(&mut ledger);
+        ledger.save_in(&*self.fs, &self.root)?;
+        Ok(ledger)
+    }
+
+    // Maintenance operations: the `histpc store` CLI family.
 
     /// Forces a full recovery pass — replay the journal, clean temp
     /// files, rebuild the manifest — then sweeps every application
@@ -636,22 +581,39 @@ impl ExecutionStore {
     /// Quarantined `.corrupt` files are kept for inspection (delete the
     /// record to drop them).
     pub fn compact(&self) -> Result<Vec<String>, StoreError> {
-        let _lock = StoreLock::acquire(&self.root)?;
-        let mut notes = Vec::new();
-        for p in stray_tmps(&self.root)? {
-            std::fs::remove_file(&p)?;
-            notes.push(format!("removed stray temp file {}", p.display()));
-        }
-        let mut m = match Manifest::load(&self.root)? {
-            ManifestState::Loaded(m) => m,
-            _ => Manifest::default(),
-        };
-        m.generation += 1;
-        m.rebuild_index(&self.root)?;
-        m.save(&self.root)?;
-        Journal::at(&self.root).reset()?;
+        let _lock = self.lock()?;
+        let mut notes = self.remove_stray_tmps()?;
+        self.reindex()?;
         notes.push("rebuilt manifest and reset journal".to_string());
         Ok(notes)
+    }
+
+    /// Removes every stray temp file, noting each.
+    fn remove_stray_tmps(&self) -> Result<Vec<String>, StoreError> {
+        let mut notes = Vec::new();
+        for e in durable::walk(&*self.fs, &self.root)? {
+            if e.kind == Kind::Tmp {
+                let p = self.root.join(&e.rel);
+                self.fs.remove(&p)?;
+                notes.push(format!("removed stray temp file {}", p.display()));
+            }
+        }
+        Ok(notes)
+    }
+
+    /// Rebuilds the manifest index from disk, installs it with the next
+    /// generation, and resets the journal. Returns why the old manifest
+    /// was damaged, if it was.
+    fn reindex(&self) -> Result<Option<String>, StoreError> {
+        let (mut m, damage) = match self.manifest()? {
+            ManifestState::Loaded(m) => (m, None),
+            ManifestState::Missing => (Manifest::default(), None),
+            ManifestState::Damaged(reason) => (Manifest::default(), Some(reason)),
+        };
+        m.rebuild_index(&*self.fs, &self.root)?;
+        self.commit_manifest(m)?;
+        self.journal().reset()?;
+        Ok(damage)
     }
 
     /// Upgrades a v0 loose-file store in place: wraps every parseable
@@ -661,35 +623,28 @@ impl ExecutionStore {
     /// files are untouched; unparseable legacy files are left for
     /// [`ExecutionStore::repair`]. This is `histpc store migrate`.
     pub fn migrate(&self) -> Result<usize, StoreError> {
-        let _lock = StoreLock::acquire(&self.root)?;
+        let _lock = self.lock()?;
         let mut migrated = 0;
-        for (rel, path) in manifest::scan_data_files(&self.root)? {
-            if !rel.ends_with(".record") {
+        for e in durable::walk(&*self.fs, &self.root)? {
+            if record_label(&e).is_none() {
                 continue;
             }
-            let text = std::fs::read_to_string(&path)?;
+            let path = self.root.join(&e.rel);
+            let text = self.read_text(&path)?.unwrap_or_default();
             if let Ok(frame::Decoded::Legacy(payload)) = frame::decode(&text) {
                 if parse_record(&payload).is_ok() {
-                    atomic_write_raw(&path, &frame::encode(&payload))?;
+                    let framed = frame::encode(&payload);
+                    durable::install(&*self.fs, &path, framed.as_bytes(), false)?;
                     migrated += 1;
                 }
             }
         }
-        let mut m = match Manifest::load(&self.root)? {
-            ManifestState::Loaded(m) => m,
-            _ => Manifest::default(),
-        };
-        m.generation += 1;
-        m.rebuild_index(&self.root)?;
-        m.save(&self.root)?;
-        Journal::at(&self.root).reset()?;
+        self.reindex()?;
         Ok(migrated)
     }
 
-    // ------------------------------------------------------------------
-    // Fault-injection hooks (the `torn-write` / `partial-journal` plan
-    // keywords in `histpc-faults`)
-    // ------------------------------------------------------------------
+    // Fault-injection hooks: the `torn-write` / `partial-journal` plan
+    // keywords in `histpc-faults`.
 
     /// Simulates a crashed writer that tore the record file itself: an
     /// uncommitted `put` intent is left in the journal and the on-disk
@@ -697,13 +652,12 @@ impl ExecutionStore {
     /// if the kernel tore the page-out mid-file). The next `open`
     /// must recover — salvaging the parseable prefix or quarantining.
     pub fn inject_torn_write(&self, app: &str, label: &str, cut: f64) -> Result<(), StoreError> {
-        let target = self.record_path(app, label);
-        if !target.exists() {
+        let target = self.path(app, label, "record");
+        let Some(text) = self.read_text(&target)? else {
             return Err(StoreError::NotFound(format!("{app}/{label}")));
-        }
-        let text = std::fs::read_to_string(&target)?;
+        };
         let payload_fnv = fnv64(payload_candidate(&text).as_bytes());
-        Journal::at(&self.root).append(&JournalEntry::Put {
+        self.journal().append(&JournalEntry::Put {
             fnv: payload_fnv,
             ext: "record".to_string(),
             app: app.to_string(),
@@ -714,7 +668,7 @@ impl ExecutionStore {
         while cut_at > 0 && !text.is_char_boundary(cut_at) {
             cut_at -= 1;
         }
-        std::fs::write(&target, &text.as_bytes()[..cut_at])?;
+        self.fs.write(&target, &text.as_bytes()[..cut_at])?;
         Ok(())
     }
 
@@ -723,14 +677,14 @@ impl ExecutionStore {
     /// fraction of the line's length). The next `open` must discard the
     /// torn tail and recover.
     pub fn inject_torn_journal(&self, app: &str, label: &str, cut: f64) -> Result<(), StoreError> {
-        let journal = Journal::at(&self.root);
+        let journal = self.journal();
         journal.append(&JournalEntry::Put {
             fnv: 0,
             ext: "record".to_string(),
             app: app.to_string(),
             label: label.to_string(),
         })?;
-        let text = std::fs::read_to_string(journal.path())?;
+        let text = self.read_text(journal.path())?.unwrap_or_default();
         let body = text.trim_end_matches('\n');
         let last_start = body.rfind('\n').map_or(0, |i| i + 1);
         let last_len = text.len() - last_start;
@@ -740,61 +694,59 @@ impl ExecutionStore {
         while keep > 0 && !text.is_char_boundary(keep) {
             keep -= 1;
         }
-        std::fs::write(journal.path(), &text.as_bytes()[..keep])?;
+        self.fs.write(journal.path(), &text.as_bytes()[..keep])?;
         Ok(())
     }
 
-    // ------------------------------------------------------------------
-    // Recovery
-    // ------------------------------------------------------------------
+    // Recovery.
 
     /// Recovery gate run by `open`: decides cheaply whether the store
     /// is clean, initializes control files for a brand-new store, and
-    /// otherwise runs [`ExecutionStore::recover_now`].
-    fn maybe_recover(&self) -> Result<(), StoreError> {
+    /// otherwise runs [`ExecutionStore::recover_now`]. Returns its
+    /// notes.
+    fn maybe_recover(&self) -> Result<Vec<String>, StoreError> {
         let lock_path = StoreLock::path_in(&self.root);
         let mut stale_lock = false;
-        if let Some(pid) = lock::read_holder(&lock_path)? {
-            if pid != 0 && lock::pid_alive(pid) {
+        if let Some(meta) = lock::read_holder_meta(&*self.fs, &lock_path)? {
+            if meta.pid != 0 && lock::pid_alive(meta.pid) {
                 // A live session owns the store; any in-flight journal
                 // entry is theirs to finish. Reads tolerate.
-                return Ok(());
+                return Ok(Vec::new());
             }
             stale_lock = true;
         }
-        let journal = Journal::at(&self.root);
-        let manifest_state = Manifest::load(&self.root)?;
+        let journal = self.journal();
+        let manifest_state = self.manifest()?;
         if !journal.exists() && matches!(manifest_state, ManifestState::Missing) && !stale_lock {
-            if manifest::scan_data_files(&self.root)?.is_empty() {
+            let walked = durable::walk(&*self.fs, &self.root)?;
+            if !walked.iter().any(|e| e.kind == Kind::Data) {
                 // Brand-new store: start life in the v1 layout.
-                Manifest::default().save(&self.root)?;
+                Manifest::default().save(&*self.fs, &self.root)?;
                 journal.reset()?;
             }
             // Otherwise: an untouched v0 loose-file store. Leave it
             // readable as-is; `migrate` upgrades it explicitly.
-            return Ok(());
+            return Ok(Vec::new());
         }
         let st = journal.read()?;
         let unclean = stale_lock
             || st.torn
             || st.uncommitted().is_some()
-            || matches!(manifest_state, ManifestState::Damaged(_))
-            || matches!(manifest_state, ManifestState::Missing)
+            || !matches!(manifest_state, ManifestState::Loaded(_))
             || !journal.exists();
         if unclean {
-            self.recover_now()?;
+            return self.recover_now();
         }
-        Ok(())
+        Ok(Vec::new())
     }
 
     /// Unconditional recovery: settle the journal's trailing intent,
     /// drop stray temp files, rebuild the manifest, reset the journal.
     /// Idempotent; every step is safe to repeat after a further crash.
     fn recover_now(&self) -> Result<Vec<String>, StoreError> {
-        let _lock = StoreLock::acquire(&self.root)?;
+        let _lock = self.lock()?;
         let mut notes = Vec::new();
-        let journal = Journal::at(&self.root);
-        let st = journal.read()?;
+        let st = self.journal().read()?;
         if st.torn {
             notes.push("journal: discarded torn trailing entry".to_string());
         }
@@ -806,30 +758,17 @@ impl ExecutionStore {
                 label,
             }) => self.settle_put(*fnv, ext, app, label, &mut notes)?,
             Some(JournalEntry::Del { ext, app, label }) => {
-                let target = self.root.join(app).join(format!("{label}.{ext}"));
-                remove_with_siblings(&target)?;
+                self.remove_with_siblings(&self.path(app, label, ext))?;
                 notes.push(format!(
                     "rolled forward interrupted delete of {app}/{label}.{ext}"
                 ));
             }
             _ => {}
         }
-        for p in stray_tmps(&self.root)? {
-            std::fs::remove_file(&p)?;
-            notes.push(format!("removed stray temp file {}", p.display()));
+        notes.extend(self.remove_stray_tmps()?);
+        if let Some(reason) = self.reindex()? {
+            notes.push(format!("rebuilt damaged manifest ({reason})"));
         }
-        let mut m = match Manifest::load(&self.root)? {
-            ManifestState::Loaded(m) => m,
-            ManifestState::Missing => Manifest::default(),
-            ManifestState::Damaged(reason) => {
-                notes.push(format!("rebuilt damaged manifest ({reason})"));
-                Manifest::default()
-            }
-        };
-        m.generation += 1;
-        m.rebuild_index(&self.root)?;
-        m.save(&self.root)?;
-        journal.reset()?;
         Ok(notes)
     }
 
@@ -846,115 +785,98 @@ impl ExecutionStore {
         notes: &mut Vec<String>,
     ) -> Result<(), StoreError> {
         let what = Self::rel_path(app, label, ext);
-        let target = self.root.join(app).join(format!("{label}.{ext}"));
-        let tmp = tmp_sibling(&target);
-        if target.exists() {
-            let text = std::fs::read_to_string(&target)?;
-            match frame::decode(&text) {
-                Ok(d) if fnv64(d.payload().as_bytes()) == fnv => {
-                    let _ = std::fs::remove_file(&tmp);
-                    notes.push(format!("rolled forward completed write of {what}"));
-                    return Ok(());
-                }
-                Ok(_) => {
-                    // The target still holds the previously committed
-                    // contents. If the interrupted write got as far as a
-                    // complete temp file, finish its rename; otherwise
-                    // roll back to the old contents.
-                    if self.finish_from_tmp(&tmp, &target, fnv, ext)? {
-                        notes.push(format!(
-                            "completed interrupted write of {what} from its temp file"
-                        ));
-                        return Ok(());
-                    }
-                    let _ = std::fs::remove_file(&tmp);
-                    notes.push(format!(
-                        "rolled back interrupted write of {what} (previous contents kept)"
-                    ));
-                    return Ok(());
-                }
-                Err(e) => {
-                    // Torn target. Prefer a complete temp file; failing
-                    // that, salvage what parses.
-                    if self.finish_from_tmp(&tmp, &target, fnv, ext)? {
-                        notes.push(format!(
-                            "completed interrupted write of {what} from its temp file"
-                        ));
-                        return Ok(());
-                    }
-                    self.salvage_or_quarantine_at(&target, app, label, ext, &e.to_string(), notes)?;
-                    return Ok(());
-                }
-            }
+        let target = self.path(app, label, ext);
+        let tmp = durable::sibling(&target, TMP);
+        let old = self.read_text(&target)?;
+        let decoded = old.as_deref().map(frame::decode);
+        let hashes = |d: &frame::Decoded| fnv64(d.payload().as_bytes()) == fnv;
+        if matches!(&decoded, Some(Ok(d)) if hashes(d)) {
+            let _ = self.fs.remove(&tmp);
+            notes.push(format!("rolled forward completed write of {what}"));
+            return Ok(());
         }
-        if self.finish_from_tmp(&tmp, &target, fnv, ext)? {
+        // If the interrupted write got as far as a complete temp file,
+        // finish its rename.
+        let complete = self.read_text(&tmp)?.is_some_and(|t| {
+            matches!(frame::decode(&t), Ok(d) if hashes(&d)
+                && (ext != "record" || parse_record(d.payload()).is_ok()))
+        });
+        if complete {
+            self.fs.rename(&tmp, &target)?;
             notes.push(format!(
                 "completed interrupted write of {what} from its temp file"
             ));
             return Ok(());
         }
-        let _ = std::fs::remove_file(&tmp);
-        notes.push(format!("rolled back interrupted first write of {what}"));
+        let _ = self.fs.remove(&tmp);
+        match (decoded, old) {
+            // A torn target and no complete temp file: salvage what
+            // parses (the store lock is held, so this writes directly;
+            // the manifest rebuild that follows picks the result up).
+            (Some(Err(e)), Some(text)) => {
+                let reason = e.to_string();
+                let salvaged = (ext == "record")
+                    .then(|| salvage_record_text(label, &payload_candidate(&text)))
+                    .flatten();
+                if let Some((rec, kept, total)) = salvaged {
+                    let framed = frame::encode(&write_record(&rec));
+                    durable::install(&*self.fs, &target, framed.as_bytes(), false)?;
+                    notes.push(format!(
+                        "salvaged torn record {what} ({reason}); kept {kept} of {total} lines"
+                    ));
+                } else {
+                    self.fs
+                        .rename(&target, &durable::sibling(&target, CORRUPT))?;
+                    notes.push(format!(
+                        "quarantined torn file {what} ({reason}); moved to {label}.{ext}.corrupt"
+                    ));
+                }
+            }
+            (Some(_), _) => notes.push(format!(
+                "rolled back interrupted write of {what} (previous contents kept)"
+            )),
+            (None, _) => notes.push(format!("rolled back interrupted first write of {what}")),
+        }
         Ok(())
     }
+}
 
-    /// If `tmp` holds a complete, verified copy of the intended write,
-    /// finish the interrupted rename.
-    fn finish_from_tmp(
-        &self,
-        tmp: &Path,
-        target: &Path,
-        fnv: u64,
-        ext: &str,
-    ) -> Result<bool, StoreError> {
-        if !tmp.exists() {
-            return Ok(false);
-        }
-        let text = std::fs::read_to_string(tmp)?;
-        let complete = match frame::decode(&text) {
-            Ok(d) if fnv64(d.payload().as_bytes()) == fnv => {
-                ext != "record" || parse_record(d.payload()).is_ok()
-            }
-            _ => false,
-        };
-        if complete {
-            std::fs::rename(tmp, target)?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+/// `(app, label)` of a `<app>/<label>.record` data file.
+fn record_label(e: &durable::Entry) -> Option<(&str, &str)> {
+    if e.kind != Kind::Data {
+        return None;
     }
+    e.rel.strip_suffix(".record")?.split_once('/')
+}
 
-    /// Recovery-time salvage (the caller already holds the store lock,
-    /// so this writes directly; the manifest rebuild that follows picks
-    /// the result up).
-    fn salvage_or_quarantine_at(
-        &self,
-        target: &Path,
-        app: &str,
-        label: &str,
-        ext: &str,
-        reason: &str,
-        notes: &mut Vec<String>,
-    ) -> Result<(), StoreError> {
-        let _ = std::fs::remove_file(tmp_sibling(target));
-        let text = std::fs::read_to_string(target)?;
-        if ext == "record" {
-            if let Some((rec, kept, total)) = salvage_record_text(label, &payload_candidate(&text))
-            {
-                atomic_write_raw(target, &frame::encode(&write_record(&rec)))?;
-                notes.push(format!(
-                    "salvaged torn record {app}/{label}.{ext} ({reason}); kept {kept} of {total} lines"
-                ));
-                return Ok(());
-            }
-        }
-        std::fs::rename(target, corrupt_sibling(target))?;
-        notes.push(format!(
-            "quarantined torn file {app}/{label}.{ext} ({reason}); moved to {label}.{ext}.corrupt"
-        ));
-        Ok(())
-    }
+/// [`ExecutionStore::orphaned_checkpoints`] as a read-only scan of a
+/// store root that has not been opened (opening runs recovery, which
+/// mutates): usable from strictly read-only tooling like the linter.
+pub fn orphaned_checkpoints_at(root: &Path) -> io::Result<Vec<(String, String)>> {
+    orphaned_checkpoints_in(&RealFs, root)
+}
+
+fn orphaned_checkpoints_in(fs: &dyn Vfs, root: &Path) -> io::Result<Vec<(String, String)>> {
+    let entries = match durable::walk(fs, root) {
+        Ok(e) => e,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
+        Err(e) => return Err(e),
+    };
+    let data = |rel: &str| {
+        entries
+            .binary_search_by(|e| e.rel.as_str().cmp(rel))
+            .is_ok_and(|at| entries[at].kind == Kind::Data)
+    };
+    Ok(entries
+        .iter()
+        .filter(|e| e.kind == Kind::Data)
+        .filter_map(|e| e.rel.strip_suffix(".ckpt"))
+        .filter(|stem| !data(&format!("{stem}.record")))
+        .filter_map(|stem| stem.split_once('/'))
+        .map(|(app, label)| (app.to_string(), label.to_string()))
+        .collect::<std::collections::BTreeSet<_>>() // (app, label) order
+        .into_iter()
+        .collect())
 }
 
 #[cfg(test)]
@@ -1019,7 +941,7 @@ mod tests {
     #[test]
     fn open_initializes_v1_control_files() {
         let store = ExecutionStore::open(tmpdir("init")).unwrap();
-        assert!(store.root().join(manifest::MANIFEST_FILE).exists());
+        assert!(store.root().join(crate::manifest::MANIFEST_FILE).exists());
         assert!(store.root().join(crate::journal::JOURNAL_FILE).exists());
         assert_eq!(store.generation().unwrap(), Some(0));
         store.save(&rec("poisson", "a1")).unwrap();
@@ -1252,14 +1174,14 @@ mod tests {
 
         let store = ExecutionStore::open(&dir).unwrap();
         // open() leaves an untouched v0 store alone...
-        assert!(!dir.join(manifest::MANIFEST_FILE).exists());
+        assert!(!dir.join(crate::manifest::MANIFEST_FILE).exists());
         // ...but reads it fine.
         assert_eq!(store.load("poisson", "a1").unwrap().label, "a1");
         assert_eq!(store.generation().unwrap(), None);
 
         let migrated = store.migrate().unwrap();
         assert_eq!(migrated, 1);
-        assert!(dir.join(manifest::MANIFEST_FILE).exists());
+        assert!(dir.join(crate::manifest::MANIFEST_FILE).exists());
         assert!(dir.join(crate::journal::JOURNAL_FILE).exists());
         let text = std::fs::read_to_string(app.join("a1.record")).unwrap();
         assert!(text.starts_with("histpc-frame v1 "));
@@ -1280,7 +1202,7 @@ mod tests {
         std::fs::write(app.join("a1.record"), write_record(&rec("poisson", "a1"))).unwrap();
         let store = ExecutionStore::open(&dir).unwrap();
         store.save(&rec("poisson", "a2")).unwrap();
-        match Manifest::load(&dir).unwrap() {
+        match Manifest::load(&RealFs, &dir).unwrap() {
             ManifestState::Loaded(m) => {
                 assert!(
                     m.lookup("poisson/a1.record").is_some(),
@@ -1330,69 +1252,6 @@ mod tests {
     }
 
     #[test]
-    fn crash_before_rename_rolls_back_keeping_old_record() {
-        let dir = tmpdir("rollback");
-        let store = ExecutionStore::open(&dir).unwrap();
-        store.save(&rec("poisson", "a1")).unwrap();
-        let old = store.load("poisson", "a1").unwrap();
-        // Stage the crash: intent journaled, tmp half-written, target
-        // still old, lock left behind by the "dead" writer.
-        let mut r2 = rec("poisson", "a1");
-        r2.pairs_tested = 777;
-        let new_payload = write_record(&r2);
-        Journal::at(&dir)
-            .append(&JournalEntry::Put {
-                fnv: fnv64(new_payload.as_bytes()),
-                ext: "record".into(),
-                app: "poisson".into(),
-                label: "a1".into(),
-            })
-            .unwrap();
-        let target = store.record_path("poisson", "a1");
-        let framed = frame::encode(&new_payload);
-        std::fs::write(tmp_sibling(&target), &framed[..framed.len() / 2]).unwrap();
-        std::fs::write(
-            StoreLock::path_in(&dir),
-            format!("{}\npid {DEAD_PID}\n", lock::LOCK_HEADER),
-        )
-        .unwrap();
-
-        let again = ExecutionStore::open(&dir).unwrap();
-        let rec_after = again.load("poisson", "a1").unwrap();
-        assert_eq!(rec_after.pairs_tested, old.pairs_tested, "old record kept");
-        assert!(!tmp_sibling(&target).exists());
-        assert!(Journal::at(&dir).read().unwrap().uncommitted().is_none());
-    }
-
-    #[test]
-    fn crash_with_complete_tmp_rolls_forward() {
-        let dir = tmpdir("rollforward");
-        let store = ExecutionStore::open(&dir).unwrap();
-        store.save(&rec("poisson", "a1")).unwrap();
-        let mut r2 = rec("poisson", "a1");
-        r2.pairs_tested = 777;
-        let new_payload = write_record(&r2);
-        Journal::at(&dir)
-            .append(&JournalEntry::Put {
-                fnv: fnv64(new_payload.as_bytes()),
-                ext: "record".into(),
-                app: "poisson".into(),
-                label: "a1".into(),
-            })
-            .unwrap();
-        let target = store.record_path("poisson", "a1");
-        std::fs::write(tmp_sibling(&target), frame::encode(&new_payload)).unwrap();
-
-        let again = ExecutionStore::open(&dir).unwrap();
-        assert_eq!(
-            again.load("poisson", "a1").unwrap().pairs_tested,
-            777,
-            "complete tmp file promoted"
-        );
-        assert!(!tmp_sibling(&target).exists());
-    }
-
-    #[test]
     fn torn_record_at_every_byte_offset_recovers() {
         // The tentpole crash-recovery property, exhaustively: tearing a
         // journaled record write at every byte offset always yields the
@@ -1401,7 +1260,7 @@ mod tests {
         let dir = tmpdir("everyoffset");
         let store = ExecutionStore::open(&dir).unwrap();
         store.save(&rec("poisson", "a1")).unwrap();
-        let full = std::fs::read_to_string(store.record_path("poisson", "a1")).unwrap();
+        let full = std::fs::read_to_string(store.path("poisson", "a1", "record")).unwrap();
         for cut in 0..full.len() {
             store
                 .inject_torn_write("poisson", "a1", cut as f64 / full.len() as f64)
@@ -1413,7 +1272,11 @@ mod tests {
                 assert_eq!(r.label, "a1", "cut {cut}: wrong label");
             }
             assert!(
-                Journal::at(&dir).read().unwrap().uncommitted().is_none(),
+                Journal::at(&RealFs, &dir)
+                    .read()
+                    .unwrap()
+                    .uncommitted()
+                    .is_none(),
                 "cut {cut}: journal not settled"
             );
             // Restore the full record for the next offset (quarantine
@@ -1431,7 +1294,7 @@ mod tests {
         for cut in [0.1, 0.5, 0.9] {
             store.inject_torn_journal("poisson", "a1", cut).unwrap();
             let again = ExecutionStore::open(&dir).unwrap();
-            let st = Journal::at(&dir).read().unwrap();
+            let st = Journal::at(&RealFs, &dir).read().unwrap();
             assert!(!st.torn, "cut {cut}: journal still torn after open");
             assert!(st.uncommitted().is_none());
             assert_eq!(again.load("poisson", "a1").unwrap().label, "a1");
@@ -1447,12 +1310,12 @@ mod tests {
         // Litter: stray tmp + torn record + garbage manifest.
         std::fs::write(dir.join("poisson").join("zz.record.tmp"), "half").unwrap();
         store.inject_torn_write("poisson", "a2", 0.5).unwrap();
-        std::fs::write(dir.join(manifest::MANIFEST_FILE), "garbage\n").unwrap();
+        std::fs::write(dir.join(crate::manifest::MANIFEST_FILE), "garbage\n").unwrap();
 
         let notes = store.repair().unwrap();
         assert!(!notes.is_empty());
         assert!(!dir.join("poisson").join("zz.record.tmp").exists());
-        match Manifest::load(&dir).unwrap() {
+        match Manifest::load(&RealFs, &dir).unwrap() {
             ManifestState::Loaded(_) => {}
             other => panic!("manifest not rebuilt: {other:?}"),
         }
@@ -1460,7 +1323,11 @@ mod tests {
 
         let notes = store.compact().unwrap();
         assert!(notes.iter().any(|n| n.contains("rebuilt manifest")));
-        assert!(Journal::at(&dir).read().unwrap().entries.is_empty());
+        assert!(Journal::at(&RealFs, &dir)
+            .read()
+            .unwrap()
+            .entries
+            .is_empty());
     }
 
     #[test]
@@ -1475,7 +1342,9 @@ mod tests {
                 .save_artifact("poisson", &label, "note", "text\n")
                 .unwrap();
         }
-        let len = std::fs::metadata(Journal::at(&dir).path()).unwrap().len();
+        let len = std::fs::metadata(Journal::at(&RealFs, &dir).path())
+            .unwrap()
+            .len();
         assert!(
             len < JOURNAL_RESET_LEN,
             "journal grew without bound: {len} bytes"

@@ -32,15 +32,15 @@
 //! record must not resurrect it — revocation survives `store compact`
 //! and v0→v1 `migrate` because neither touches root sidecars.
 //!
-//! On disk the ledger follows the `FACTS` sidecar discipline
-//! ([`crate::factcache`]): one root-level `TRUST` file, invisible to
-//! `fsck`'s data walk (listed as "skipped: sidecar"), atomic tmp +
-//! rename saves, and tolerant loading — with one upgrade: the body is
-//! checksum-framed (FNV-64, [`histpc_resources::fnv64`]), and a torn or
-//! corrupt `TRUST` falls back to a committed `TRUST.tmp` before
-//! degrading to an empty ledger. Losing the ledger is safe: every
-//! source simply starts back at full trust.
+//! On disk it is one root-level `TRUST` sidecar, its body covered by an
+//! FNV-64 checksum ([`histpc_resources::fnv64`]) and saved under the
+//! store lock by
+//! [`ExecutionStore::update_trust`](crate::ExecutionStore::update_trust).
+//! A damaged `TRUST` falls back to a committed `TRUST.tmp`, then to an
+//! empty ledger: every source simply starts back at full trust.
 
+use crate::durable::{self, RealFs, Vfs};
+use crate::factcache::payload_after;
 use histpc_resources::fnv64;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io;
@@ -120,14 +120,16 @@ impl TrustLedger {
     /// are unusable the ledger is empty — sources revert to full
     /// trust, which only costs re-auditing.
     pub fn load(root: &Path) -> TrustLedger {
-        for name in [TRUST_FILE.to_string(), format!("{TRUST_FILE}.tmp")] {
-            if let Ok(text) = std::fs::read_to_string(root.join(&name)) {
-                if let Some(ledger) = Self::parse(&text) {
-                    return ledger;
-                }
-            }
+        Self::load_in(&RealFs, root)
+    }
+
+    /// [`TrustLedger::load`] on the file system `fs`.
+    pub(crate) fn load_in(fs: &dyn Vfs, root: &Path) -> TrustLedger {
+        let parse = |text: &str| Self::parse(text).ok_or_else(|| "damaged".to_string());
+        match durable::read_tolerant(fs, &root.join(TRUST_FILE), true, parse) {
+            Ok(Some(Ok(ledger))) => ledger,
+            _ => TrustLedger::default(),
         }
-        TrustLedger::default()
     }
 
     /// The score of a source run ([`FULL_SCORE`] when unknown).
@@ -270,22 +272,14 @@ impl TrustLedger {
                 let is_conflict = line.starts_with("conflict ");
                 let (len_text, source) = meta.split_once(' ')?;
                 let len: usize = len_text.parse().ok()?;
-                let payload_start = line_end + 1;
-                let payload_end = payload_start.checked_add(len)?;
-                if payload_end > body.len() || !body.is_char_boundary(payload_end) {
-                    return None;
-                }
-                let payload = body[payload_start..payload_end].to_string();
-                if body.as_bytes().get(payload_end) != Some(&b'\n') {
-                    return None;
-                }
+                let payload = payload_after(body, line_end, len)?.to_string();
                 let e = entries.entry(source.to_string()).or_default();
                 if is_conflict {
                     e.conflicts.insert(payload);
                 } else {
                     e.revoked.insert(payload);
                 }
-                pos = payload_end + 1;
+                pos = line_end + len + 2;
             } else {
                 return None;
             }
@@ -293,14 +287,16 @@ impl TrustLedger {
         Some(TrustLedger { entries })
     }
 
-    /// Writes the sidecar atomically (tmp + rename) under a store
-    /// root. Harvest treats failure as non-fatal — worst case the
-    /// next session re-learns the same distrust.
+    /// Installs the ledger under a store root without the store lock, to
+    /// seed a store no session uses; sessions go through
+    /// [`ExecutionStore::update_trust`](crate::ExecutionStore::update_trust).
     pub fn save(&self, root: &Path) -> io::Result<()> {
-        let tmp = root.join(format!("{TRUST_FILE}.tmp"));
-        let target = root.join(TRUST_FILE);
-        std::fs::write(&tmp, self.to_text())?;
-        std::fs::rename(&tmp, &target)
+        self.save_in(&RealFs, root)
+    }
+
+    /// [`TrustLedger::save`] on the file system `fs`.
+    pub(crate) fn save_in(&self, fs: &dyn Vfs, root: &Path) -> io::Result<()> {
+        durable::install(fs, &root.join(TRUST_FILE), self.to_text().as_bytes(), false)
     }
 }
 

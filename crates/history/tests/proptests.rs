@@ -288,22 +288,6 @@ proptest! {
         prop_assert!(diags.iter().all(|d| !d.is_error()));
         let _ = std::fs::remove_dir_all(&dir);
     }
-
-    /// Cutting the write-ahead journal mid-append is likewise always
-    /// recovered on the next open.
-    #[test]
-    fn torn_journal_always_recovers(cut in 0.0f64..1.0) {
-        let dir = store_scratch();
-        let store = ExecutionStore::open(&dir).unwrap();
-        store.save(&stored_record(3)).unwrap();
-        store.inject_torn_journal("app", "r1", cut).unwrap();
-
-        let again = ExecutionStore::open(&dir).unwrap();
-        prop_assert_eq!(again.load("app", "r1").unwrap().pairs_tested, 3);
-        let diags = histpc_history::fsck::fsck(&dir);
-        prop_assert!(diags.iter().all(|d| !d.is_error()));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }
 
 /// The manifest index as it was kept before lookups became binary

@@ -1,8 +1,9 @@
 //! Durability of the trust ledger sidecar: revocations pinned by a
 //! failed shadow audit must survive every store maintenance operation
-//! (`store compact`, v0→v1 `migrate`), and a `TRUST` write torn at an
+//! (`store compact`, v0→v1 `migrate`), a `TRUST` damaged at an
 //! arbitrary byte offset must never half-parse into a wrong ledger —
-//! the loader falls back to the committed tmp or to full trust.
+//! the loader falls back to the committed tmp or to full trust — and
+//! concurrent updates must all land.
 
 use histpc_consultant::Outcome;
 use histpc_history::trust::{TrustLedger, TRUST_FILE};
@@ -152,17 +153,13 @@ fn ledger_from(events: &[(String, u8, String)]) -> TrustLedger {
 }
 
 proptest! {
-    /// Tearing a `TRUST` save at any byte offset never yields a wrong
-    /// ledger. Two crash shapes:
-    ///
-    /// * cut mid-`TRUST.tmp`, before the rename — the committed
-    ///   `TRUST` still holds the old ledger and wins;
-    /// * `TRUST` itself damaged after a crash that left a complete
-    ///   tmp behind — the loader falls back to the tmp.
-    ///
-    /// In both, the outcome is exactly the old or the new ledger —
-    /// the FNV-framed body makes every proper prefix unparseable, so
-    /// no truncation can half-apply a revocation set.
+    /// A `TRUST` that is damaged — torn at any byte offset by a writer
+    /// outside the store's protocol, or garbled — never yields a wrong
+    /// ledger: every proper prefix of a serialized ledger is rejected
+    /// (that is what the FNV-framed body buys), and a load falls back
+    /// to a complete `TRUST.tmp` an interrupted save left behind.
+    /// Cuts of the store's own saves are enumerated by the crash tests
+    /// in `durable.rs`.
     #[test]
     fn torn_trust_write_never_corrupts(
         old_events in events(),
@@ -185,26 +182,58 @@ proptest! {
         let cut_at = ((new_bytes.len() as f64) * cut) as usize;
         let torn = &new_bytes[..cut_at.min(new_bytes.len())];
 
-        // A proper prefix must never parse — that is what the
-        // checksum frame buys.
+        // A proper prefix must never parse.
         if cut_at < new_bytes.len() {
             if let Ok(text) = std::str::from_utf8(torn) {
                 prop_assert!(TrustLedger::parse(text).is_none());
             }
         }
 
-        // Crash shape 1: old ledger committed, save of the new one
-        // torn mid-tmp. The committed file wins.
-        old.save(&dir).unwrap();
-        std::fs::write(dir.join(format!("{TRUST_FILE}.tmp")), torn).unwrap();
-        prop_assert_eq!(&TrustLedger::load(&dir), &old);
-
-        // Crash shape 2: the tmp was written in full, then TRUST
-        // itself was damaged. The loader falls back to the tmp.
+        // The tmp was written in full, then TRUST itself was damaged.
+        // The loader falls back to the tmp.
         std::fs::write(dir.join(TRUST_FILE), torn).unwrap();
         std::fs::write(dir.join(format!("{TRUST_FILE}.tmp")), &new_bytes).unwrap();
         prop_assert_eq!(&TrustLedger::load(&dir), &new);
 
         let _ = std::fs::remove_dir_all(&dir);
     }
+}
+
+/// Sessions sharing one store (as `histpcd`'s tenants do) update `TRUST`
+/// at the same time. Each update runs under the store lock, so none is
+/// lost and no save can interleave with another in `TRUST.tmp`: the
+/// ledger loads whole, with every thread's every revocation in it.
+#[test]
+fn concurrent_trust_updates_keep_every_revocation() {
+    const THREADS: usize = 4;
+    const ROUNDS: usize = 12;
+    let dir = scratch("concurrent");
+    let store = ExecutionStore::open(&dir).unwrap();
+    let round = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|s| {
+        for t in 0..THREADS {
+            let (store, round) = (&store, &round);
+            s.spawn(move || {
+                for r in 0..ROUNDS {
+                    round.wait();
+                    store
+                        .update_trust(|l| {
+                            l.record_revocation(&format!("poisson/t{t}"), &format!("prune {r}"));
+                        })
+                        .unwrap();
+                }
+            });
+        }
+    });
+    let text = std::fs::read_to_string(dir.join(TRUST_FILE)).unwrap();
+    let ledger = TrustLedger::parse(&text).expect("TRUST loads whole");
+    for t in 0..THREADS {
+        for r in 0..ROUNDS {
+            assert!(
+                ledger.is_revoked(&format!("poisson/t{t}"), &format!("prune {r}")),
+                "thread {t} round {r}: revocation lost"
+            );
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -34,8 +34,8 @@ use crate::facts::{self, FactTable, RecordFacts};
 use crate::passes;
 use crate::LintReport;
 use histpc_consultant::directive::{PriorityLevel, SearchDirectives};
-use histpc_history::factcache::{FactCache, FACTCACHE_FILE};
-use histpc_history::manifest::{Manifest, ManifestState};
+use histpc_history::factcache::FACTCACHE_FILE;
+use histpc_history::manifest::ManifestState;
 use histpc_history::{ExecutionStore, ExtractionOptions, StoreError};
 use histpc_resources::fnv64;
 use histpc_resources::intern::Interner;
@@ -209,7 +209,7 @@ impl<'a> CorpusAnalyzer<'a> {
     /// directory read per application and one manifest load; records
     /// the manifest misses (v0 stores, drift) fall back to hashing.
     fn listing(&self) -> Result<Listing, StoreError> {
-        let manifest = match Manifest::load(self.store.root()) {
+        let manifest = match self.store.manifest() {
             Ok(ManifestState::Loaded(m)) => Some(m),
             _ => None,
         };
@@ -241,7 +241,7 @@ impl<'a> CorpusAnalyzer<'a> {
     /// report it, and one torn record must not hide corpus findings
     /// about the rest).
     fn lower(&self, apps: &[ListedApp]) -> Lowered {
-        let mut cache = FactCache::load(self.store.root());
+        let mut cache = self.store.load_facts();
         let mut interner = Interner::new();
         let fingerprint = self.fingerprint();
         let mut lowered = Lowered::default();
@@ -296,7 +296,7 @@ impl<'a> CorpusAnalyzer<'a> {
         // best-effort (a read-only store must still analyze).
         cache.retain_paths(&live);
         if cache.is_dirty() {
-            lowered.unsaved = cache.save(self.store.root()).is_err();
+            lowered.unsaved = self.store.save_facts(&cache).is_err();
         }
         lowered
     }

@@ -24,6 +24,11 @@
 //!   take every session down; recover the guard with
 //!   `PoisonError::into_inner`. Matches `.lock().unwrap()` and the
 //!   `.expect("… poisoned")` message convention.
+//! * **DA005 — `std::fs` outside the durable-file layer** in
+//!   `crates/history/src`: every file operation of the history store
+//!   goes through `durable.rs`, whose one atomic install, tolerant read
+//!   and layout classifier the crash enumeration proves; a direct
+//!   `std::fs` call bypasses both.
 //!
 //! Test modules (everything at and after the first `#[cfg(test)]`) are
 //! exempt. A finding is suppressed by `det-audit: allow(...)` on the
@@ -61,6 +66,9 @@ const SERIALIZATION_FILES: &[(&str, &str)] = &[
 /// Files of the long-lived service, whose lock and condvar acquisitions
 /// must survive a poisoned lock.
 const SERVICE_PATHS: &[(&str, &str)] = &[("daemon", ""), ("core", "supervise.rs")];
+
+/// The one file of `histpc-history` allowed to touch `std::fs`.
+const DURABLE_LAYER: (&str, &str) = ("history", "durable.rs");
 
 struct Finding {
     code: &'static str,
@@ -107,7 +115,8 @@ fn audit_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     let check_unwrap = listed(NO_UNWRAP_PATHS, krate, sub);
     let check_hashmap = listed(SERIALIZATION_FILES, krate, sub);
     let check_lock = listed(SERVICE_PATHS, krate, sub);
-    if !(check_clock || check_unwrap || check_hashmap || check_lock) {
+    let check_fs = krate == DURABLE_LAYER.0 && sub != DURABLE_LAYER.1;
+    if !(check_clock || check_unwrap || check_hashmap || check_lock || check_fs) {
         return;
     }
 
@@ -164,6 +173,16 @@ fn audit_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
                     .into(),
             });
         }
+        if check_fs && raw.contains("std::fs::") {
+            findings.push(Finding {
+                code: "DA005",
+                file: rel.to_string(),
+                line: lineno,
+                message: "`std::fs` in the history store outside `durable.rs`; \
+                          go through the store's `Vfs` and the durable layer's helpers"
+                    .into(),
+            });
+        }
     }
 }
 
@@ -206,6 +225,30 @@ fn da004_flags_panicking_lock_acquisition_in_service_code_only() {
     assert_eq!(da004("crates/daemon/src/lib.rs"), [2, 3]);
     assert_eq!(da004("crates/core/src/supervise.rs"), [2, 3]);
     assert!(da004("crates/core/src/session.rs").is_empty());
+}
+
+#[test]
+fn da005_flags_std_fs_in_history_outside_the_durable_layer() {
+    let text = "fn f(p: &Path) {\n\
+                \x20   let a = std::fs::read(p);\n\
+                \x20   let b = fs.read(p);\n\
+                }\n\
+                #[cfg(test)]\n\
+                mod tests {\n\
+                \x20   fn g() { std::fs::write(\"x\", \"y\").unwrap(); }\n\
+                }\n";
+    let da005 = |rel: &str| {
+        let mut findings = Vec::new();
+        audit_file(rel, text, &mut findings);
+        findings
+            .iter()
+            .filter(|f| f.code == "DA005")
+            .map(|f| f.line)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(da005("crates/history/src/store.rs"), [2]);
+    assert!(da005("crates/history/src/durable.rs").is_empty());
+    assert!(da005("crates/lint/src/corpus.rs").is_empty());
 }
 
 #[test]
