@@ -235,6 +235,8 @@ pub struct StoreLock<'a> {
     path: PathBuf,
     /// This process's guard for the store root, released after the file.
     root: PathBuf,
+    /// True if taking the lock broke a dead holder's.
+    broke: bool,
 }
 
 impl<'a> StoreLock<'a> {
@@ -249,6 +251,12 @@ impl<'a> StoreLock<'a> {
         root.join(LOCK_FILE)
     }
 
+    /// True if this acquire broke the lock of a dead (or stale) holder:
+    /// whatever that holder was doing to the store is unfinished.
+    pub fn broke_dead_holder(&self) -> bool {
+        self.broke
+    }
+
     /// [`StoreLock::acquire`] on the file system `fs`.
     ///
     /// Dead-holder breaking is hardened against the two-breaker race
@@ -261,7 +269,8 @@ impl<'a> StoreLock<'a> {
     /// stole by mistake. Every successful `create_new` is then
     /// re-verified by reading the holder back; a claim that no longer
     /// names us was broken in the window and we retry with jittered
-    /// backoff rather than assume ownership.
+    /// backoff rather than assume ownership. A breaker that won re-races
+    /// `create_new` at once.
     ///
     /// Threads of one process first queue on a per-root guard, so the
     /// file protocol only ever arbitrates between processes.
@@ -272,10 +281,11 @@ impl<'a> StoreLock<'a> {
         let key = claim_root(root, deadline)?;
         let path = Self::path_in(root);
         match Self::acquire_file(fs, &path, deadline) {
-            Ok(()) => Ok(StoreLock {
+            Ok(broke) => Ok(StoreLock {
                 fs,
                 path,
                 root: key,
+                broke,
             }),
             Err(e) => {
                 release_root(&key);
@@ -286,14 +296,16 @@ impl<'a> StoreLock<'a> {
 
     /// The cross-process half of [`StoreLock::acquire_in`]: claims the
     /// `LOCK` file at `path`, with the caller holding its root's guard.
+    /// Returns whether it broke a dead holder's lock on the way.
     fn acquire_file(
         fs: &dyn Vfs,
         path: &Path,
         deadline: std::time::Instant,
-    ) -> Result<(), LockError> {
+    ) -> Result<bool, LockError> {
         let nonce = ACQUIRE_SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let me = std::process::id();
         let mut attempt: u32 = 0;
+        let mut broke = false;
         loop {
             let created = match lease_epoch() {
                 Some(e) => {
@@ -309,7 +321,7 @@ impl<'a> StoreLock<'a> {
                     // claim in the window. Only the claim the file
                     // still names is the real one.
                     if read_holder_meta(fs, path)?.map_or(0, |m| m.pid) == me {
-                        return Ok(());
+                        return Ok(broke);
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
@@ -338,6 +350,12 @@ impl<'a> StoreLock<'a> {
                                 let _ = fs.hard_link(&tomb, path);
                             }
                             let _ = fs.remove(&tomb);
+                            if !stolen {
+                                // Our rename broke the dead lock: only
+                                // another process can race the re-create.
+                                broke = true;
+                                continue;
+                            }
                         }
                     } else {
                         // det-audit: allow(wall-clock) — same deadline check.
@@ -350,8 +368,8 @@ impl<'a> StoreLock<'a> {
                 }
                 Err(e) => return Err(LockError::Io(e)),
             }
-            // Broken a lock or lost our claim: back off a decorrelated
-            // few milliseconds before re-racing `create_new`.
+            // Lost a claim or a break: back off a decorrelated few
+            // milliseconds before re-racing `create_new`.
             attempt += 1;
             std::thread::sleep(jittered(nonce, attempt));
         }
@@ -409,6 +427,29 @@ mod tests {
         std::fs::write(&path, format!("{LOCK_HEADER}\npid {DEAD_PID}\n")).unwrap();
         let _lock = StoreLock::acquire(&root).unwrap();
         assert_eq!(read_holder(&path).unwrap(), Some(std::process::id()));
+    }
+
+    #[test]
+    fn a_won_break_does_not_back_off() {
+        // Only a lost claim backs off: 40 acquires, each over a dead
+        // lock, cost about 40 uncontended ones. In memory, so that only
+        // a back-off could make them slow.
+        let fs = crate::durable::mem::MemFs::default();
+        let root = Path::new("/memfs/nobackoff");
+        fs.create_dir_all(root).unwrap();
+        let dead = format!("{LOCK_HEADER}\npid {DEAD_PID}\n");
+        let start = std::time::Instant::now();
+        for _ in 0..40 {
+            fs.write(&StoreLock::path_in(root), dead.as_bytes())
+                .unwrap();
+            let lock = StoreLock::acquire_in(&fs, root).unwrap();
+            assert!(lock.broke_dead_holder());
+        }
+        let took = start.elapsed();
+        assert!(took < Duration::from_millis(100), "40 breaks took {took:?}");
+        assert!(!StoreLock::acquire_in(&fs, root)
+            .unwrap()
+            .broke_dead_holder());
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! format, and store crash consistency.
 
 use histpc_consultant::{NodeOutcome, Outcome, PriorityDirective, PriorityLevel, SearchDirectives};
+use histpc_history::journal::{JournalEntry, JournalState};
 use histpc_history::manifest::{Manifest, ManifestEntry};
 use histpc_history::{
     format, frame, intersect, union, ExecutionRecord, ExecutionStore, MappingSet,
@@ -290,8 +291,8 @@ proptest! {
     }
 }
 
-/// The manifest index as it was kept before lookups became binary
-/// searches: linear `find` / `retain`, push and re-sort on insert.
+/// The manifest index applied one entry at a time: linear `find` /
+/// `retain`, push and re-sort on insert.
 #[derive(Default)]
 struct LinearManifest {
     entries: Vec<ManifestEntry>,
@@ -299,16 +300,13 @@ struct LinearManifest {
 
 impl LinearManifest {
     fn upsert(&mut self, rel_path: &str, fnv: u64) {
-        match self.entries.iter_mut().find(|e| e.rel_path == rel_path) {
-            Some(e) => e.fnv = fnv,
-            None => {
-                self.entries.push(ManifestEntry {
-                    fnv,
-                    rel_path: rel_path.to_string(),
-                });
-                self.entries.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
-            }
-        }
+        self.remove(rel_path);
+        self.entries.push(ManifestEntry {
+            fnv,
+            rel_path: rel_path.to_string(),
+        });
+        // Stable, so that untouched duplicate lines keep their order.
+        self.entries.sort_by(|a, b| a.rel_path.cmp(&b.rel_path));
     }
 
     fn remove(&mut self, rel_path: &str) {
@@ -323,7 +321,8 @@ impl LinearManifest {
     }
 }
 
-/// One manifest operation: 0 upsert, 1 remove, 2 lookup.
+/// One journal entry: 0 a committed put, 1 a committed delete, 2 a put
+/// intent that never got its `ok`.
 fn manifest_op() -> impl Strategy<Value = (u8, String, u64)> {
     (0u8..3, "[a-c]/[a-d]{0,2}\\.[rs]", 0u64..4)
 }
@@ -331,10 +330,11 @@ fn manifest_op() -> impl Strategy<Value = (u8, String, u64)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Binary-searched upsert / remove / lookup agree with the linear
-    /// implementation on every answer, the entry order and the bytes of
+    /// Extending a manifest by a journal in one merge agrees with the
+    /// linear reference applying each committed entry in turn: on every
+    /// lookup, the entry order, the generation and the bytes of
     /// `to_text()`, starting from a parsed manifest that may hold
-    /// duplicate lines.
+    /// duplicate lines. Intents without their `ok` change nothing.
     #[test]
     fn manifest_matches_the_linear_reference(
         seed in prop::collection::vec(("[a-c]/[a-d]{0,2}\\.[rs]", 0u64..4), 0..6),
@@ -348,19 +348,31 @@ proptest! {
         let mut slow = LinearManifest {
             entries: fast.entries.clone(),
         };
+        let mut journal = JournalState {
+            base: Some(3),
+            ..JournalState::default()
+        };
         for (op, rel, fnv) in &ops {
+            let (app, file) = rel.split_once('/').unwrap();
+            let (label, ext) = file.rsplit_once('.').unwrap();
+            let [ext, app, label] = [ext, app, label].map(str::to_string);
+            journal.entries.push(match op {
+                1 => JournalEntry::Del { ext, app, label },
+                _ => JournalEntry::Put { fnv: *fnv, ext, app, label },
+            });
             match op {
-                0 => {
-                    fast.upsert(rel, *fnv);
-                    slow.upsert(rel, *fnv);
-                }
-                1 => {
-                    fast.remove(rel);
-                    slow.remove(rel);
-                }
-                _ => prop_assert_eq!(fast.lookup(rel), slow.lookup(rel)),
+                0 => slow.upsert(rel, *fnv),
+                1 => slow.remove(rel),
+                _ => continue,
             }
-            prop_assert_eq!(&fast.entries, &slow.entries);
+            journal.entries.push(JournalEntry::Ok);
+        }
+        fast.extend(&journal);
+        prop_assert_eq!(&fast.entries, &slow.entries);
+        let committed = ops.iter().filter(|(op, _, _)| *op < 2).count() as u64;
+        prop_assert_eq!(fast.generation, 3 + committed);
+        for (_, rel, _) in &ops {
+            prop_assert_eq!(fast.lookup(rel), slow.lookup(rel));
         }
         let slow = Manifest {
             generation: fast.generation,
