@@ -24,7 +24,9 @@ use crate::hypothesis::{HypothesisId, HypothesisTree};
 use crate::report::{AuditOutcome, DiagnosisReport, NodeOutcome, Outcome};
 use crate::shg::{NodeState, Shg, ShgNodeId};
 use histpc_faults::{FaultInjector, FaultPlan, FaultStats, KillTarget, RequestFault};
-use histpc_instr::{AdmitOutcome, Collector, CollectorConfig, RequestClass, SampleBatch};
+use histpc_instr::{
+    AdmitOutcome, Collector, CollectorConfig, Metric, PairId, RequestClass, SampleBatch,
+};
 use histpc_resources::{Focus, ResourceName, CODE, MACHINE, PROCESS, SYNC_OBJECT};
 use histpc_sim::{Engine, EngineStatus, ProcId, SimDuration, SimTime};
 use std::collections::HashMap;
@@ -170,7 +172,8 @@ pub struct Consultant {
     halted: bool,
     peak_cost: f64,
     quiesced_at: Option<SimTime>,
-    /// Degradation policy; only consulted from [`Consultant::tick_faulted`].
+    /// Degradation policy; only consulted with a fault injector in the
+    /// loop.
     data_timeout: SimDuration,
     /// Per-node failed-request bookkeeping: (attempts so far, earliest
     /// next retry). Looked up by id only, never iterated, so it cannot
@@ -180,13 +183,6 @@ pub struct Consultant {
     dead_procs: Vec<ProcId>,
     /// Resource names of everything that died, for the report.
     unreachable: Vec<ResourceName>,
-    /// Backpressure: while the admission controller reports pressure,
-    /// refinement fan-out is cut to one probe per tick (persistent/High
-    /// pairs keep the full pool), resuming once the pressure drains —
-    /// the overload mirror of the cost model's halt/resume hysteresis.
-    throttled: bool,
-    /// Resource names whose admission breaker opened, for the report.
-    saturated: Vec<ResourceName>,
     /// When set, [`Consultant::refine`] is a no-op: the search stays on
     /// the top-level hypotheses at the whole-program focus.
     top_level_only: bool,
@@ -217,6 +213,31 @@ pub struct Consultant {
     audit_failures: HashMap<String, u32>,
     /// Source runs already revoked wholesale this session.
     revoked_sources: Vec<String>,
+    /// The tick's releases and settles (see [`Consultant::conclude`]);
+    /// kept between ticks only to reuse the allocation.
+    decisions: Vec<Decision>,
+    /// The tick's request outcomes (see [`Consultant::take_outcomes`]);
+    /// likewise.
+    outcomes: Vec<(usize, AdmitOutcome)>,
+}
+
+/// A change to the collector's instrumentation that the search decided
+/// on; [`step`] applies them in the order they were decided.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Decision {
+    /// Delete the pair's instrumentation; its data stays queryable.
+    Release(PairId),
+    /// Keep the pair in place at its residual, settled cost.
+    Settle(PairId),
+}
+
+/// One instrumentation request of a tick's expansion.
+struct Request<'a> {
+    /// The node's place in the pending queue, which its outcome names.
+    at: usize,
+    metric: Metric,
+    focus: &'a Focus,
+    class: RequestClass,
 }
 
 /// Once a single session has caught this many of a source run's
@@ -271,8 +292,6 @@ impl Consultant {
             retry: HashMap::new(),
             dead_procs: Vec::new(),
             unreachable: Vec::new(),
-            throttled: false,
-            saturated: Vec::new(),
             top_level_only: false,
             audit_budget: 0,
             audits_assigned: 0,
@@ -283,6 +302,8 @@ impl Consultant {
             audit_outcomes: Vec::new(),
             audit_failures: HashMap::new(),
             revoked_sources: Vec::new(),
+            decisions: Vec::new(),
+            outcomes: Vec::new(),
         };
 
         // Base hypotheses for the whole program.
@@ -341,7 +362,7 @@ impl Consultant {
     }
 
     /// Adopts the data timeout and `top_level_only` from a config. The
-    /// data timeout is read only by [`Consultant::tick_faulted`]. The
+    /// data timeout is read only with a fault injector in the loop. The
     /// drive loop calls this before the first tick.
     pub fn set_fault_policy(&mut self, config: &SearchConfig) {
         self.data_timeout = config.data_timeout;
@@ -765,9 +786,9 @@ impl Consultant {
     }
 
     /// Records that `procs` died (with the resource names they and their
-    /// node answer to). Subsequent faulted ticks mark every unconcluded
-    /// experiment stranded on dead processes as `Unreachable`.
-    pub fn note_dead(&mut self, procs: &[ProcId], resources: Vec<ResourceName>) {
+    /// node answer to). Later ticks mark every unconcluded experiment
+    /// stranded on dead processes as `Unreachable`.
+    fn note_dead(&mut self, procs: &[ProcId], resources: Vec<ResourceName>) {
         for &p in procs {
             if !self.dead_procs.contains(&p) {
                 self.dead_procs.push(p);
@@ -943,161 +964,97 @@ impl Consultant {
             .unwrap_or(h.default_threshold)
     }
 
-    /// One driver step at application time `now`: conclude ready nodes,
-    /// re-evaluate persistent ones, expand the search under the cost
-    /// budget.
+    /// One search tick at application time `now`, as
+    /// [`drive_diagnosis_faulted`] takes it each step. Kept public for
+    /// the benchmark's hand-driven copy of that loop.
     pub fn tick(&mut self, now: SimTime, collector: &mut Collector) {
-        self.tick_impl(now, collector, None);
+        step(self, collector, None, now);
     }
 
-    /// [`Consultant::tick`] with a fault injector supplying request
-    /// outcomes, plus the degradation phases (unreachable marking,
-    /// starvation timeouts, retry backoff). With a disabled injector the
-    /// behaviour is identical to the plain tick.
+    /// [`Consultant::tick`] with a fault injector drawing every request's
+    /// fate, and the degradation policy on (starvation timeouts).
     pub fn tick_faulted(
         &mut self,
         now: SimTime,
         collector: &mut Collector,
         inj: &mut FaultInjector,
     ) {
-        self.tick_impl(now, collector, Some(inj));
+        step(self, collector, Some(inj), now);
     }
 
-    fn tick_impl(
-        &mut self,
-        now: SimTime,
-        collector: &mut Collector,
-        mut faults: Option<&mut FaultInjector>,
-    ) {
-        // 0a. Admission housekeeping (all of it no-ops while admission is
-        //     disabled, keeping this path bit-identical to the
-        //     pre-admission driver): expire completed in-flight entries,
-        //     half-open cooled breakers, and surface newly saturated
-        //     resources for the report.
-        collector.admission_mut().tick(now);
-        for p in collector.admission_mut().drain_newly_saturated() {
-            let app = collector.binder().app();
-            let mut names = vec![format!("/Process/{}", app.processes[p])];
-            // The machine is only saturated once every process it hosts is.
-            let node = app.node_of(ProcId(p as u16));
-            let blocked = collector.admission().blocked_procs();
-            let node_procs =
-                (0..app.process_count()).filter(|&q| app.node_of(ProcId(q as u16)) == node);
-            if node_procs
-                .clone()
-                .all(|q| blocked.contains(&ProcId(q as u16)))
-            {
-                names.push(format!("/Machine/{}", app.nodes[node]));
+    /// Concludes what the collector's data settles at `now`, and returns
+    /// the pair releases and settles that follow, in the order they
+    /// must reach the cost model:
+    ///
+    /// 0. Stranded experiments can never conclude honestly. Those whose
+    ///    processes are all behind open breakers conclude `Saturated`
+    ///    (persistent pairs are spared: they keep measuring and recover
+    ///    when the breaker re-admits); those whose processes are all
+    ///    dead conclude `Unreachable`.
+    /// 1. Nodes with a full window of data conclude. When `degraded`, a
+    ///    window with no fresh data from any of the node's processes is
+    ///    not evidence of anything: the conclusion waits, and past the
+    ///    data timeout the node gives up as `Unknown` rather than a
+    ///    false "false".
+    /// 2. Persistent pairs keep testing for the entire run: a False
+    ///    persistent node that crosses its threshold later flips to
+    ///    True and is refined.
+    fn conclude(&mut self, now: SimTime, collector: &Collector, degraded: bool) -> &[Decision] {
+        self.decisions.clear();
+        let admission = collector.admission();
+        let blocked = if admission.any_breaker_open() {
+            admission.blocked_procs()
+        } else {
+            Vec::new()
+        };
+        for (verdict, stranded, spare_persistent) in [
+            (NodeState::Saturated, blocked.as_slice(), true),
+            (NodeState::Unreachable, self.dead_procs.as_slice(), false),
+        ] {
+            if stranded.is_empty() {
+                continue;
             }
-            for name in names {
-                if let Ok(r) = ResourceName::parse(&name) {
-                    if !self.saturated.contains(&r) {
-                        self.saturated.push(r);
-                    }
-                }
-            }
-        }
-
-        // 0b. Experiments whose processes are all behind open breakers
-        //     cannot be honestly served: conclude them Saturated and free
-        //     their instrumentation (the overload mirror of the
-        //     unreachable sweep below). Persistent pairs are spared —
-        //     they keep measuring and recover when the breaker re-admits.
-        if collector.admission().any_breaker_open() {
-            let blocked = collector.admission().blocked_procs();
-            for id in self.shg.ids().collect::<Vec<_>>() {
+            for i in 0..self.shg.len() {
+                let id = ShgNodeId(i as u32);
                 let node = self.shg.node(id);
-                let state = node.state;
-                if node.persistent || (state != NodeState::Pending && state != NodeState::Testing) {
+                if (spare_persistent && node.persistent)
+                    || !matches!(node.state, NodeState::Pending | NodeState::Testing)
+                {
                     continue;
                 }
-                let focus = self.shg.node(id).focus.clone();
-                let procs = collector.binder().compile(&focus).procs().to_vec();
-                if procs.is_empty() || !procs.iter().all(|p| blocked.contains(p)) {
+                let compiled = collector.binder().compile(&node.focus);
+                let procs = compiled.procs();
+                if procs.is_empty() || !procs.iter().all(|p| stranded.contains(p)) {
                     continue;
                 }
-                let pair = self.shg.node(id).pair;
                 let node = self.shg.node_mut(id);
-                node.state = NodeState::Saturated;
+                node.state = verdict;
                 node.concluded_at = Some(now);
-                if let Some(pid) = pair {
-                    collector.release(pid, now);
-                }
+                self.decisions.extend(node.pair.map(Decision::Release));
                 self.pending.retain(|&p| p != id);
                 self.retry.remove(&id);
             }
         }
 
-        // 0c. Backpressure hysteresis: trickle refinement fan-out while
-        //     the admission layer reports pressure, resume once it
-        //     drains.
-        if self.throttled {
-            if collector.admission().drained() {
-                self.throttled = false;
-            }
-        } else if collector.admission().under_pressure() {
-            self.throttled = true;
-        }
-
-        // 0. (Faulted only.) Experiments stranded entirely on dead
-        //    processes can never conclude honestly: mark them Unreachable
-        //    and free their instrumentation.
-        if faults.is_some() && !self.dead_procs.is_empty() {
-            for id in self.shg.ids().collect::<Vec<_>>() {
-                let state = self.shg.node(id).state;
-                if state != NodeState::Pending && state != NodeState::Testing {
-                    continue;
-                }
-                let focus = self.shg.node(id).focus.clone();
-                let procs = collector.binder().compile(&focus).procs().to_vec();
-                if procs.is_empty() || !procs.iter().all(|p| self.dead_procs.contains(p)) {
-                    continue;
-                }
-                let pair = self.shg.node(id).pair;
-                let node = self.shg.node_mut(id);
-                node.state = NodeState::Unreachable;
-                node.concluded_at = Some(now);
-                if let Some(pid) = pair {
-                    collector.release(pid, now);
-                }
-                self.pending.retain(|&p| p != id);
-                self.retry.remove(&id);
-            }
-        }
-
-        // 1. Conclude nodes that have a full window of data.
         for id in self.shg.in_state(NodeState::Testing) {
             let Some(pid) = self.shg.node(id).pair else {
                 continue;
             };
-            let active_from = collector.pair(pid).active_from;
-            if now < active_from + self.window {
+            let pair = collector.pair(pid);
+            if now < pair.active_from + self.window {
                 continue;
             }
-            // (Faulted only.) A window with no fresh data from any of the
-            // experiment's processes is not evidence of anything: defer
-            // the conclusion, and past the data timeout give up with
-            // Unknown rather than a false "false".
-            if faults.is_some() {
-                let procs = collector.pair(pid).compiled.procs().to_vec();
-                if !procs.is_empty() {
-                    let ws = window_start(now, self.window);
-                    let fresh = procs.iter().any(|&p| collector.last_data_at(p) >= ws);
-                    if !fresh {
-                        let last_seen = procs
-                            .iter()
-                            .map(|&p| collector.last_data_at(p))
-                            .max()
-                            .unwrap_or(SimTime::ZERO)
-                            .max(active_from);
-                        if now > last_seen + self.data_timeout {
-                            let node = self.shg.node_mut(id);
-                            node.state = NodeState::Unknown;
-                            node.concluded_at = Some(now);
-                            collector.release(pid, now);
-                        }
-                        continue;
+            if degraded {
+                let procs = pair.compiled.procs();
+                let last_seen = procs.iter().map(|&p| collector.last_data_at(p)).max();
+                if let Some(seen) = last_seen.filter(|&t| t < window_start(now, self.window)) {
+                    if now > seen.max(pair.active_from) + self.data_timeout {
+                        let node = self.shg.node_mut(id);
+                        node.state = NodeState::Unknown;
+                        node.concluded_at = Some(now);
+                        self.decisions.push(Decision::Release(pid));
                     }
+                    continue;
                 }
             }
             let fraction = self.evaluate(id, now, collector);
@@ -1105,51 +1062,39 @@ impl Consultant {
             let node = self.shg.node_mut(id);
             node.last_value = fraction;
             node.concluded_at = Some(now);
-            let persistent = node.persistent;
+            // Free the pair's budget for the refinement's children;
+            // persistent pairs keep monitoring for the whole run.
+            // (Deviation from Paradyn, which kept true nodes
+            // instrumented: releasing concluded pairs keeps the cost
+            // economics workable with our cost constants, while
+            // preserving the paper's key asymmetry — false conclusions
+            // free budget and stop, true conclusions spawn children.)
+            self.decisions.push(if node.persistent {
+                Decision::Settle(pid)
+            } else {
+                Decision::Release(pid)
+            });
             if fraction > threshold {
                 node.state = NodeState::True;
                 node.first_true_at = Some(now);
-                // Free the pair's budget for the refinement's children;
-                // persistent pairs keep monitoring for the whole run.
-                // (Deviation from Paradyn, which kept true nodes
-                // instrumented: releasing concluded pairs keeps the cost
-                // economics workable with our cost constants, while
-                // preserving the paper's key asymmetry — false conclusions
-                // free budget and stop, true conclusions spawn children.)
-                if !persistent {
-                    collector.release(pid, now);
-                } else {
-                    collector.settle(pid);
-                }
                 self.refine(id, now, collector);
             } else {
                 node.state = NodeState::False;
-                if !persistent {
-                    collector.release(pid, now);
-                } else {
-                    collector.settle(pid);
-                }
             }
             self.note_audit_conclusion(id, fraction, now, collector);
         }
 
-        // 2. Persistent pairs keep testing for the entire run: a False
-        //    persistent node that crosses its threshold later flips to
-        //    True and is refined.
         for id in self.shg.ids().collect::<Vec<_>>() {
             let node = self.shg.node(id);
-            if !node.persistent || node.pair.is_none() {
+            let Some(pid) = node.pair.filter(|_| node.persistent) else {
                 continue;
-            }
+            };
             if node.state == NodeState::False {
-                let Some(pid) = node.pair else { continue };
-                let active_from = collector.pair(pid).active_from;
-                if now < active_from + self.window {
+                if now < collector.pair(pid).active_from + self.window {
                     continue;
                 }
                 let fraction = self.evaluate(id, now, collector);
-                let threshold = self.threshold_of(node.hypothesis);
-                if fraction > threshold {
+                if fraction > self.threshold_of(node.hypothesis) {
                     let node = self.shg.node_mut(id);
                     node.state = NodeState::True;
                     node.last_value = fraction;
@@ -1161,124 +1106,141 @@ impl Consultant {
                 self.shg.node_mut(id).last_value = fraction;
             }
         }
+        &self.decisions
+    }
 
-        // 3. Expansion under the cost budget, with halt/resume hysteresis.
+    /// This tick's expansion: the pending nodes as instrumentation
+    /// requests, best first, yielded as the caller walks them.
+    ///
+    /// Expansion halts at the critical cost threshold and resumes once
+    /// deletions bring cost back below the resume threshold; while
+    /// halted there is nothing to rank. High before Medium before Low,
+    /// then oldest first. A node in retry backoff stays queued but is
+    /// skipped until its retry time. While the collector is throttled
+    /// only the first refinement probe of the tick goes out. Outcomes
+    /// come back after the walk, which changes nothing it reads: each
+    /// node is queued once, and its outcome touches only its own state.
+    fn requests(
+        &mut self,
+        now: SimTime,
+        collector: &Collector,
+    ) -> impl Iterator<Item = Request<'_>> + '_ {
         if self.halted && collector.cost().can_resume() {
             self.halted = false;
         }
-        if !self.halted && !self.pending.is_empty() {
-            // High before Medium before Low; then oldest first.
+        if !self.halted {
             self.pending.sort_by_key(|&id| {
                 let n = self.shg.node(id);
                 (std::cmp::Reverse(n.priority), n.created_at, id)
             });
-            let mut i = 0;
-            let mut throttled_refinements = 0usize;
-            while i < self.pending.len() {
-                let id = self.pending[i];
-                // A node in retry backoff stays queued but is skipped
-                // until its retry time arrives.
-                if let Some(&(_, next_at)) = self.retry.get(&id) {
-                    if next_at > now {
-                        i += 1;
-                        continue;
-                    }
+        }
+        let this = &*self;
+        let live = if this.halted { 0 } else { this.pending.len() };
+        let throttled = collector.throttled();
+        let mut refinements = 0;
+        this.pending[..live]
+            .iter()
+            .enumerate()
+            .filter_map(move |(at, &id)| {
+                if this
+                    .retry
+                    .get(&id)
+                    .is_some_and(|&(_, next_at)| next_at > now)
+                {
+                    return None;
                 }
                 // Pairs backing active SHG nodes (persistent, or seeded
-                // High priority) keep the full admission pool; everything
-                // else is a refinement probe, shed first under pressure
-                // and cut to a trickle of one probe per tick while
-                // throttled — sustained overload must slow the search,
-                // not stop it, or a long flood would starve every
-                // untested hypothesis into `Unknown`.
+                // High priority) keep the full admission pool;
+                // everything else is a refinement probe, shed first
+                // under pressure and cut to a trickle of one probe per
+                // tick while throttled — sustained overload must slow
+                // the search, not stop it, or a long flood would starve
+                // every untested hypothesis into `Unknown`.
                 // Audit probes also ride the reserved Backing class:
                 // shedding them under the very overload history
                 // mispredicted would blind the audit exactly when it
                 // matters most.
-                let class = {
-                    let n = self.shg.node(id);
-                    if n.persistent
-                        || n.priority == PriorityLevel::High
-                        || self.prune_audits.contains_key(&id)
-                        || self.low_audits.contains_key(&id)
-                    {
-                        RequestClass::Backing
-                    } else {
-                        RequestClass::Refinement
-                    }
+                let node = this.shg.node(id);
+                let class = if node.persistent
+                    || node.priority == PriorityLevel::High
+                    || this.prune_audits.contains_key(&id)
+                    || this.low_audits.contains_key(&id)
+                {
+                    RequestClass::Backing
+                } else {
+                    RequestClass::Refinement
                 };
-                if self.throttled && class == RequestClass::Refinement {
-                    if throttled_refinements >= 1 {
-                        i += 1;
+                if throttled && class == RequestClass::Refinement {
+                    refinements += 1;
+                    if refinements > 1 {
+                        return None;
+                    }
+                }
+                Some(Request {
+                    at,
+                    metric: this.tree.get(node.hypothesis).metric?,
+                    focus: &node.focus,
+                    class,
+                })
+            })
+    }
+
+    /// Takes back what became of this tick's requests, each as its place
+    /// in the pending queue and the collector's answer, and whether the
+    /// walk stopped at the cost gate (expansion then halts). Then
+    /// records the tick's peak cost and checks for quiescence.
+    fn take_outcomes(
+        &mut self,
+        now: SimTime,
+        collector: &Collector,
+        mut outcomes: Vec<(usize, AdmitOutcome)>,
+        refused: bool,
+    ) {
+        self.halted |= refused;
+        // Last first, so each removal leaves the earlier places valid.
+        for &(at, outcome) in outcomes.iter().rev() {
+            let id = self.pending[at];
+            let verdict = match outcome {
+                AdmitOutcome::Granted(pid) => {
+                    self.shg.node_mut(id).pair = Some(pid);
+                    NodeState::Testing
+                }
+                // Every process under the focus is behind an open
+                // breaker: refusing is terminal for this experiment
+                // (half-open probes re-admit the processes for later
+                // experiments).
+                AdmitOutcome::Saturated => NodeState::Saturated,
+                // Failed insertion: retry with capped exponential
+                // backoff; past the attempt budget the pair concludes
+                // Unknown (never false).
+                AdmitOutcome::Failed | AdmitOutcome::Shed => {
+                    let attempts = self.retry.get(&id).map_or(0, |&(a, _)| a) + 1;
+                    if attempts < RETRY_MAX_ATTEMPTS {
+                        let exp = (attempts - 1).min(16);
+                        let backoff = SimDuration::from_micros(
+                            RETRY_BASE
+                                .as_micros()
+                                .saturating_mul(1 << exp)
+                                .min(RETRY_CAP.as_micros()),
+                        );
+                        self.retry.insert(id, (attempts, now + backoff));
                         continue;
                     }
-                    throttled_refinements += 1;
+                    NodeState::Unknown
                 }
-                let focus = self.shg.node(id).focus.clone();
-                let compiled = collector.binder().compile(&focus);
-                if collector.cost().would_exceed(&compiled) {
-                    self.halted = true;
-                    break;
-                }
-                let hyp = self.shg.node(id).hypothesis;
-                let metric = self
-                    .tree
-                    .get(hyp)
-                    .metric
-                    .expect("only metric hypotheses are queued");
-                let fate = match faults.as_deref_mut() {
-                    Some(inj) => inj.request_outcome(),
-                    None => RequestFault::Deliver,
-                };
-                match collector.request_admitted(metric, focus, now, fate, class) {
-                    AdmitOutcome::Granted(pid) => {
-                        self.pending.remove(i);
-                        self.retry.remove(&id);
-                        let node = self.shg.node_mut(id);
-                        node.pair = Some(pid);
-                        node.state = NodeState::Testing;
-                    }
-                    AdmitOutcome::Saturated => {
-                        // Every process under the focus is behind an open
-                        // breaker: refusing is terminal for this
-                        // experiment (half-open probes re-admit the
-                        // processes for later experiments).
-                        self.pending.remove(i);
-                        self.retry.remove(&id);
-                        let node = self.shg.node_mut(id);
-                        node.state = NodeState::Saturated;
-                        node.concluded_at = Some(now);
-                    }
-                    AdmitOutcome::Failed | AdmitOutcome::Shed => {
-                        // Failed insertion: retry with capped exponential
-                        // backoff; past the attempt budget the pair
-                        // concludes Unknown (never false).
-                        let attempts = self.retry.get(&id).map(|&(a, _)| a).unwrap_or(0) + 1;
-                        if attempts >= RETRY_MAX_ATTEMPTS {
-                            self.pending.remove(i);
-                            self.retry.remove(&id);
-                            let node = self.shg.node_mut(id);
-                            node.state = NodeState::Unknown;
-                            node.concluded_at = Some(now);
-                        } else {
-                            let exp = (attempts - 1).min(16);
-                            let backoff = SimDuration::from_micros(
-                                RETRY_BASE
-                                    .as_micros()
-                                    .saturating_mul(1 << exp)
-                                    .min(RETRY_CAP.as_micros()),
-                            );
-                            self.retry.insert(id, (attempts, now + backoff));
-                            i += 1;
-                        }
-                    }
-                }
+            };
+            self.pending.remove(at);
+            self.retry.remove(&id);
+            let node = self.shg.node_mut(id);
+            node.state = verdict;
+            if verdict != NodeState::Testing {
+                node.concluded_at = Some(now);
             }
         }
+        outcomes.clear();
+        self.outcomes = outcomes;
 
         self.peak_cost = self.peak_cost.max(collector.cost().total_cost());
-
-        // 4. Quiescence.
         if self.quiesced_at.is_none()
             && self.pending.is_empty()
             && self.shg.count_state(NodeState::Testing) == 0
@@ -1342,12 +1304,56 @@ impl Consultant {
             peak_cost: self.peak_cost,
             quiescent: self.quiesced_at.is_some(),
             unreachable: self.unreachable.clone(),
-            saturated: self.saturated.clone(),
+            saturated: collector.saturated().to_vec(),
             admission: *collector.admission().stats(),
             shg_rendering: self.shg.render(&self.tree),
             audits,
         }
     }
+}
+
+/// One tick of the search at application time `now`, in three parts:
+/// the collector's own step (admission housekeeping, saturation,
+/// backpressure); the consultant's policy, which reads the collector
+/// and decides; and the application of those decisions to the
+/// collector. Releases and settles reach the cost model before
+/// expansion reads it, in the order the policy decided them:
+/// per-process costs are float sums, so the order can decide a halt.
+/// The ranked walk then submits requests best first. It stops at the
+/// first request the cost gate refuses, and draws each attempted
+/// request's fate from the injector, if any, in rank order. The
+/// outcomes go back to the consultant last.
+fn step(
+    consultant: &mut Consultant,
+    collector: &mut Collector,
+    mut faults: Option<&mut FaultInjector>,
+    now: SimTime,
+) {
+    collector.step(now);
+    for &decision in consultant.conclude(now, collector, faults.is_some()) {
+        match decision {
+            Decision::Release(pid) => collector.release(pid, now),
+            Decision::Settle(pid) => collector.settle(pid),
+        }
+    }
+    let mut outcomes = std::mem::take(&mut consultant.outcomes);
+    let mut refused = false;
+    for req in consultant.requests(now, collector) {
+        if collector
+            .cost()
+            .would_exceed(&collector.binder().compile(req.focus))
+        {
+            refused = true;
+            break;
+        }
+        let fate = faults
+            .as_deref_mut()
+            .map_or(RequestFault::Deliver, FaultInjector::request_outcome);
+        let outcome =
+            collector.request_admitted(req.metric, req.focus.clone(), now, fate, req.class);
+        outcomes.push((req.at, outcome));
+    }
+    consultant.take_outcomes(now, collector, outcomes, refused);
 }
 
 /// A checkpoint of an interrupted diagnosis session.
@@ -1479,17 +1485,10 @@ pub fn drive_diagnosis_faulted(
     );
     consultant.set_fault_policy(config);
     consultant.enable_audits(config.audit_budget, &collector);
-    let tick = |consultant: &mut Consultant,
-                collector: &mut Collector,
-                injector: &mut Option<FaultInjector>,
-                now: SimTime| match injector {
-        Some(inj) => consultant.tick_faulted(now, collector, inj),
-        None => consultant.tick(now, collector),
-    };
     // Initial expansion at t=0: high-priority pairs are instrumented at
     // search start (paper §3.1).
     let mut now = SimTime::ZERO;
-    tick(&mut consultant, &mut collector, &mut injector, now);
+    step(&mut consultant, &mut collector, injector.as_mut(), now);
     collector.apply_perturbation(engine);
 
     let max = SimTime::ZERO + config.max_time;
@@ -1559,7 +1558,7 @@ pub fn drive_diagnosis_faulted(
             collector.admission_mut().absorb_storm(storm, now);
         }
         collector.ingest(&batch);
-        tick(&mut consultant, &mut collector, &mut injector, now);
+        step(&mut consultant, &mut collector, injector.as_mut(), now);
         collector.apply_perturbation(engine);
         config.hooks.beat(now);
         if let Some(ckpt) = resume_from {
@@ -2217,5 +2216,183 @@ mod tests {
         assert_eq!(plain.pairs_tested, audited.pairs_tested);
         assert_eq!(plain.shg_rendering, audited.shg_rendering);
         assert!(audited.audits.is_empty());
+    }
+
+    /// The engine-free tests' sampling step.
+    const STEP: SimDuration = SimDuration::from_millis(100);
+
+    /// A consultant over a bare collector for `wl`'s application, ticked
+    /// once at t = 0: no engine is built, and every sample is made by
+    /// hand.
+    fn engine_free(
+        wl: &SyntheticWorkload,
+        config: CollectorConfig,
+        directives: SearchDirectives,
+    ) -> (Consultant, Collector) {
+        let mut collector = Collector::new(wl.app_spec(), config);
+        let tree = HypothesisTree::standard();
+        let mut c = Consultant::new(tree, directives, fast_config().window, &collector);
+        step(&mut c, &mut collector, None, SimTime::ZERO);
+        (c, collector)
+    }
+
+    /// Advances `now` by one [`STEP`] in which every process in `procs`
+    /// computes in function f1 throughout, and steps the search.
+    fn cpu_step(c: &mut Consultant, collector: &mut Collector, now: &mut SimTime, procs: &[u16]) {
+        let start = *now;
+        *now += STEP;
+        let intervals = procs
+            .iter()
+            .map(|&p| histpc_sim::Interval {
+                proc: ProcId(p),
+                func: histpc_sim::FuncId(1),
+                kind: histpc_sim::ActivityKind::Cpu,
+                tag: None,
+                start,
+                end: *now,
+                bytes: 0,
+            })
+            .collect();
+        collector.ingest(&SampleBatch::new(intervals, 2));
+        step(c, collector, None, *now);
+    }
+
+    /// The whole-program node of hypothesis `name`.
+    fn base_node(c: &Consultant, collector: &Collector, name: &str) -> ShgNodeId {
+        let hyp = c.tree.by_name(name).expect("standard hypothesis");
+        c.shg
+            .find(hyp, &collector.space().whole_program())
+            .expect("base nodes exist from the start")
+    }
+
+    #[test]
+    fn engine_free_hotspot_concludes_true_after_one_window_and_refines() {
+        let wl = hotspot_workload();
+        let (mut c, mut collector) =
+            engine_free(&wl, CollectorConfig::default(), SearchDirectives::none());
+        let cpu = base_node(&c, &collector, "CPUbound");
+        // Active from the 80 ms insertion delay, so the first step with
+        // a full 800 ms window behind it is the one at 900 ms.
+        let mut now = SimTime::ZERO;
+        while now < SimTime::from_millis(900) {
+            assert_eq!(c.shg.node(cpu).state, NodeState::Testing, "at {now}");
+            cpu_step(&mut c, &mut collector, &mut now, &[0, 1]);
+        }
+        let node = c.shg.node(cpu);
+        assert_eq!(node.state, NodeState::True);
+        assert_eq!(node.concluded_at, Some(now));
+        assert!(
+            node.last_value > 0.8,
+            "f1 burns both CPUs: {}",
+            node.last_value
+        );
+        let refined = |hierarchy: &str| {
+            node.children.iter().any(|&k| {
+                let f = &c.shg.node(k).focus;
+                f.selection(hierarchy).is_some_and(|s| !s.is_root())
+            })
+        };
+        assert!(refined("Code") && refined("Process"), "not refined");
+        let sync = base_node(&c, &collector, "ExcessiveSyncWaitingTime");
+        assert_eq!(c.shg.node(sync).state, NodeState::False);
+    }
+
+    #[test]
+    fn engine_free_conclusions_release_or_settle_each_pair_once() {
+        // A High-priority directive makes the base CPUbound node persistent.
+        let wl = hotspot_workload();
+        let mut directives = SearchDirectives::none();
+        directives.add_priority(PriorityDirective {
+            hypothesis: "CPUbound".into(),
+            focus: Collector::new(wl.app_spec(), CollectorConfig::default())
+                .space()
+                .whole_program(),
+            level: PriorityLevel::High,
+        });
+        let (mut c, mut collector) = engine_free(&wl, CollectorConfig::default(), directives);
+        let cpu = base_node(&c, &collector, "CPUbound");
+        assert!(c.shg.node(cpu).persistent);
+        let mut now = SimTime::ZERO;
+        while c.shg.node(cpu).concluded_at.is_none() {
+            assert!(c.decisions.is_empty(), "nothing concluded by {now}");
+            cpu_step(&mut c, &mut collector, &mut now, &[0, 1]);
+        }
+        let concluded: Vec<ShgNodeId> = c
+            .shg
+            .ids()
+            .filter(|&id| c.shg.node(id).concluded_at == Some(now) && id != cpu)
+            .collect();
+        assert!(
+            !concluded.is_empty(),
+            "a base node beside CPUbound concluded"
+        );
+        let pair = |id| c.shg.node(id).pair.expect("a concluded node had a pair");
+        let mut want: Vec<Decision> = concluded
+            .iter()
+            .map(|&id| Decision::Release(pair(id)))
+            .collect();
+        want.insert(0, Decision::Settle(pair(cpu)));
+        assert_eq!(c.decisions, want);
+        // ... and the step applied them.
+        assert!(collector.pair(pair(cpu)).is_live());
+        assert!(concluded
+            .iter()
+            .all(|&id| !collector.pair(pair(id)).is_live()));
+    }
+
+    #[test]
+    fn engine_free_dead_processes_strand_their_experiments() {
+        let wl = hotspot_workload();
+        let (mut c, mut collector) =
+            engine_free(&wl, CollectorConfig::default(), SearchDirectives::none());
+        let mut now = SimTime::ZERO;
+        // Conclude and refine the whole program, then instrument the
+        // refinements.
+        while now < SimTime::from_millis(1000) {
+            cpu_step(&mut c, &mut collector, &mut now, &[0, 1]);
+        }
+        c.note_dead(&[ProcId(0)], vec![n("/Process/synth:1")]);
+        cpu_step(&mut c, &mut collector, &mut now, &[1]);
+        let unreachable = c.shg.in_state(NodeState::Unreachable);
+        let on_proc_0 = |id: ShgNodeId| {
+            let procs = collector
+                .binder()
+                .compile(&c.shg.node(id).focus)
+                .procs()
+                .to_vec();
+            procs == [ProcId(0)]
+        };
+        assert!(!unreachable.is_empty());
+        assert!(unreachable.iter().all(|&id| on_proc_0(id)));
+        let open = |id: ShgNodeId| {
+            matches!(
+                c.shg.node(id).state,
+                NodeState::Pending | NodeState::Testing
+            )
+        };
+        assert!(!c.shg.ids().any(|id| open(id) && on_proc_0(id)));
+        // One release per stranded pair, first in the tick's decisions.
+        let released: Vec<Decision> = unreachable
+            .iter()
+            .filter_map(|&id| c.shg.node(id).pair)
+            .map(Decision::Release)
+            .collect();
+        assert!(!released.is_empty(), "no stranded experiment was testing");
+        assert_eq!(c.decisions[..released.len()], released[..]);
+        for d in &released {
+            assert_eq!(c.decisions.iter().filter(|&e| e == d).count(), 1);
+        }
+    }
+
+    #[test]
+    fn engine_free_closed_cost_gate_requests_nothing() {
+        let mut config = CollectorConfig::default();
+        config.cost.halt_threshold = 0.0;
+        config.cost.resume_threshold = 0.0;
+        let (mut c, collector) = engine_free(&hotspot_workload(), config, SearchDirectives::none());
+        assert_eq!(collector.pairs_requested(), 0);
+        assert!(c.halted && !c.pending.is_empty());
+        // Halted, the expansion ranks nothing at all.
+        assert_eq!(c.requests(SimTime::ZERO, &collector).count(), 0);
     }
 }

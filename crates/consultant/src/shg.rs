@@ -256,15 +256,6 @@ impl Shg {
         }
     }
 
-    /// The display label of a node: its hypothesis name at the whole
-    /// program, otherwise the most recently refined selection's label.
-    /// Borrows from the graph/tree; only the parentless-seed fallback
-    /// allocates.
-    pub fn label_of<'a>(&'a self, id: ShgNodeId, tree: &'a HypothesisTree) -> Cow<'a, str> {
-        let parent = self.node(id).parents.first().copied();
-        self.label_under(id, parent, tree)
-    }
-
     /// The display label of a node when shown under a specific parent:
     /// the selection that distinguishes it from that parent. Shared DAG
     /// nodes are thus labelled by the edge they are rendered along.

@@ -209,6 +209,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
+/// A `--window` that is not a number, or that rounds to no time at all
+/// (a remote run counts it in whole milliseconds), is a usage error:
+/// nothing could conclude in it.
+fn bad_window(w: &str) -> ! {
+    errln!("error: bad --window {w:?}: need a positive number of seconds");
+    std::process::exit(2);
+}
+
 /// Flags that take no value; present means on.
 const BOOLEAN_FLAGS: &[&str] = &["supervised", "provenance", "deny-warnings"];
 
@@ -395,8 +403,13 @@ fn search_config(flags: &HashMap<String, String>) -> Result<SearchConfig, String
         ..SearchConfig::default()
     };
     if let Some(w) = flags.get("window") {
-        let secs: f64 = w.parse().map_err(|_| "bad --window")?;
-        config.window = SimDuration::from_secs_f64(secs);
+        let window = w
+            .parse()
+            .map_or(SimDuration::ZERO, SimDuration::from_secs_f64);
+        if window == SimDuration::ZERO {
+            bad_window(w);
+        }
+        config.window = window;
     }
     if let Some(m) = flags.get("max-time") {
         let secs: f64 = m.parse().map_err(|_| "bad --max-time")?;
@@ -709,8 +722,11 @@ fn cmd_run_remote(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         req = req.arg("seed", seed);
     }
     if let Some(w) = flags.get("window") {
-        let secs: f64 = w.parse().map_err(|_| "bad --window")?;
-        req = req.arg("window-ms", (secs * 1000.0) as u64);
+        let ms = w.parse().map_or(0, |secs: f64| (secs * 1000.0) as u64);
+        if ms == 0 {
+            bad_window(w);
+        }
+        req = req.arg("window-ms", ms);
     }
     if let Some(m) = flags.get("max-time") {
         let secs: f64 = m.parse().map_err(|_| "bad --max-time")?;

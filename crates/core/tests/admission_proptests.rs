@@ -8,10 +8,20 @@
 //!   the degraded result is a function of (workload, config, seed), not
 //!   of incidental iteration order.
 
+use histpc::faults::RequestFault;
 use histpc::history;
-use histpc::instr::{Collector, SampleBatch};
+use histpc::instr::{AdmitOutcome, Collector, PairId, RequestClass, SampleBatch};
 use histpc::prelude::*;
 use proptest::prelude::*;
+
+/// A healthy backing-class request at t = 0, which must be granted.
+fn request(c: &mut Collector, metric: Metric, focus: Focus) -> PairId {
+    let fate = RequestFault::Deliver;
+    match c.request_admitted(metric, focus, SimTime::ZERO, fate, RequestClass::Backing) {
+        AdmitOutcome::Granted(id) => id,
+        refused => panic!("a healthy request was refused: {refused:?}"),
+    }
+}
 
 fn fast_config() -> SearchConfig {
     SearchConfig {
@@ -131,8 +141,8 @@ proptest! {
         let wp = plain.space().whole_program();
         let mut ids = Vec::new();
         for metric in [Metric::CpuTime, Metric::SyncWaitTime, Metric::MsgCount] {
-            let a = plain.request(metric, wp.clone(), SimTime::ZERO);
-            let b = admitted.request(metric, wp.clone(), SimTime::ZERO);
+            let a = request(&mut plain, metric, wp.clone());
+            let b = request(&mut admitted, metric, wp.clone());
             ids.push((a, b));
         }
         for step in 1..=ticks {
@@ -174,7 +184,7 @@ proptest! {
             let mut engine = wl.build_engine();
             let mut c = Collector::new(wl.app_spec(), config.clone());
             let wp = c.space().whole_program();
-            let id = c.request(Metric::CpuTime, wp, SimTime::ZERO);
+            let id = request(&mut c, Metric::CpuTime, wp);
             for step in 1..=6u64 {
                 engine.run_until(SimTime::from_millis(100 * step));
                 let batch = SampleBatch::drain(&mut engine);

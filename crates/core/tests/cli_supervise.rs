@@ -215,3 +215,29 @@ fn flags_a_verb_does_not_read_are_rejected() {
         "a rejected command created a store"
     );
 }
+
+/// A window that rounds to no time is a usage error (exit 2) before
+/// anything runs, locally or remotely: a local run counts it in
+/// microseconds, a remote one in whole milliseconds.
+#[test]
+fn a_window_of_no_time_is_rejected() {
+    for command in [
+        "run --app tester --window 0",
+        "run --app tester --window 0.0000001",
+        "run --app tester --window soon",
+        "supervise --store S --apps tester --window 0",
+        "run --remote S --app tester --window 0.0005",
+    ] {
+        let out = bin().args(command.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("bad --window"),
+            "{command} stderr: {stderr}"
+        );
+    }
+    assert!(
+        !Path::new("S").exists(),
+        "a rejected command created a store"
+    );
+}

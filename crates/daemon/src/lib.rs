@@ -221,6 +221,14 @@ impl SessionSpec {
         if spec.label.is_empty() || spec.label.contains('/') {
             return Err(format!("bad label {:?}", spec.label));
         }
+        // A zero window divides every evaluation by zero, and a zero
+        // sample never advances simulated time.
+        if spec.window_ms == 0 {
+            return Err("bad window-ms=0".into());
+        }
+        if spec.sample_ms == 0 {
+            return Err("bad sample-ms=0".into());
+        }
         if let Some(from) = &spec.harvest_from {
             if from.is_empty() || from.contains('/') {
                 return Err(format!("bad harvest-from {from:?}"));
@@ -1141,6 +1149,21 @@ mod tests {
             .arg("label", "ok")
             .arg("harvest-from", "a/b");
         assert!(SessionSpec::from_request(&req).is_err());
+    }
+
+    #[test]
+    fn spec_rejects_a_zero_window_or_sample() {
+        for key in ["window-ms", "sample-ms"] {
+            let req = Request::new("start")
+                .arg("app", "tester")
+                .arg("label", "ok")
+                .arg(key, 0);
+            let err = SessionSpec::from_request(&req).unwrap_err();
+            assert_eq!(err, format!("bad {key}=0"));
+            // A lease that carries one is an unusable spec line.
+            let line = format!("app=tester label=ok {key}=0");
+            assert!(SessionSpec::from_spec_line(&line).is_err());
+        }
     }
 
     #[test]

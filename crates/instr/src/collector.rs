@@ -16,7 +16,7 @@ use crate::histogram::TimeHistogram;
 use crate::metric::Metric;
 use crate::pair::Pair;
 use histpc_faults::RequestFault;
-use histpc_resources::{Focus, FocusId, Interner, ResourceSpace};
+use histpc_resources::{Focus, FocusId, Interner, ResourceName, ResourceSpace};
 use histpc_sim::{AppSpec, Engine, Interval, ProcId, SimDuration, SimTime};
 
 /// Handle to a requested metric-focus pair.
@@ -85,18 +85,17 @@ pub struct Collector {
     /// whose stream goes quiet here has stopped reporting entirely —
     /// the signal the starvation timeout keys on.
     last_data_at: Vec<SimTime>,
-    /// Instrumentation requests rejected by injected daemon faults.
-    requests_failed: u64,
-    /// Instrumentation requests activated late by injected faults.
-    requests_deferred: u64,
     /// Overload admission control (every call is a no-op when disabled).
     admission: AdmissionController,
+    /// Resources whose breaker opened (see [`Collector::saturated`]).
+    saturated: Vec<ResourceName>,
+    /// Backpressure hysteresis (see [`Collector::throttled`]).
+    throttled: bool,
     /// Interned foci; ids index [`Collector::compiled_foci`].
     interner: Interner,
     /// Compiled form of every interned focus. Compilation walks the
-    /// app's name tables, so hot callers (the per-tick consultant
-    /// sweeps, the request path) go through [`Collector::compile_focus`]
-    /// and pay it once per distinct focus.
+    /// app's name tables, so the request path goes through
+    /// [`Collector::compile_focus`] and pays it once per distinct focus.
     compiled_foci: Vec<CompiledFocus>,
     /// Sample-delivery routes: for each process, the indices of pairs
     /// whose compiled focus covers it. Entries for deleted pairs are
@@ -127,9 +126,9 @@ impl Collector {
             discovered_tags: vec![false; tag_count],
             requested_total: 0,
             last_data_at: vec![SimTime::ZERO; proc_count],
-            requests_failed: 0,
-            requests_deferred: 0,
             admission,
+            saturated: Vec::new(),
+            throttled: false,
             interner: Interner::new(),
             compiled_foci: Vec::new(),
             route: vec![Vec::new(); proc_count],
@@ -138,9 +137,9 @@ impl Collector {
     }
 
     /// Interns `focus`, compiling it against the app on first sight.
-    /// Repeats are a hash lookup; the compiled form is shared by every
-    /// caller via [`Collector::compiled_focus`].
-    pub fn compile_focus(&mut self, focus: &Focus) -> FocusId {
+    /// Repeats are a hash lookup, so the request path pays compilation
+    /// once per distinct focus.
+    fn compile_focus(&mut self, focus: &Focus) -> FocusId {
         if let Some(id) = self.interner.lookup_focus(focus) {
             return id;
         }
@@ -148,16 +147,6 @@ impl Collector {
         debug_assert_eq!(id.0 as usize, self.compiled_foci.len());
         self.compiled_foci.push(self.binder.compile(focus));
         id
-    }
-
-    /// The compiled form of an interned focus.
-    pub fn compiled_focus(&self, id: FocusId) -> &CompiledFocus {
-        &self.compiled_foci[id.0 as usize]
-    }
-
-    /// The focus interner (resource names and foci to copyable ids).
-    pub fn interner(&self) -> &Interner {
-        &self.interner
     }
 
     /// The resource space (grows as resources are discovered).
@@ -185,42 +174,16 @@ impl Collector {
         self.requested_total
     }
 
-    /// Number of currently live (not deleted) pairs.
-    pub fn pairs_live(&self) -> usize {
-        self.pairs.iter().filter(|p| p.is_live()).count()
-    }
-
-    /// Requests instrumentation of (metric, focus) at time `now`.
-    /// The pair starts observing at `now + insertion_delay`.
-    pub fn request(&mut self, metric: Metric, focus: Focus, now: SimTime) -> PairId {
-        self.request_faulted(metric, focus, now, RequestFault::Deliver)
-            .expect("Deliver always yields a pair")
-    }
-
-    /// [`Collector::request`] with an injected daemon fate: a `Fail`
-    /// insertion is rejected outright (no pair, no cost — the caller
-    /// retries), a `Defer` activates late by the extra delay, and
-    /// `Deliver` is exactly the healthy path. Capacity refusals from the
-    /// admission layer surface as `None`, like failures; callers that
-    /// need to tell them apart use [`Collector::request_admitted`].
-    pub fn request_faulted(
-        &mut self,
-        metric: Metric,
-        focus: Focus,
-        now: SimTime,
-        fault: RequestFault,
-    ) -> Option<PairId> {
-        match self.request_admitted(metric, focus, now, fault, RequestClass::Backing) {
-            AdmitOutcome::Granted(id) => Some(id),
-            AdmitOutcome::Failed | AdmitOutcome::Shed | AdmitOutcome::Saturated => None,
-        }
-    }
-
-    /// [`Collector::request_faulted`] through the admission controller:
-    /// the request is classified for priority shedding, checked against
-    /// the in-flight bound and the focus's circuit breakers, and its
-    /// activation latency feeds per-process health tracking. With
-    /// admission disabled this is exactly the legacy request path.
+    /// Requests instrumentation of (metric, focus) at time `now`; a
+    /// granted pair starts observing at `now + insertion_delay`. The
+    /// injected daemon `fault` comes first: a `Fail` insertion is
+    /// rejected outright (no pair, no cost — the caller retries), a
+    /// `Defer` activates late by the extra delay, and `Deliver` is the
+    /// healthy path. The request is then classified for priority
+    /// shedding, checked against the in-flight bound and the focus's
+    /// circuit breakers, and its activation latency feeds per-process
+    /// health tracking. With admission disabled every request that
+    /// survives its fault is granted.
     pub fn request_admitted(
         &mut self,
         metric: Metric,
@@ -231,22 +194,18 @@ impl Collector {
     ) -> AdmitOutcome {
         let fid = self.compile_focus(&focus);
         let compiled = self.compiled_foci[fid.0 as usize].clone();
-        let (extra, deferred) = match fault {
-            RequestFault::Deliver => (SimDuration::ZERO, false),
+        let extra = match fault {
+            RequestFault::Deliver => SimDuration::ZERO,
             RequestFault::Fail => {
-                self.requests_failed += 1;
                 self.admission.note_failed(compiled.procs(), now);
                 return AdmitOutcome::Failed;
             }
-            RequestFault::Defer(d) => (d, true),
+            RequestFault::Defer(d) => d,
         };
         match self.admission.admit(compiled.procs(), class, now) {
             AdmitVerdict::Grant => {}
             AdmitVerdict::Shed => return AdmitOutcome::Shed,
             AdmitVerdict::Saturated => return AdmitOutcome::Saturated,
-        }
-        if deferred {
-            self.requests_deferred += 1;
         }
         let cost = self.cost.pair_cost(&compiled);
         self.cost.add(&compiled, cost);
@@ -271,24 +230,62 @@ impl Collector {
     }
 
     /// Mutable access to the admission controller, for the driver's
-    /// housekeeping tick and injected phantom load.
+    /// injected phantom load.
     pub fn admission_mut(&mut self) -> &mut AdmissionController {
         &mut self.admission
+    }
+
+    /// The collector's part of a driver tick at `now`, run before the
+    /// search reads it: admission housekeeping (activated in-flight
+    /// entries expire, cooled breakers half-open), the names of newly
+    /// saturated processes — and of their machine once every process it
+    /// hosts is blocked — and the backpressure hysteresis. With
+    /// admission disabled all of it is a no-op.
+    pub fn step(&mut self, now: SimTime) {
+        self.admission.tick(now);
+        for p in self.admission.drain_newly_saturated() {
+            let app = self.binder.app();
+            let mut names = vec![Binder::process_name(&app.processes[p])];
+            let node = app.node_of(ProcId(p as u16));
+            let blocked = self.admission.blocked_procs();
+            if (0..app.process_count())
+                .filter(|&q| app.node_of(ProcId(q as u16)) == node)
+                .all(|q| blocked.contains(&ProcId(q as u16)))
+            {
+                names.push(Binder::machine_name(&app.nodes[node]));
+            }
+            for r in names {
+                if !self.saturated.contains(&r) {
+                    self.saturated.push(r);
+                }
+            }
+        }
+        // Mirrors the cost model's halt/resume split: throttle on
+        // pressure, release only once the pressure has drained.
+        if self.throttled {
+            self.throttled = !self.admission.drained();
+        } else {
+            self.throttled = self.admission.under_pressure();
+        }
+    }
+
+    /// Resources whose admission breaker opened, in the order they
+    /// saturated: each process, and its machine once every process the
+    /// machine hosts was blocked at once.
+    pub fn saturated(&self) -> &[ResourceName] {
+        &self.saturated
+    }
+
+    /// Backpressure: true while the admission controller has reported
+    /// pressure that has not yet drained. The search then trickles its
+    /// refinement probes.
+    pub fn throttled(&self) -> bool {
+        self.throttled
     }
 
     /// End timestamp of the newest raw interval seen from `proc`.
     pub fn last_data_at(&self, proc: ProcId) -> SimTime {
         self.last_data_at[proc.0 as usize]
-    }
-
-    /// Requests rejected by injected daemon faults.
-    pub fn requests_failed(&self) -> u64 {
-        self.requests_failed
-    }
-
-    /// Requests activated late by injected daemon faults.
-    pub fn requests_deferred(&self) -> u64 {
-        self.requests_deferred
     }
 
     /// Deletes a pair's instrumentation at time `now`. Its collected data
@@ -482,23 +479,6 @@ impl Collector {
     pub fn pair(&self, id: PairId) -> &Pair {
         &self.pairs[id.0 as usize]
     }
-
-    /// Iterates over all pairs ever requested.
-    pub fn pairs(&self) -> impl Iterator<Item = (PairId, &Pair)> {
-        self.pairs
-            .iter()
-            .enumerate()
-            .map(|(i, p)| (PairId(i as u32), p))
-    }
-
-    /// Number of processes covered by a focus (for per-process
-    /// normalization of time metrics).
-    pub fn procs_in_focus(&self, focus: &Focus) -> usize {
-        match self.interner.lookup_focus(focus) {
-            Some(id) => self.compiled_foci[id.0 as usize].procs().len(),
-            None => self.binder.compile(focus).procs().len(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -507,6 +487,21 @@ mod tests {
     use histpc_resources::ResourceName;
     use histpc_sim::workloads::{PoissonVersion, PoissonWorkload, SyntheticWorkload, Workload};
     use histpc_sim::ProcId;
+
+    /// A healthy CPU-time request at t = 0, which must be granted.
+    fn request_cpu(c: &mut Collector, focus: Focus) -> PairId {
+        let fate = RequestFault::Deliver;
+        match c.request_admitted(
+            Metric::CpuTime,
+            focus,
+            SimTime::ZERO,
+            fate,
+            RequestClass::Backing,
+        ) {
+            AdmitOutcome::Granted(id) => id,
+            refused => panic!("a healthy request was refused: {refused:?}"),
+        }
+    }
 
     fn drive(engine: &mut Engine, collector: &mut Collector, until_ms: u64, step_ms: u64) {
         let mut t = 0;
@@ -525,7 +520,7 @@ mod tests {
         let mut engine = wl.build_engine();
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
         let focus = c.space().whole_program();
-        let id = c.request(Metric::CpuTime, focus, SimTime::ZERO);
+        let id = request_cpu(&mut c, focus);
         drive(&mut engine, &mut c, 1000, 50);
         let measured = c.value(id, SimTime::ZERO, SimTime::from_secs(1));
         let truth = engine
@@ -544,7 +539,8 @@ mod tests {
         let wl = SyntheticWorkload::balanced(1, 1, 1.0);
         let mut engine = wl.build_engine();
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
-        let id = c.request(Metric::CpuTime, c.space().whole_program(), SimTime::ZERO);
+        let wp = c.space().whole_program();
+        let id = request_cpu(&mut c, wp);
         drive(&mut engine, &mut c, 200, 10);
         // Active from 80ms: at most ~120ms of CPU observable.
         let v = c.value(id, SimTime::ZERO, SimTime::from_secs(1));
@@ -557,14 +553,15 @@ mod tests {
         let wl = SyntheticWorkload::balanced(1, 1, 1.0);
         let mut engine = wl.build_engine();
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
-        let id = c.request(Metric::CpuTime, c.space().whole_program(), SimTime::ZERO);
+        let wp = c.space().whole_program();
+        let id = request_cpu(&mut c, wp);
         drive(&mut engine, &mut c, 500, 50);
         c.release(id, SimTime::from_millis(500));
         let at_release = c.value(id, SimTime::ZERO, SimTime::from_secs(5));
         drive(&mut engine, &mut c, 1000, 50);
         let after = c.value(id, SimTime::ZERO, SimTime::from_secs(5));
         assert!((after - at_release).abs() < 1e-9);
-        assert_eq!(c.pairs_live(), 0);
+        assert!(!c.pair(id).is_live());
         assert_eq!(c.pairs_requested(), 1);
         // Double release is harmless.
         c.release(id, SimTime::from_millis(900));
@@ -582,7 +579,8 @@ mod tests {
         let mut perturbed = wl.build_engine();
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
         for _ in 0..4 {
-            c.request(Metric::CpuTime, c.space().whole_program(), SimTime::ZERO);
+            let wp = c.space().whole_program();
+            request_cpu(&mut c, wp);
         }
         c.apply_perturbation(&mut perturbed);
         perturbed.run_until(SimTime::from_secs(3600));
@@ -661,26 +659,23 @@ mod tests {
         let mut engine = wl.build_engine();
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
         let wp = c.space().whole_program();
-        assert!(c
-            .request_faulted(
+        let request = |c: &mut Collector, fate| {
+            c.request_admitted(
                 Metric::CpuTime,
                 wp.clone(),
                 SimTime::ZERO,
-                RequestFault::Fail
+                fate,
+                RequestClass::Backing,
             )
-            .is_none());
+        };
+        assert_eq!(request(&mut c, RequestFault::Fail), AdmitOutcome::Failed);
         assert_eq!(c.pairs_requested(), 0, "a failed request never counts");
-        assert_eq!(c.requests_failed(), 1);
         // Deferred: active only from insertion_delay + 200ms extra.
-        let id = c
-            .request_faulted(
-                Metric::CpuTime,
-                wp,
-                SimTime::ZERO,
-                RequestFault::Defer(SimDuration::from_millis(200)),
-            )
-            .expect("a deferred request still yields a pair");
-        assert_eq!(c.requests_deferred(), 1);
+        let defer = RequestFault::Defer(SimDuration::from_millis(200));
+        let AdmitOutcome::Granted(id) = request(&mut c, defer) else {
+            panic!("a deferred request still yields a pair");
+        };
+        assert_eq!(c.pair(id).active_from, SimTime::from_millis(280));
         drive(&mut engine, &mut c, 500, 10);
         let v = c.value(id, SimTime::ZERO, SimTime::from_secs(1));
         // 500ms of CPU, observable only after 280ms.
@@ -712,7 +707,8 @@ mod tests {
         let wl = SyntheticWorkload::balanced(1, 1, 1.0);
         let mut engine = wl.build_engine();
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
-        let id = c.request(Metric::CpuTime, c.space().whole_program(), SimTime::ZERO);
+        let wp = c.space().whole_program();
+        let id = request_cpu(&mut c, wp);
         assert_eq!(c.pair(id).observations, 0);
         drive(&mut engine, &mut c, 500, 50);
         assert!(c.pair(id).observations > 0);
@@ -729,8 +725,8 @@ mod tests {
         let f2 = c.space().whole_program().with_selection(
             ResourceName::parse("/Process/synth:2").expect("literal process name is valid"),
         );
-        let id1 = c.request(Metric::CpuTime, f1, SimTime::ZERO);
-        let id2 = c.request(Metric::CpuTime, f2, SimTime::ZERO);
+        let id1 = request_cpu(&mut c, f1);
+        let id2 = request_cpu(&mut c, f2);
         drive(&mut engine, &mut c, 1000, 50);
         let v1 = c.value(id1, SimTime::ZERO, SimTime::from_secs(1));
         let v2 = c.value(id2, SimTime::ZERO, SimTime::from_secs(1));
@@ -738,7 +734,7 @@ mod tests {
         // they are distinct measurements; with the hotspot on proc 0 both
         // should be near 100% of wall.
         assert!(v1 > 0.8 && v2 > 0.8, "v1={v1} v2={v2}");
-        assert_eq!(c.procs_in_focus(&c.pair(id1).focus), 1);
+        assert_eq!(c.pair(id1).compiled.procs(), [ProcId(0)]);
     }
 
     fn tight_admission() -> CollectorConfig {

@@ -6,7 +6,8 @@
 use histpc_faults::RequestFault;
 use histpc_instr::delta::{aggregate, sort_by_key, Delta};
 use histpc_instr::{
-    AdmissionConfig, Collector, CollectorConfig, Metric, PairId, RequestClass, SampleBatch,
+    AdmissionConfig, AdmitOutcome, Collector, CollectorConfig, Metric, PairId, RequestClass,
+    SampleBatch,
 };
 use histpc_resources::ResourceName;
 use histpc_sim::workloads::{
@@ -224,7 +225,7 @@ proptest! {
             ] {
                 // Breakers tripped by shedding may refuse a request;
                 // both collectors must then refuse the same ones.
-                if let histpc_instr::AdmitOutcome::Granted(id) = c.request_admitted(
+                if let AdmitOutcome::Granted(id) = c.request_admitted(
                     metric,
                     focus.clone(),
                     SimTime::ZERO,
@@ -332,11 +333,15 @@ fn undeclared_tags_survive_fused_emission() {
     assert_eq!(engine.totals().msg_byte_total(ProcId(0), stray), 64);
 
     let mut collector = Collector::new(app, CollectorConfig::default());
-    let wait = collector.request(
+    let AdmitOutcome::Granted(wait) = collector.request_admitted(
         Metric::SyncWaitTime,
         collector.space().whole_program(),
         SimTime::ZERO,
-    );
+        RequestFault::Deliver,
+        RequestClass::Backing,
+    ) else {
+        panic!("a healthy request is granted");
+    };
     let resources = collector.space().len();
     let batch = SampleBatch::drain(&mut engine);
     assert_eq!(batch.len(), 3);

@@ -15,7 +15,9 @@
 //!   (`crates/instr/src`, `crates/consultant/src/search.rs`): these run
 //!   under fault injection, where a panic turns a modeled failure into
 //!   a tool crash; use `expect` with an invariant message or handle the
-//!   error.
+//!   error. In the files that have been made panic-free
+//!   (`crates/consultant/src/search.rs`), `.expect(` is flagged too, so
+//!   they stay that way.
 //! * **DA003 — `HashMap` in record-serialization modules**: iteration
 //!   order would leak into persisted bytes; use `BTreeMap` or sort.
 //! * **DA004 — panicking lock acquisition** in the long-lived service
@@ -52,6 +54,10 @@ const DETERMINISTIC_CRATES: &[&str] = &[
 /// Path fragments (relative to a crate's `src/`) whose files run under
 /// fault injection and must not `.unwrap()`.
 const NO_UNWRAP_PATHS: &[(&str, &str)] = &[("instr", ""), ("consultant", "search.rs")];
+
+/// Files made panic-free: they must not `.expect(` either. The list only
+/// grows.
+const NO_EXPECT_PATHS: &[(&str, &str)] = &[("consultant", "search.rs")];
 
 /// Files whose output is persisted byte-for-byte; `HashMap` iteration
 /// order must not reach them.
@@ -113,10 +119,11 @@ fn audit_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     };
     let check_clock = DETERMINISTIC_CRATES.contains(&krate);
     let check_unwrap = listed(NO_UNWRAP_PATHS, krate, sub);
+    let check_expect = listed(NO_EXPECT_PATHS, krate, sub);
     let check_hashmap = listed(SERIALIZATION_FILES, krate, sub);
     let check_lock = listed(SERVICE_PATHS, krate, sub);
     let check_fs = krate == DURABLE_LAYER.0 && sub != DURABLE_LAYER.1;
-    if !(check_clock || check_unwrap || check_hashmap || check_lock || check_fs) {
+    if !(check_clock || check_unwrap || check_expect || check_hashmap || check_lock || check_fs) {
         return;
     }
 
@@ -151,6 +158,14 @@ fn audit_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
                 message: "`.unwrap()` on a fault-injected path; \
                           use `expect` with an invariant message or handle the error"
                     .into(),
+            });
+        }
+        if check_expect && raw.contains(".expect(") {
+            findings.push(Finding {
+                code: "DA002",
+                file: rel.to_string(),
+                line: lineno,
+                message: "`.expect(` in a panic-free file; handle the case instead".into(),
             });
         }
         if check_hashmap && raw.contains("HashMap") {
@@ -204,6 +219,26 @@ fn allowed(lines: &[&str], idx: usize) -> bool {
         }
     }
     false
+}
+
+#[test]
+fn da002_flags_expect_only_in_panic_free_files() {
+    let text = "fn f(x: Option<u8>) {\n\
+                \x20   let a = x.unwrap();\n\
+                \x20   let b = x.expect(\"always set\");\n\
+                }\n";
+    let da002 = |rel: &str| {
+        let mut findings = Vec::new();
+        audit_file(rel, text, &mut findings);
+        findings
+            .iter()
+            .filter(|f| f.code == "DA002")
+            .map(|f| f.line)
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(da002("crates/consultant/src/search.rs"), [2, 3]);
+    assert_eq!(da002("crates/instr/src/collector.rs"), [2]);
+    assert!(da002("crates/consultant/src/shg.rs").is_empty());
 }
 
 #[test]
