@@ -17,10 +17,7 @@
 //!   and the trust ledger pins it with a decayed score;
 //! * **identity** — at zero poison rates and audit budget 0 the
 //!   directed record is bit-identical to the plain directed run (the
-//!   pre-trust baseline);
-//! * **recovery** — a `trust-ledger-corrupt` fault garbles `TRUST`
-//!   into something `parse` rejects, and the next load falls back to
-//!   an empty ledger (full trust) instead of erroring.
+//!   pre-trust baseline).
 //!
 //! All poison draws come from fixed substreams of the rates' seed, so
 //! the soak is deterministic end to end (diagnosis times are simulated
@@ -28,7 +25,7 @@
 
 use crate::{base_diagnosis, directed_diagnosis, exp_config, truth_of};
 use histpc::consultant::{poison_directives, PoisonRates, PoisonSummary, SearchDirectives};
-use histpc::history::trust::{TrustLedger, FULL_SCORE, TRUST_FILE};
+use histpc::history::trust::{TrustLedger, FULL_SCORE};
 use histpc::history::{self, format::write_record, ExtractionOptions};
 use histpc::prelude::*;
 use std::path::PathBuf;
@@ -46,8 +43,6 @@ pub enum PoisonKind {
     /// `stale-mapping`: harvested directives re-pointed at a resource
     /// no workload has.
     StaleMapping,
-    /// `trust-ledger-corrupt`: the `TRUST` sidecar garbled mid-run.
-    TrustLedger,
     /// Every kind at once — the acceptance scenario.
     All,
 }
@@ -59,14 +54,12 @@ impl PoisonKind {
             PoisonKind::Prune => "poison-prune",
             PoisonKind::Threshold => "poison-threshold",
             PoisonKind::StaleMapping => "stale-mapping",
-            PoisonKind::TrustLedger => "trust-ledger-corrupt",
             PoisonKind::All => "all",
         }
     }
 
     /// The poison rates of this kind at the acceptance rate (25% of
-    /// every applicable poison opportunity). The ledger kind poisons no
-    /// directives: its fault is staged by the recovery leg.
+    /// every applicable poison opportunity).
     pub fn rates(self) -> PoisonRates {
         let mut rates = PoisonRates {
             seed: 0x9050,
@@ -76,7 +69,6 @@ impl PoisonKind {
             PoisonKind::Prune => rates.prune = POISON_RATE,
             PoisonKind::Threshold => rates.threshold = POISON_RATE,
             PoisonKind::StaleMapping => rates.stale_mapping = POISON_RATE,
-            PoisonKind::TrustLedger => {}
             PoisonKind::All => {
                 rates.prune = POISON_RATE;
                 rates.threshold = POISON_RATE;
@@ -84,16 +76,6 @@ impl PoisonKind {
             }
         }
         rates
-    }
-
-    /// Whether this kind produces revocations. Every kind does:
-    /// poisoned prunes and thresholds are convicted by probes and
-    /// tripped watches, and stale-mapped directives — whose focus names
-    /// a resource the program does not have — are convicted statically
-    /// at audit-arm time. Only the ledger-corruption kind injects no
-    /// directives at all.
-    pub fn expects_revocations(self) -> bool {
-        !matches!(self, PoisonKind::TrustLedger)
     }
 }
 
@@ -151,22 +133,16 @@ impl PoisonVersionResult {
     }
 }
 
-/// The whole soak: per-version results plus the one-shot identity and
-/// ledger-recovery legs.
+/// The whole soak: per-version results plus the one-shot identity leg.
 #[derive(Debug, Clone)]
 pub struct PoisonSoak {
     /// The kind this soak exercised.
     pub kind: PoisonKind,
-    /// Per-version poisoned-vs-clean comparisons (empty for the
-    /// `trust-ledger-corrupt` kind, which has no directive poison).
+    /// Per-version poisoned-vs-clean comparisons.
     pub results: Vec<PoisonVersionResult>,
     /// Zero rates + audit budget 0 reproduced the plain directed
     /// record byte for byte (run once, on version A).
-    pub zero_identical: Option<bool>,
-    /// The `trust-ledger-corrupt` fault left a `TRUST` that fails to
-    /// parse, and the next load fell back to an empty (full-trust)
-    /// ledger with the diagnosis unharmed.
-    pub ledger_recovered: Option<bool>,
+    pub zero_identical: bool,
 }
 
 fn scratch(tag: &str) -> PathBuf {
@@ -274,76 +250,32 @@ fn run_zero_identity(version: PoissonVersion) -> bool {
     summary.total() == 0 && write_record(&through.record) == write_record(&plain.record)
 }
 
-/// The recovery leg: a decayed ledger is garbled by the
-/// `trust-ledger-corrupt` fault mid-run; the damage must be *detected*
-/// (parse fails) and absorbed (load falls back to full trust), with the
-/// diagnosis itself untouched.
-fn run_ledger_recovery(seed: u64) -> bool {
-    let dir = scratch("ledger");
-    let session = Session::with_store(&dir).expect("scratch store opens");
-    let mut decayed = TrustLedger::new();
-    decayed.record_audit("poisson-A/poisoned", false);
-    decayed.save(&dir).expect("seed ledger saves");
-
-    let mut config = exp_config();
-    config.faults = FaultPlan {
-        seed,
-        trust_ledger_corrupt: true,
-        ..FaultPlan::none()
-    };
-    let run = session
-        .diagnose_faulted(
-            &PoissonWorkload::new(PoissonVersion::A),
-            &config,
-            "ledger",
-            None,
-        )
-        .expect("faulted run drives");
-
-    let on_disk = std::fs::read_to_string(dir.join(TRUST_FILE)).unwrap_or_default();
-    let recovered = run.diagnosis.is_some()
-        && TrustLedger::parse(&on_disk).is_none()
-        && TrustLedger::load(&dir).is_empty();
-    drop(session);
-    let _ = std::fs::remove_dir_all(&dir);
-    recovered
-}
-
 /// Runs the poison soak for one kind over the Poisson versions A–D.
 pub fn run_poison_soak(kind: PoisonKind) -> PoisonSoak {
     let rates = kind.rates();
-    let results = if kind == PoisonKind::TrustLedger {
-        Vec::new()
-    } else {
-        [
-            PoissonVersion::A,
-            PoissonVersion::B,
-            PoissonVersion::C,
-            PoissonVersion::D,
-        ]
-        .into_iter()
-        .enumerate()
-        .map(|(i, v)| {
-            // A per-version seed: one shared seed would poison every
-            // version with the same draw sequence (the draws depend
-            // only on the rates), collapsing the matrix to one sample.
-            let versioned = PoisonRates {
-                seed: rates.seed + i as u64,
-                ..rates
-            };
-            run_poison_version(v, &versioned)
-        })
-        .collect()
-    };
-    let zero_identical =
-        (kind != PoisonKind::TrustLedger).then(|| run_zero_identity(PoissonVersion::A));
-    let ledger_recovered = matches!(kind, PoisonKind::TrustLedger | PoisonKind::All)
-        .then(|| run_ledger_recovery(rates.seed));
+    let results = [
+        PoissonVersion::A,
+        PoissonVersion::B,
+        PoissonVersion::C,
+        PoissonVersion::D,
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(i, v)| {
+        // A per-version seed: one shared seed would poison every
+        // version with the same draw sequence (the draws depend
+        // only on the rates), collapsing the matrix to one sample.
+        let versioned = PoisonRates {
+            seed: rates.seed + i as u64,
+            ..rates
+        };
+        run_poison_version(v, &versioned)
+    })
+    .collect();
     PoisonSoak {
         kind,
         results,
-        zero_identical,
-        ledger_recovered,
+        zero_identical: run_zero_identity(PoissonVersion::A),
     }
 }
 
@@ -385,11 +317,14 @@ impl PoisonSoak {
         })
     }
 
-    /// The audit loop actually engaged (for kinds that can revoke).
+    /// The audit loop actually engaged. Every kind can revoke:
+    /// poisoned prunes and thresholds are convicted by probes and
+    /// tripped watches, and stale-mapped directives — whose focus names
+    /// a resource the program does not have — are convicted statically
+    /// at audit-arm time.
     pub fn audits_engaged(&self) -> bool {
-        !self.kind.expects_revocations()
-            || (self.results.iter().map(|r| r.audits).sum::<usize>() > 0
-                && self.results.iter().map(|r| r.revocations).sum::<usize>() > 0)
+        self.results.iter().map(|r| r.audits).sum::<usize>() > 0
+            && self.results.iter().map(|r| r.revocations).sum::<usize>() > 0
     }
 
     /// Renders the soak summary.
@@ -432,12 +367,7 @@ impl PoisonSoak {
                 f * 100.0
             ));
         }
-        if let Some(ok) = self.zero_identical {
-            out.push_str(&format!("zero-poison identity: {ok}\n"));
-        }
-        if let Some(ok) = self.ledger_recovered {
-            out.push_str(&format!("trust-ledger corrupt recovery: {ok}\n"));
-        }
+        out.push_str(&format!("zero-poison identity: {}\n", self.zero_identical));
         out
     }
 }

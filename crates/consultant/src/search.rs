@@ -23,7 +23,7 @@ use crate::directive::{
 use crate::hypothesis::{HypothesisId, HypothesisTree};
 use crate::report::{AuditOutcome, DiagnosisReport, NodeOutcome, Outcome};
 use crate::shg::{NodeState, Shg, ShgNodeId};
-use histpc_faults::{FaultInjector, FaultPlan, FaultStats, KillTarget, RequestFault};
+use histpc_instr::faults::{FaultInjector, FaultPlan, FaultStats, KillTarget, RequestFault};
 use histpc_instr::{
     AdmitOutcome, Collector, CollectorConfig, Metric, PairId, RequestClass, SampleBatch,
 };

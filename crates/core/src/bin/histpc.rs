@@ -50,8 +50,9 @@
 //! opens per-process circuit breakers whose foci then conclude
 //! `Saturated` instead of blocking the search.
 //!
-//! `run` exits 0 on a clean diagnosis, 1 on errors, 2 on usage problems,
-//! and 3 when the final report is *degraded* — it contains `Unknown`,
+//! `run` exits 0 on a clean diagnosis, 1 on errors, 2 on usage problems
+//! (an unknown flag, or a flag value that does not parse), and 3 when
+//! the final report is *degraded* — it contains `Unknown`,
 //! `Unreachable` or `Saturated` verdicts, meaning part of the search
 //! space was never honestly measured.
 //!
@@ -209,13 +210,25 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// A `--window` that is not a number, or that rounds to no time at all
-/// (a remote run counts it in whole milliseconds), is a usage error:
-/// nothing could conclude in it.
-fn bad_window(w: &str) -> ! {
-    errln!("error: bad --window {w:?}: need a positive number of seconds");
+/// A flag value that does not parse, or that `why` says is refused, is
+/// a usage error (exit 2, like [`usage`]): the command line is wrong and
+/// no run failed.
+fn bad_flag(name: &str, value: &str, why: &str) -> ! {
+    errln!("error: bad --{name} {value:?}{why}");
     std::process::exit(2);
 }
+
+/// The value of flag `name` parsed as a `T`, if the flag is given; see
+/// [`bad_flag`].
+fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) -> Option<T> {
+    let value = flags.get(name)?;
+    Some(value.parse().unwrap_or_else(|_| bad_flag(name, value, "")))
+}
+
+/// A `--window` that is not a number, or that rounds to no time at all
+/// (a remote run counts it in whole milliseconds): nothing could
+/// conclude in it.
+const NO_WINDOW: &str = ": need a positive number of seconds";
 
 /// Flags that take no value; present means on.
 const BOOLEAN_FLAGS: &[&str] = &["supervised", "provenance", "deny-warnings"];
@@ -407,12 +420,11 @@ fn search_config(flags: &HashMap<String, String>) -> Result<SearchConfig, String
             .parse()
             .map_or(SimDuration::ZERO, SimDuration::from_secs_f64);
         if window == SimDuration::ZERO {
-            bad_window(w);
+            bad_flag("window", w, NO_WINDOW);
         }
         config.window = window;
     }
-    if let Some(m) = flags.get("max-time") {
-        let secs: f64 = m.parse().map_err(|_| "bad --max-time")?;
+    if let Some(secs) = flag(flags, "max-time") {
         config.max_time = SimDuration::from_secs_f64(secs);
     }
     if let Some(path) = flags.get("faults") {
@@ -420,8 +432,8 @@ fn search_config(flags: &HashMap<String, String>) -> Result<SearchConfig, String
         config.faults = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
     }
     if let Some(knobs) = flags.get("admission") {
-        config.collector.admission =
-            AdmissionConfig::parse_knobs(knobs).map_err(|e| format!("bad --admission: {e}"))?;
+        config.collector.admission = AdmissionConfig::parse_knobs(knobs)
+            .unwrap_or_else(|e| bad_flag("admission", knobs, &format!(": {e}")));
     }
     Ok(config)
 }
@@ -434,15 +446,12 @@ fn search_config(flags: &HashMap<String, String>) -> Result<SearchConfig, String
 fn supervision_flags(
     flags: &HashMap<String, String>,
     config: &mut SearchConfig,
-) -> Result<SupervisorConfig, String> {
+) -> SupervisorConfig {
     let mut sup = SupervisorConfig::default();
-    if let Some(r) = flags.get("retries") {
-        sup.retry_budget = r.parse().map_err(|_| "bad --retries")?;
+    if let Some(r) = flag(flags, "retries") {
+        sup.retry_budget = r;
     }
-    let stall_ms: u64 = match flags.get("stall-ms") {
-        Some(t) => t.parse().map_err(|_| "bad --stall-ms")?,
-        None => 30_000,
-    };
+    let stall_ms: u64 = flag(flags, "stall-ms").unwrap_or(30_000);
     if stall_ms == 0 {
         sup.stall = None;
         config.stall = None;
@@ -450,7 +459,7 @@ fn supervision_flags(
         sup.stall = Some(std::time::Duration::from_millis(stall_ms));
         config.stall = Some(SimDuration::from_millis(stall_ms));
     }
-    Ok(sup)
+    sup
 }
 
 /// Exit-code precedence for supervised (and remote) runs — the *worst*
@@ -488,15 +497,11 @@ fn report_supervision(report: &SupervisionReport) -> ExitCode {
 
 fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     let app = require(&flags, "app");
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?;
-    let workload = build_workload(app, seed);
+    let workload = build_workload(app, flag(&flags, "seed"));
 
     let mut config = search_config(&flags)?;
-    if let Some(b) = flags.get("audit-budget") {
-        config.audit_budget = b.parse().map_err(|_| "bad --audit-budget")?;
+    if let Some(b) = flag(&flags, "audit-budget") {
+        config.audit_budget = b;
     }
     let mut linted_files = false;
     if let Some(path) = flags.get("directives") {
@@ -551,7 +556,7 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
                         the supervisor manages resumes itself"
                 .into());
         }
-        let sup = supervision_flags(&flags, &mut config)?;
+        let sup = supervision_flags(&flags, &mut config);
         let driver = WorkloadSession::new(&session, workload.as_ref(), config, &label);
         let report = Supervisor::new(sup).run(&[&driver as &dyn SessionDriver]);
         return Ok(report_supervision(&report));
@@ -717,34 +722,30 @@ fn cmd_run_remote(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     let tenant = flags.get("tenant").cloned().unwrap_or_else(|| "cli".into());
 
     let mut req = Request::new("start").arg("app", app).arg("label", &label);
-    if let Some(seed) = flags.get("seed") {
-        let seed: u64 = seed.parse().map_err(|_| "bad --seed")?;
+    if let Some(seed) = flag::<u64>(&flags, "seed") {
         req = req.arg("seed", seed);
     }
     if let Some(w) = flags.get("window") {
         let ms = w.parse().map_or(0, |secs: f64| (secs * 1000.0) as u64);
         if ms == 0 {
-            bad_window(w);
+            bad_flag("window", w, NO_WINDOW);
         }
         req = req.arg("window-ms", ms);
     }
-    if let Some(m) = flags.get("max-time") {
-        let secs: f64 = m.parse().map_err(|_| "bad --max-time")?;
+    if let Some(secs) = flag::<f64>(&flags, "max-time") {
         req = req.arg("max-time-ms", (secs * 1000.0) as u64);
     }
     if let Some(path) = flags.get("faults") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
         req = req.arg("faults", text);
     }
-    if let Some(b) = flags.get("budget") {
-        let b: u64 = b.parse().map_err(|_| "bad --budget")?;
+    if let Some(b) = flag::<u64>(&flags, "budget") {
         req = req.arg("budget", b);
     }
     if let Some(from) = flags.get("harvest-from") {
         req = req.arg("harvest-from", from);
     }
-    if let Some(b) = flags.get("audit-budget") {
-        let b: u32 = b.parse().map_err(|_| "bad --audit-budget")?;
+    if let Some(b) = flag::<u32>(&flags, "audit-budget") {
         req = req.arg("audit-budget", b);
     }
 
@@ -883,13 +884,10 @@ fn cmd_supervise(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     if apps.is_empty() {
         return Err("--apps wants a comma-separated application list".into());
     }
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?;
+    let seed = flag(&flags, "seed");
 
     let mut config = search_config(&flags)?;
-    let sup = supervision_flags(&flags, &mut config)?;
+    let sup = supervision_flags(&flags, &mut config);
 
     let session = Session::with_store(store_dir).map_err(|e| e.to_string())?;
     let label = flags.get("label").cloned().unwrap_or_else(|| "run".into());
@@ -1004,16 +1002,8 @@ fn cmd_compare(flags: HashMap<String, String>) -> Result<(), String> {
 /// from, and the source of derived thresholds.
 fn cmd_profile(flags: HashMap<String, String>) -> Result<(), String> {
     let app = require(&flags, "app");
-    let seed = flags
-        .get("seed")
-        .map(|s| s.parse().map_err(|_| "bad --seed".to_string()))
-        .transpose()?;
-    let secs: f64 = flags
-        .get("for")
-        .map(|s| s.parse().map_err(|_| "bad --for".to_string()))
-        .transpose()?
-        .unwrap_or(30.0);
-    let workload = build_workload(app, seed);
+    let secs: f64 = flag(&flags, "for").unwrap_or(30.0);
+    let workload = build_workload(app, flag(&flags, "seed"));
     let mut engine = workload.build_engine();
     engine.run_until(histpc::sim::SimTime::ZERO + SimDuration::from_secs_f64(secs));
     let pm = PostmortemData::from_totals(engine.app().clone(), engine.totals());

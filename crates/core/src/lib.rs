@@ -18,7 +18,8 @@
 //!   between executions, and multi-run combination;
 //! * [`faults`] — deterministic, seeded fault injection (lossy sample
 //!   delivery, failing instrumentation requests, dying nodes, tool
-//!   crashes) used to exercise the consultant's graceful degradation;
+//!   crashes, overload) used to exercise the consultant's graceful
+//!   degradation; it lives in `histpc-instr` as `histpc_instr::faults`;
 //! * [`supervise`] — session supervision: heartbeat watchdogs,
 //!   checkpoint auto-resume under a retry budget, an escalating
 //!   degradation ladder that classifies every run, and the
@@ -63,9 +64,9 @@
 #![warn(missing_docs)]
 
 pub use histpc_consultant as consultant;
-pub use histpc_faults as faults;
 pub use histpc_history as history;
 pub use histpc_instr as instr;
+pub use histpc_instr::faults;
 pub use histpc_lint as lint;
 pub use histpc_resources as resources;
 pub use histpc_sim as sim;
@@ -89,10 +90,10 @@ pub mod prelude {
         PriorityDirective, PriorityLevel, Prune, PruneTarget, SearchCheckpoint, SearchConfig,
         SearchDirectives, ThresholdDirective,
     };
-    pub use histpc_faults::{FaultPlan, FaultStats, KillEvent, KillTarget};
     pub use histpc_history::{
         extract, intersect, union, ExecutionRecord, ExecutionStore, ExtractionOptions, MappingSet,
     };
+    pub use histpc_instr::faults::{FaultPlan, FaultStats, KillEvent, KillTarget};
     pub use histpc_instr::{
         AdmissionConfig, AdmissionStats, Collector, CollectorConfig, Metric, PostmortemData,
     };

@@ -739,7 +739,7 @@ mod tests {
         let req = Request::new("start")
             .arg("app", "poisson-b")
             .arg("label", "run 1")
-            .arg("faults", "sample-loss 0.2\ncorrupt-store 1");
+            .arg("faults", "drop 0.2\ncrash-tool 1");
         let line = req.to_line();
         assert!(!line.contains('\n'), "request must be one line: {line:?}");
         assert_eq!(Request::parse(&line).unwrap(), req);

@@ -10,12 +10,12 @@ use histpc_consultant::{
     drive_diagnosis_faulted, DiagnosisReport, HaltReason, HypothesisTree, PriorityLevel,
     SearchCheckpoint, SearchConfig, SearchDirectives,
 };
-use histpc_faults::FaultStats;
 use histpc_history::store::StoreError;
 use histpc_history::{
     extract, ExecutionRecord, ExecutionStore, ExtractionOptions, MappingSet, TrustLedger,
     TrustVerdict,
 };
+use histpc_instr::faults::FaultStats;
 use histpc_instr::PostmortemData;
 use histpc_lint::{CorpusAnalyzer, Diagnostic, LintReport, Linter, SourceCache, VerdictMemo};
 use histpc_sim::workloads::Workload;
@@ -205,13 +205,7 @@ impl Session {
     /// interrupts the run instead, returning a [`SearchCheckpoint`] —
     /// persisted as a `ckpt` artifact when a store is attached — and no
     /// diagnosis; passing that checkpoint back as `resume_from`
-    /// deterministically replays the search past that point. With
-    /// `config.faults.corrupt_store` set, the saved record is overwritten
-    /// with a corrupted copy after the save, exercising the store's
-    /// quarantine path on the next load.
-    /// `torn_write` and `partial_journal` instead stage crash-shaped
-    /// damage (a torn record file with an uncommitted journal intent, or
-    /// a journal cut mid-append) that the next store open must recover.
+    /// deterministically replays the search past that point.
     pub fn diagnose_faulted(
         &self,
         workload: &dyn Workload,
@@ -257,38 +251,11 @@ impl Session {
             // interrupted attempt left under this label; without this the
             // store accumulates dead `ckpt` artifacts (lint HL034).
             store.delete_artifact(&record.app_name, label, "ckpt")?;
-            if config.faults.corrupt_store {
-                let garbled = histpc_faults::corrupt_text(
-                    config.faults.seed,
-                    &histpc_history::format::write_record(&record),
-                );
-                store.save_artifact(&record.app_name, label, "record", &garbled)?;
-            }
-            // Crash-shaped store faults, staged after every save so the
-            // injected damage is the last thing the "crashed" tool did;
-            // the next ExecutionStore::open must recover from them.
-            if config.faults.torn_write {
-                let cut = histpc_faults::torn_cut_fraction(config.faults.seed);
-                store.inject_torn_write(&record.app_name, label, cut)?;
-            }
-            if config.faults.partial_journal {
-                let cut = histpc_faults::torn_cut_fraction(config.faults.seed ^ 0x9e37);
-                store.inject_torn_journal(&record.app_name, label, cut)?;
-            }
         }
         // Audit feedback runs only on the completed path: a resumed run
         // replays the same audits, and absorbing them twice would
         // double-count the trust updates.
         self.absorb_audits(&report);
-        if let Some(store) = &self.store {
-            if config.faults.trust_ledger_corrupt {
-                let path = store.root().join(histpc_history::trust::TRUST_FILE);
-                let current =
-                    std::fs::read_to_string(&path).unwrap_or_else(|_| TrustLedger::new().to_text());
-                let garbled = histpc_faults::corrupt_text(config.faults.seed ^ 0x7257, &current);
-                let _ = std::fs::write(&path, garbled);
-            }
-        }
         Ok(DegradedDiagnosis {
             diagnosis: Some(Diagnosis {
                 report,
@@ -738,73 +705,6 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_store_fault_garbles_the_saved_record() {
-        let dir = std::env::temp_dir().join(format!("histpc-garble-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        let session = Session::with_store(&dir).unwrap();
-        let wl = SyntheticWorkload::balanced(2, 1, 0.5).with_hotspot(0, 0, 1.0);
-        let mut config = fast_config();
-        config.faults.corrupt_store = true;
-        let d = session
-            .diagnose_faulted(&wl, &config, "g1", None)
-            .unwrap()
-            .diagnosis
-            .unwrap();
-        let on_disk = session
-            .store()
-            .unwrap()
-            .load_artifact("synth", "g1", "record")
-            .unwrap();
-        assert_ne!(
-            on_disk,
-            histpc_history::format::write_record(&d.record),
-            "corrupt_store fault left the record intact"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn crash_shaped_store_faults_recover_on_next_session() {
-        for (torn_write, partial_journal) in [(true, false), (false, true), (true, true)] {
-            let dir = std::env::temp_dir().join(format!(
-                "histpc-tornsession-{torn_write}-{partial_journal}-{}",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_dir_all(&dir);
-            let session = Session::with_store(&dir).unwrap();
-            let wl = SyntheticWorkload::balanced(2, 1, 0.5).with_hotspot(0, 0, 1.0);
-            let mut config = fast_config();
-            config.faults.seed = 7;
-            config.faults.torn_write = torn_write;
-            config.faults.partial_journal = partial_journal;
-            session
-                .diagnose_faulted(&wl, &config, "t1", None)
-                .unwrap()
-                .diagnosis
-                .unwrap();
-            drop(session);
-            // The "crashed" tool left damage behind; fsck sees it.
-            assert!(
-                !histpc_history::fsck::fsck(&dir).is_empty(),
-                "injection left nothing for fsck to find \
-                 (torn_write={torn_write}, partial_journal={partial_journal})"
-            );
-            // The next session's open auto-recovers; after repair, fsck
-            // reports zero errors.
-            let next = Session::with_store(&dir).unwrap();
-            let store = next.store().unwrap();
-            let (_, _warnings) = store.load_all_with_warnings("synth").unwrap();
-            store.repair().unwrap();
-            let diags = histpc_history::fsck::fsck(&dir);
-            assert!(
-                diags.iter().all(|d| !d.is_error()),
-                "errors survived recovery: {diags:?}"
-            );
-            let _ = std::fs::remove_dir_all(&dir);
-        }
-    }
-
-    #[test]
     fn harvest_is_bit_identical_on_conflict_free_corpus() {
         let dir = std::env::temp_dir().join(format!("histpc-vetclean-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -1033,36 +933,30 @@ mod tests {
     }
 
     #[test]
-    fn trust_ledger_corrupt_fault_recovers_to_full_trust() {
+    fn garbled_trust_ledger_loads_as_full_trust() {
         let dir = std::env::temp_dir().join(format!("histpc-trustcorr-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let session = Session::with_store(&dir).unwrap();
-        let wl = SyntheticWorkload::balanced(2, 1, 0.5).with_hotspot(0, 0, 1.0);
         let mut ledger = TrustLedger::new();
         ledger.record_audit("synth/r0", false);
         ledger.save(&dir).unwrap();
-
-        let mut config = fast_config();
-        config.faults.trust_ledger_corrupt = true;
-        session
-            .diagnose_faulted(&wl, &config, "c1", None)
-            .unwrap()
-            .diagnosis
-            .unwrap();
-        // The fault garbled the TRUST file in place...
-        let on_disk = std::fs::read_to_string(dir.join(histpc_history::trust::TRUST_FILE)).unwrap();
-        assert!(
-            TrustLedger::parse(&on_disk).is_none(),
-            "fault left TRUST parseable"
-        );
-        // ...and the checksum frame makes the load fail safe: the next
-        // session sees a fresh ledger (conservative full trust), not a
-        // half-parsed one.
+        // A writer that died mid-write of TRUST, bypassing the atomic
+        // install, leaves the file cut short.
+        let path = dir.join(histpc_history::trust::TRUST_FILE);
+        let text = std::fs::read_to_string(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+        assert!(TrustLedger::parse(&std::fs::read_to_string(&path).unwrap()).is_none());
+        // The checksum frame makes the load fail safe: a fresh ledger
+        // (conservative full trust), not a half-parsed one, and the
+        // next diagnosis runs as usual.
         let recovered = TrustLedger::load(&dir);
         assert_eq!(
             recovered.score("synth/r0"),
             histpc_history::trust::FULL_SCORE
         );
+        let wl = SyntheticWorkload::balanced(2, 1, 0.5).with_hotspot(0, 0, 1.0);
+        let run = session.diagnose_faulted(&wl, &fast_config(), "c1", None);
+        assert!(run.unwrap().diagnosis.is_some());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,5 +1,5 @@
 //! Integration: the `histpc store` subcommand family end to end — a
-//! crash-faulted run must leave damage `fsck` can name, `repair` must
+//! crash-damaged store must show damage `fsck` can name, `repair` must
 //! bring the store back to a state that passes `fsck --deny-warnings`,
 //! and `migrate` must upgrade a legacy v0 store in place.
 
@@ -64,54 +64,50 @@ fn healthy_store_passes_fsck_deny_warnings() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Crash-shaped store faults leave damage behind: `fsck
-/// --deny-warnings` names it and exits non-zero (a torn write is an
-/// HL023 integrity error even without `--deny-warnings`); `repair`
-/// recovers; `fsck --deny-warnings` then passes.
+/// Stages what a tool killed mid-save leaves in `store`: with
+/// `torn_record`, a `put` intent for `synth/r1` without its `ok` and the
+/// record file cut in half; with `torn_journal`, a `put` intent line cut
+/// mid-append.
+fn stage_crash(store: &Path, torn_record: bool, torn_journal: bool) {
+    use std::io::Write;
+    let intent = "put 0000000000000000 record synth r1";
+    let mut journal = std::fs::OpenOptions::new()
+        .append(true)
+        .open(store.join(history::journal::JOURNAL_FILE))
+        .unwrap();
+    if torn_record {
+        writeln!(journal, "{intent}").unwrap();
+        let path = store.join("synth").join("r1.record");
+        let text = std::fs::read(&path).unwrap();
+        std::fs::write(&path, &text[..text.len() / 2]).unwrap();
+    }
+    if torn_journal {
+        write!(journal, "{}", &intent[..intent.len() / 2]).unwrap();
+    }
+}
+
+/// Crash-shaped damage on a store: `fsck --deny-warnings` names it and
+/// exits non-zero (a torn record is an HL023 integrity error even
+/// without `--deny-warnings`); `repair` recovers; `fsck
+/// --deny-warnings` then passes.
 #[test]
 fn crash_faulted_run_then_repair_then_fsck_passes() {
-    for (name, torn_write, partial_journal) in [
-        ("torn-write", true, false),
-        ("partial-journal", false, true),
+    for (name, torn_record, torn_journal) in [
+        ("torn-record", true, false),
+        ("torn-journal", false, true),
         ("both", true, true),
     ] {
         let dir = scratch(&format!("crash-{name}"));
-        let store = dir.join("store");
-        let plan = FaultPlan {
-            seed: 7,
-            torn_write,
-            partial_journal,
-            ..FaultPlan::none()
-        };
-        let plan_file = dir.join("crash.faults");
-        std::fs::write(&plan_file, plan.to_text()).unwrap();
-
-        let run = bin()
-            .arg("run")
-            .args(["--app", "poisson-a", "--label", "t1"])
-            .args(["--window", "0.8", "--max-time", "300", "--seed", "5"])
-            .arg("--store")
-            .arg(&store)
-            .arg("--faults")
-            .arg(&plan_file)
-            .output()
-            .unwrap();
-        assert!(
-            run.status.success(),
-            "{name}: faulted run failed:\n{}",
-            String::from_utf8_lossy(&run.stderr)
-        );
+        let store = record_run(&dir);
+        stage_crash(&store, torn_record, torn_journal);
 
         let strict = store_cmd("fsck", &store, &["--deny-warnings"]);
-        assert!(
-            !strict.status.success(),
-            "{name}: fsck missed the injected damage"
-        );
-        if torn_write {
+        assert!(!strict.status.success(), "{name}: fsck missed the damage");
+        if torn_record {
             let before = store_cmd("fsck", &store, &[]);
             assert!(
                 !before.status.success(),
-                "{name}: fsck missed the torn write"
+                "{name}: fsck missed the torn record"
             );
             let stderr = String::from_utf8_lossy(&before.stderr);
             assert!(stderr.contains("HL023"), "{name}: missing HL023:\n{stderr}");

@@ -216,6 +216,36 @@ fn flags_a_verb_does_not_read_are_rejected() {
     );
 }
 
+/// A flag value that does not parse is a usage error (exit 2) naming
+/// the flag, before anything runs: not a failed run (exit 1).
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    for (command, flag) in [
+        ("run --app tester --seed x", "seed"),
+        ("run --app tester --max-time soon", "max-time"),
+        ("run --app tester --audit-budget x", "audit-budget"),
+        ("run --app tester --admission bogus=1", "admission"),
+        ("run --app tester --supervised --retries x", "retries"),
+        ("supervise --store S --apps tester --retries x", "retries"),
+        ("supervise --store S --apps tester --stall-ms x", "stall-ms"),
+        ("profile --app tester --for x", "for"),
+        ("profile --app tester --seed x", "seed"),
+        ("run --remote S --app tester --budget x", "budget"),
+    ] {
+        let out = bin().args(command.split(' ')).output().unwrap();
+        assert_eq!(out.status.code(), Some(2), "{command} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.starts_with(&format!("error: bad --{flag} ")),
+            "{command} stderr: {stderr}"
+        );
+    }
+    assert!(
+        !Path::new("S").exists(),
+        "a rejected command created a store"
+    );
+}
+
 /// A window that rounds to no time is a usage error (exit 2) before
 /// anything runs, locally or remotely: a local run counts it in
 /// microseconds, a remote one in whole milliseconds.

@@ -53,14 +53,10 @@ fn fault_plan_round_trips_through_text() {
             },
         ],
         tool_crash_at: Some(SimTime::from_micros(9_000_000)),
-        corrupt_store: true,
-        torn_write: true,
-        partial_journal: true,
         sample_flood: 5.0,
         slow_collector: SimDuration::from_millis(40),
         request_storm_rate: 0.25,
         request_storm_burst: 8,
-        trust_ledger_corrupt: true,
     };
     let parsed = FaultPlan::parse(&plan.to_text()).expect("plan text parses");
     assert_eq!(parsed, plan);
@@ -478,6 +474,10 @@ fn every_plan_kind_is_injected_and_removed_kinds_are_rejected() {
         "poison-prune",
         "poison-threshold",
         "stale-mapping",
+        "corrupt-store",
+        "torn-write",
+        "partial-journal",
+        "trust-ledger-corrupt",
     ] {
         match FaultPlan::parse(&format!("histpc-faults v1\n{kind} 1\n")) {
             Err(e) if e.contains(kind) => {}
@@ -499,10 +499,6 @@ fn every_plan_kind_is_injected_and_removed_kinds_are_rejected() {
         "sample-flood 5",
         "slow-collector 300000",
         "request-storm 0.5 8",
-        "corrupt-store",
-        "torn-write",
-        "partial-journal",
-        "trust-ledger-corrupt",
     ] {
         let plan = FaultPlan::parse(&format!("histpc-faults v1\nseed 3\n{line}\n")).unwrap();
         let kind = line.split(' ').next().unwrap();

@@ -162,9 +162,8 @@ impl Rng {
     }
 }
 
-/// The faults rolled for one chaos session — tool crashes, torn record
-/// writes, partial journal appends, sample floods, process kills and
-/// sample loss — with a printable summary.
+/// The faults rolled for one chaos session — tool crashes, sample
+/// floods, process kills and sample loss — with a printable summary.
 fn roll_faults(rng: &mut Rng, plan_seed: u64) -> (FaultPlan, String) {
     let mut plan = FaultPlan::none();
     plan.seed = plan_seed;
@@ -173,14 +172,6 @@ fn roll_faults(rng: &mut Rng, plan_seed: u64) -> (FaultPlan, String) {
         let at = rng.range(300_000, 2_300_000);
         plan.tool_crash_at = Some(SimTime::from_micros(at));
         parts.push(format!("crash@{at}us"));
-    }
-    if rng.chance(20) {
-        plan.torn_write = true;
-        parts.push("torn-write".into());
-    }
-    if rng.chance(20) {
-        plan.partial_journal = true;
-        parts.push("partial-journal".into());
     }
     if rng.chance(25) {
         let flood = 2.0 + (rng.range(0, 40) as f64) / 10.0;
@@ -292,8 +283,8 @@ fn chaos_fleet(test: &str, sessions: usize, seed: u64, zero_faults: bool) -> Str
     .run(&refs);
     transcript.push_str(&report.render());
 
-    // Whatever the fault plans tore mid-write must be salvaged or
-    // quarantined by one repair pass — never silently kept.
+    // Whatever the crashed and killed sessions left behind must be
+    // settled by one repair pass — never silently kept.
     let store = session.store().expect("chaos session has a store");
     store.repair().expect("store repair runs");
     let findings = fsck(store.root());

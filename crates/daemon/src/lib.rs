@@ -264,10 +264,10 @@ impl SessionSpec {
         if let Some(b) = self.audit_budget {
             req = req.arg("audit-budget", b);
         }
-        req.to_line()
-            .strip_prefix("start ")
-            .expect("spec line has params")
-            .to_string()
+        // `app` and `label` are always there, so the verb is never alone.
+        let line = req.to_line();
+        line.split_once(' ')
+            .map_or_else(String::new, |(_, params)| params.to_string())
     }
 
     /// Parses a lease's `spec` line back into a spec.
@@ -1177,6 +1177,76 @@ mod tests {
             .arg("label", "ok")
             .arg("faults", "not a plan");
         assert!(SessionSpec::from_request(&req).is_err());
+    }
+
+    /// A plan naming a store kind, which no run injects, is refused at
+    /// `start` and leaves the shared store alone; a lease that carries
+    /// one is an unusable spec, and the daemon still boots.
+    #[test]
+    fn plans_naming_store_kinds_are_refused() {
+        use histpc::history::trust::{TrustLedger, TRUST_FILE};
+        let root = scratch("storekinds");
+        let store = root.join("store");
+        let config = || DaemonConfig::new(store.clone(), root.join("d.sock"));
+        let daemon = Daemon::start(config()).unwrap();
+        let mut ledger = TrustLedger::new();
+        ledger.record_audit("t/Tester/r0", false);
+        ledger.save(&store).unwrap();
+        let trust = std::fs::read(store.join(TRUST_FILE)).unwrap();
+        let start = |label: &str, plan: &str| {
+            Request::new("start")
+                .arg("app", "tester")
+                .arg("label", label)
+                .arg("faults", format!("histpc-faults v1\nseed 3\n{plan}\n"))
+        };
+        for kind in ["torn-write", "trust-ledger-corrupt"] {
+            match verb_start(&daemon.inner, "t", &start(kind, kind)) {
+                Response::Err { code, msg, .. } => {
+                    assert_eq!(code, "bad-request");
+                    assert!(msg.starts_with("bad fault plan"), "{kind}: {msg}");
+                }
+                other => panic!("{kind}: expected a refusal, got {other:?}"),
+            }
+        }
+        initiate_shutdown(&daemon.inner);
+        daemon.join();
+        let findings = histpc::history::fsck(&store);
+        let notes = |d: &histpc::lint::Diagnostic| d.severity == histpc::lint::Severity::Note;
+        assert!(findings.iter().all(notes), "{findings:?}");
+        assert_eq!(std::fs::read(store.join(TRUST_FILE)).unwrap(), trust);
+
+        // A lease with a checkpoint, whose spec names a store kind.
+        let line = start("old", "torn-write").to_line();
+        let lease = Lease {
+            tenant: "t".into(),
+            app: "Tester".into(),
+            label: "old".into(),
+            epoch: 1,
+            state: "active".into(),
+            spec: line["start ".len()..].to_string(),
+        };
+        lease::write_lease(&store, &lease).unwrap();
+        ExecutionStore::open(&store)
+            .unwrap()
+            .save_artifact("Tester", "old", "ckpt", "x")
+            .unwrap();
+        let daemon = Daemon::start(config()).unwrap();
+        assert_eq!(daemon.adoption().abandoned, ["t/old"]);
+        {
+            let registry = locked(&daemon.inner.registry);
+            let entry = &registry["t/old"];
+            assert_eq!(entry.spec, placeholder_spec(&lease));
+            let SessionState::Done { detail, .. } = &entry.state else {
+                panic!("re-adopted an unusable spec");
+            };
+            assert!(
+                detail.contains("unusable lease spec: bad fault plan"),
+                "{detail}"
+            );
+        }
+        initiate_shutdown(&daemon.inner);
+        daemon.join();
+        let _ = std::fs::remove_dir_all(&root);
     }
 
     fn scratch(tag: &str) -> PathBuf {

@@ -442,14 +442,6 @@ fn roll_faults(rng: &mut Rng, plan_seed: u64) -> (FaultPlan, WireFaults, String)
         plan.tool_crash_at = Some(SimTime::from_micros(at));
         parts.push(format!("crash@{at}us"));
     }
-    if rng.chance(20) {
-        plan.torn_write = true;
-        parts.push("torn-write".into());
-    }
-    if rng.chance(20) {
-        plan.partial_journal = true;
-        parts.push("partial-journal".into());
-    }
     if rng.chance(25) {
         let flood = 2.0 + (rng.range(0, 40) as f64) / 10.0;
         plan.sample_flood = flood;

@@ -675,52 +675,6 @@ impl ExecutionStore {
         Ok(migrated)
     }
 
-    // Fault-injection hooks: the `torn-write` / `partial-journal` plan
-    // keywords in `histpc-faults`.
-
-    /// Simulates a crashed writer that tore the record file itself: an
-    /// uncommitted `put` intent is left in the journal and the on-disk
-    /// record is truncated at `cut` (a fraction of its byte length, as
-    /// if the kernel tore the page-out mid-file). The next `open`
-    /// must recover — salvaging the parseable prefix or quarantining.
-    pub fn inject_torn_write(&self, app: &str, label: &str, cut: f64) -> Result<(), StoreError> {
-        let target = self.path(app, label, "record");
-        let Some(text) = self.read_text(&target)? else {
-            return Err(StoreError::NotFound(format!("{app}/{label}")));
-        };
-        let payload_fnv = fnv64(payload_candidate(&text).as_bytes());
-        self.journal()
-            .append(&JournalEntry::put(payload_fnv, "record", app, label))?;
-        let mut cut_at = ((text.len() as f64) * cut.clamp(0.0, 1.0)) as usize;
-        cut_at = cut_at.min(text.len().saturating_sub(1));
-        while cut_at > 0 && !text.is_char_boundary(cut_at) {
-            cut_at -= 1;
-        }
-        self.fs.write(&target, &text.as_bytes()[..cut_at])?;
-        Ok(())
-    }
-
-    /// Simulates a crash mid-journal-append: a `put` intent line for
-    /// (`app`, `label`) is appended and then cut mid-line at `cut` (a
-    /// fraction of the line's length). The next `open` must discard the
-    /// torn tail and recover.
-    pub fn inject_torn_journal(&self, app: &str, label: &str, cut: f64) -> Result<(), StoreError> {
-        let journal = self.journal();
-        journal.append(&JournalEntry::put(0, "record", app, label))?;
-        let text = self.read_text(journal.path())?.unwrap_or_default();
-        let body = text.trim_end_matches('\n');
-        let last_start = body.rfind('\n').map_or(0, |i| i + 1);
-        let last_len = text.len() - last_start;
-        let keep_in_line = (((last_len as f64) * cut.clamp(0.0, 1.0)) as usize)
-            .clamp(1, last_len.saturating_sub(1));
-        let mut keep = last_start + keep_in_line;
-        while keep > 0 && !text.is_char_boundary(keep) {
-            keep -= 1;
-        }
-        self.fs.write(journal.path(), &text.as_bytes()[..keep])?;
-        Ok(())
-    }
-
     // Recovery.
 
     /// Recovery gate run by `open`: decides cheaply whether the store
@@ -958,6 +912,52 @@ mod tests {
             unreachable: vec![],
             saturated: vec![],
         }
+    }
+
+    /// Stages a writer that died tearing the record file itself: an
+    /// uncommitted `put` intent is left in the journal and the on-disk
+    /// record is truncated at `cut` (a fraction of its byte length, as
+    /// if the kernel tore the page-out mid-file). The next `open` must
+    /// recover — salvaging the parseable prefix or quarantining.
+    fn tear_record(store: &ExecutionStore, app: &str, label: &str, cut: f64) {
+        let target = store.path(app, label, "record");
+        let text = store.read_text(&target).unwrap().expect("record exists");
+        let payload_fnv = fnv64(payload_candidate(&text).as_bytes());
+        store
+            .journal()
+            .append(&JournalEntry::put(payload_fnv, "record", app, label))
+            .unwrap();
+        let mut cut_at = ((text.len() as f64) * cut.clamp(0.0, 1.0)) as usize;
+        cut_at = cut_at.min(text.len().saturating_sub(1));
+        while cut_at > 0 && !text.is_char_boundary(cut_at) {
+            cut_at -= 1;
+        }
+        store.fs.write(&target, &text.as_bytes()[..cut_at]).unwrap();
+    }
+
+    /// Stages a writer that died mid-journal-append: a `put` intent line
+    /// for (`app`, `label`) is appended and then cut mid-line at `cut` (a
+    /// fraction of the line's length). The next `open` must discard the
+    /// torn tail and recover.
+    fn tear_journal(store: &ExecutionStore, app: &str, label: &str, cut: f64) {
+        let journal = store.journal();
+        journal
+            .append(&JournalEntry::put(0, "record", app, label))
+            .unwrap();
+        let text = store.read_text(journal.path()).unwrap().unwrap_or_default();
+        let body = text.trim_end_matches('\n');
+        let last_start = body.rfind('\n').map_or(0, |i| i + 1);
+        let last_len = text.len() - last_start;
+        let keep_in_line = (((last_len as f64) * cut.clamp(0.0, 1.0)) as usize)
+            .clamp(1, last_len.saturating_sub(1));
+        let mut keep = last_start + keep_in_line;
+        while keep > 0 && !text.is_char_boundary(keep) {
+            keep -= 1;
+        }
+        store
+            .fs
+            .write(journal.path(), &text.as_bytes()[..keep])
+            .unwrap();
     }
 
     #[test]
@@ -1296,9 +1296,7 @@ mod tests {
         store.save(&rec("poisson", "a1")).unwrap();
         let full = std::fs::read_to_string(store.path("poisson", "a1", "record")).unwrap();
         for cut in 0..full.len() {
-            store
-                .inject_torn_write("poisson", "a1", cut as f64 / full.len() as f64)
-                .unwrap();
+            tear_record(&store, "poisson", "a1", cut as f64 / full.len() as f64);
             let again = ExecutionStore::open(&dir).unwrap();
             let (records, _warnings) = again.load_all_with_warnings("poisson").unwrap();
             for r in &records {
@@ -1326,7 +1324,7 @@ mod tests {
         let store = ExecutionStore::open(&dir).unwrap();
         store.save(&rec("poisson", "a1")).unwrap();
         for cut in [0.1, 0.5, 0.9] {
-            store.inject_torn_journal("poisson", "a1", cut).unwrap();
+            tear_journal(&store, "poisson", "a1", cut);
             let again = ExecutionStore::open(&dir).unwrap();
             let st = Journal::at(&RealFs, &dir).read().unwrap();
             assert!(!st.torn, "cut {cut}: journal still torn after open");
@@ -1343,7 +1341,7 @@ mod tests {
         store.save(&rec("poisson", "a2")).unwrap();
         // Litter: stray tmp + torn record + garbage manifest.
         std::fs::write(dir.join("poisson").join("zz.record.tmp"), "half").unwrap();
-        store.inject_torn_write("poisson", "a2", 0.5).unwrap();
+        tear_record(&store, "poisson", "a2", 0.5);
         std::fs::write(dir.join(crate::manifest::MANIFEST_FILE), "garbage\n").unwrap();
 
         let notes = store.repair().unwrap();

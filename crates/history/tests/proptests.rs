@@ -24,6 +24,25 @@ fn store_scratch() -> std::path::PathBuf {
     dir
 }
 
+/// Stages a writer that died tearing `<app>/<label>.record`: its `put`
+/// intent left in the journal without an `ok`, and the file cut at
+/// `cut` (a fraction of its length, at least one byte short).
+fn tear_record(dir: &std::path::Path, app: &str, label: &str, cut: f64) {
+    use std::io::Write;
+    let mut journal = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join(histpc_history::journal::JOURNAL_FILE))
+        .unwrap();
+    writeln!(journal, "put 0000000000000000 record {app} {label}").unwrap();
+    let path = dir.join(app).join(format!("{label}.record"));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut at = ((text.len() as f64 * cut) as usize).min(text.len() - 1);
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    std::fs::write(&path, &text[..at]).unwrap();
+}
+
 fn stored_record(pairs: usize) -> ExecutionRecord {
     ExecutionRecord {
         app_name: "app".into(),
@@ -276,7 +295,7 @@ proptest! {
         let dir = store_scratch();
         let store = ExecutionStore::open(&dir).unwrap();
         store.save(&stored_record(pairs)).unwrap();
-        store.inject_torn_write("app", "r1", cut).unwrap();
+        tear_record(&dir, "app", "r1", cut);
 
         let again = ExecutionStore::open(&dir).unwrap();
         let (records, _warnings) = again.load_all_with_warnings("app").unwrap();

@@ -12,10 +12,10 @@ use crate::batch::SampleBatch;
 use crate::binder::{Binder, CompiledFocus};
 use crate::cost::{CostConfig, CostModel};
 use crate::delta::{sort_by_key, Delta, DeltaTable};
+use crate::faults::RequestFault;
 use crate::histogram::TimeHistogram;
 use crate::metric::Metric;
 use crate::pair::Pair;
-use histpc_faults::RequestFault;
 use histpc_resources::{Focus, FocusId, Interner, ResourceName, ResourceSpace};
 use histpc_sim::{AppSpec, Engine, Interval, ProcId, SimDuration, SimTime};
 

@@ -18,7 +18,9 @@
 //! [`Collector`] manages metric-focus pairs, clips observed intervals to
 //! their enablement windows, folds values into Paradyn-style time
 //! histograms, models perturbation cost, and exposes per-process slowdown
-//! factors that the driver feeds back into the engine.
+//! factors that the drive loop feeds back into the engine. [`faults`]
+//! injects the daemons' failures into that mechanism: lossy sample
+//! streams, failed insertions, dying processes and tool crashes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,6 +31,7 @@ pub mod binder;
 pub mod collector;
 pub mod cost;
 pub mod delta;
+pub mod faults;
 pub mod histogram;
 pub mod metric;
 pub mod pair;

@@ -3,8 +3,8 @@
 //! path (`drain_intervals` + `SampleBatch::new`), which stays the
 //! reference: bit for bit, order included.
 
-use histpc_faults::RequestFault;
 use histpc_instr::delta::{aggregate, sort_by_key, Delta};
+use histpc_instr::faults::RequestFault;
 use histpc_instr::{
     AdmissionConfig, AdmitOutcome, Collector, CollectorConfig, Metric, PairId, RequestClass,
     SampleBatch,

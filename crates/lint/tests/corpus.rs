@@ -18,6 +18,25 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
+/// Stages a writer that died tearing `<app>/<label>.record`: its `put`
+/// intent left in the journal without an `ok`, and the file cut at
+/// `cut` (a fraction of its length, at least one byte short).
+fn tear_record(dir: &std::path::Path, app: &str, label: &str, cut: f64) {
+    use std::io::Write;
+    let mut journal = std::fs::OpenOptions::new()
+        .append(true)
+        .open(dir.join(histpc_history::journal::JOURNAL_FILE))
+        .unwrap();
+    writeln!(journal, "put 0000000000000000 record {app} {label}").unwrap();
+    let path = dir.join(app).join(format!("{label}.record"));
+    let text = std::fs::read_to_string(&path).unwrap();
+    let mut at = ((text.len() as f64 * cut) as usize).min(text.len() - 1);
+    while !text.is_char_boundary(at) {
+        at -= 1;
+    }
+    std::fs::write(&path, &text[..at]).unwrap();
+}
+
 fn n(s: &str) -> ResourceName {
     ResourceName::parse(s).unwrap()
 }
@@ -463,7 +482,7 @@ fn verdict_memo_tracks_every_store_change() {
 
     // A torn record is skipped, so no pass over it is kept — until
     // recovery settles the store again.
-    store.inject_torn_write("dom", "g3", 0.5).unwrap();
+    tear_record(&dir, "dom", "g3", 0.5);
     std::fs::remove_file(&facts).unwrap();
     memo_step(&store, &memo, "torn write", false);
     let store = ExecutionStore::open(&dir).unwrap();

@@ -3,7 +3,7 @@
 //! bitten) before.
 //!
 //! The deterministic core of this workspace (sim, consultant, history,
-//! instr, faults, resources) must produce bit-identical records from
+//! instr, resources) must produce bit-identical records from
 //! identical inputs — that property underwrites every baseline
 //! comparison, proptest, and bench invariant in the repo; and the
 //! long-lived service code must not die of its own defensive code.
@@ -16,8 +16,9 @@
 //!   under fault injection, where a panic turns a modeled failure into
 //!   a tool crash; use `expect` with an invariant message or handle the
 //!   error. In the files that have been made panic-free
-//!   (`crates/consultant/src/search.rs`), `.expect(` is flagged too, so
-//!   they stay that way.
+//!   (`crates/consultant/src/search.rs`, `crates/instr/src/faults.rs`,
+//!   `crates/core/src/supervise.rs` and all of `crates/daemon/src`),
+//!   `.expect(` is flagged too, so they stay that way.
 //! * **DA003 — `HashMap` in record-serialization modules**: iteration
 //!   order would leak into persisted bytes; use `BTreeMap` or sort.
 //! * **DA004 — panicking lock acquisition** in the long-lived service
@@ -27,10 +28,11 @@
 //!   `PoisonError::into_inner`. Matches `.lock().unwrap()` and the
 //!   `.expect("… poisoned")` message convention.
 //! * **DA005 — `std::fs` outside the durable-file layer** in
-//!   `crates/history/src`: every file operation of the history store
-//!   goes through `durable.rs`, whose one atomic install, tolerant read
-//!   and layout classifier the crash enumeration proves; a direct
-//!   `std::fs` call bypasses both.
+//!   `crates/history/src` and `crates/core/src/session.rs`: every file
+//!   operation of the history store goes through `durable.rs`, whose
+//!   one atomic install, tolerant read and layout classifier the crash
+//!   enumeration proves; a direct `std::fs` call bypasses both, and the
+//!   store's lock with them.
 //!
 //! Test modules (everything at and after the first `#[cfg(test)]`) are
 //! exempt. A finding is suppressed by `det-audit: allow(...)` on the
@@ -42,14 +44,7 @@
 use std::path::{Path, PathBuf};
 
 /// Crates whose `src/` must stay free of wall-clock reads.
-const DETERMINISTIC_CRATES: &[&str] = &[
-    "resources",
-    "sim",
-    "consultant",
-    "history",
-    "instr",
-    "faults",
-];
+const DETERMINISTIC_CRATES: &[&str] = &["resources", "sim", "consultant", "history", "instr"];
 
 /// Path fragments (relative to a crate's `src/`) whose files run under
 /// fault injection and must not `.unwrap()`.
@@ -57,7 +52,12 @@ const NO_UNWRAP_PATHS: &[(&str, &str)] = &[("instr", ""), ("consultant", "search
 
 /// Files made panic-free: they must not `.expect(` either. The list only
 /// grows.
-const NO_EXPECT_PATHS: &[(&str, &str)] = &[("consultant", "search.rs")];
+const NO_EXPECT_PATHS: &[(&str, &str)] = &[
+    ("consultant", "search.rs"),
+    ("instr", "faults.rs"),
+    ("core", "supervise.rs"),
+    ("daemon", ""),
+];
 
 /// Files whose output is persisted byte-for-byte; `HashMap` iteration
 /// order must not reach them.
@@ -72,6 +72,10 @@ const SERIALIZATION_FILES: &[(&str, &str)] = &[
 /// Files of the long-lived service, whose lock and condvar acquisitions
 /// must survive a poisoned lock.
 const SERVICE_PATHS: &[(&str, &str)] = &[("daemon", ""), ("core", "supervise.rs")];
+
+/// Files that reach the history store only through its own API: they
+/// must not touch `std::fs`.
+const NO_FS_PATHS: &[(&str, &str)] = &[("history", ""), ("core", "session.rs")];
 
 /// The one file of `histpc-history` allowed to touch `std::fs`.
 const DURABLE_LAYER: (&str, &str) = ("history", "durable.rs");
@@ -122,7 +126,7 @@ fn audit_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
     let check_expect = listed(NO_EXPECT_PATHS, krate, sub);
     let check_hashmap = listed(SERIALIZATION_FILES, krate, sub);
     let check_lock = listed(SERVICE_PATHS, krate, sub);
-    let check_fs = krate == DURABLE_LAYER.0 && sub != DURABLE_LAYER.1;
+    let check_fs = listed(NO_FS_PATHS, krate, sub) && (krate, sub) != DURABLE_LAYER;
     if !(check_clock || check_unwrap || check_expect || check_hashmap || check_lock || check_fs) {
         return;
     }
@@ -193,8 +197,8 @@ fn audit_file(rel: &str, text: &str, findings: &mut Vec<Finding>) {
                 code: "DA005",
                 file: rel.to_string(),
                 line: lineno,
-                message: "`std::fs` in the history store outside `durable.rs`; \
-                          go through the store's `Vfs` and the durable layer's helpers"
+                message: "`std::fs` outside the history store's durable layer; \
+                          go through the store's API or its `Vfs` and `durable.rs` helpers"
                     .into(),
             });
         }
@@ -237,7 +241,11 @@ fn da002_flags_expect_only_in_panic_free_files() {
             .collect::<Vec<_>>()
     };
     assert_eq!(da002("crates/consultant/src/search.rs"), [2, 3]);
+    assert_eq!(da002("crates/instr/src/faults.rs"), [2, 3]);
     assert_eq!(da002("crates/instr/src/collector.rs"), [2]);
+    assert_eq!(da002("crates/core/src/supervise.rs"), [3]);
+    assert_eq!(da002("crates/daemon/src/lib.rs"), [3]);
+    assert_eq!(da002("crates/daemon/src/bin/histpcd.rs"), [3]);
     assert!(da002("crates/consultant/src/shg.rs").is_empty());
 }
 
@@ -282,7 +290,9 @@ fn da005_flags_std_fs_in_history_outside_the_durable_layer() {
             .collect::<Vec<_>>()
     };
     assert_eq!(da005("crates/history/src/store.rs"), [2]);
+    assert_eq!(da005("crates/core/src/session.rs"), [2]);
     assert!(da005("crates/history/src/durable.rs").is_empty());
+    assert!(da005("crates/core/src/supervise.rs").is_empty());
     assert!(da005("crates/lint/src/corpus.rs").is_empty());
 }
 
