@@ -3,22 +3,15 @@
 use histpc::history;
 use histpc::prelude::*;
 
-/// The canonical experiment configuration: 2 s conclusion windows,
-/// 250 ms sampling, generous time limit.
-pub fn exp_config() -> SearchConfig {
-    SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        max_time: SimDuration::from_secs(900),
-        ..SearchConfig::default()
-    }
-}
-
 /// Runs the unmodified Performance Consultant on a Poisson version.
 pub fn base_diagnosis(version: PoissonVersion) -> Diagnosis {
     let wl = PoissonWorkload::new(version);
     Session::new()
-        .diagnose(&wl, &exp_config(), &format!("base-{}", version.label()))
+        .diagnose(
+            &wl,
+            &SearchConfig::default(),
+            &format!("base-{}", version.label()),
+        )
         .expect("default config lints clean")
 }
 
@@ -28,7 +21,7 @@ pub fn directed_diagnosis(version: PoissonVersion, directives: SearchDirectives)
     Session::new()
         .diagnose(
             &wl,
-            &exp_config().with_directives(directives),
+            &SearchConfig::default().with_directives(directives),
             &format!("directed-{}", version.label()),
         )
         .expect("harvested directives lint clean")
@@ -262,7 +255,11 @@ fn sweep_row(
         value: threshold,
     });
     let d = Session::new()
-        .diagnose(workload, &exp_config().with_directives(directives), "sweep")
+        .diagnose(
+            workload,
+            &SearchConfig::default().with_directives(directives),
+            "sweep",
+        )
         .expect("sweep thresholds lint clean");
     let found = d.report.bottleneck_set();
     let hits = significant.iter().filter(|p| found.contains(p)).count();
@@ -591,7 +588,7 @@ pub fn run_combination() -> CombinationExperiment {
     // jitter seed, modelling repeated executions on dedicated time.
     let bounded = SearchConfig {
         max_time: SimDuration::from_secs(45),
-        ..exp_config()
+        ..SearchConfig::default()
     };
     let a1 = Session::new()
         .diagnose(&PoissonWorkload::new(PoissonVersion::A), &bounded, "a1")
@@ -715,7 +712,7 @@ pub fn run_degraded(loss: f64, kill_at: Option<SimTime>) -> DegradedExperiment {
     let session = Session::new();
     let config = SearchConfig {
         faults: plan.clone(),
-        ..exp_config()
+        ..SearchConfig::default()
     };
     let base_run = session
         .diagnose_faulted(&wl, &config, "degraded-base", None)
@@ -728,7 +725,7 @@ pub fn run_degraded(loss: f64, kill_at: Option<SimTime>) -> DegradedExperiment {
     let directive_count = directives.len();
     let directed_config = SearchConfig {
         faults: plan,
-        ..exp_config()
+        ..SearchConfig::default()
     }
     .with_directives(directives);
     let directed_run = session
@@ -894,7 +891,7 @@ pub fn run_overload_soak() -> OverloadSoak {
 
     let mut config = SearchConfig {
         faults: plan,
-        ..exp_config()
+        ..SearchConfig::default()
     };
     config.collector.admission = admission.clone();
     let session = Session::new();
@@ -1063,18 +1060,19 @@ fn ablation_row(label: String, config: &SearchConfig) -> AblationRow {
 
 /// Runs the ablation study: instrumentation insertion delay, the
 /// cost-throttle halt threshold, the settled-pair cost factor, and the
-/// conclusion window, each swept around the [`exp_config`] value.
+/// conclusion window, each swept around its [`SearchConfig::default`]
+/// value, the paper's.
 pub fn run_ablation() -> Ablation {
     // How much of the diagnosis time is the physical latency of placing
     // instrumentation?
     let delay = [0u64, 80, 400].map(|ms| {
-        let mut config = exp_config();
+        let mut config = SearchConfig::default();
         config.collector.insertion_delay = SimDuration::from_millis(ms);
         ablation_row(format!("insertion_delay = {ms} ms"), &config)
     });
     // The budget that serializes the base search.
     let halt = [0.025, 0.05, 0.10, 0.20].map(|halt| {
-        let mut config = exp_config();
+        let mut config = SearchConfig::default();
         config.collector.cost.halt_threshold = halt;
         config.collector.cost.resume_threshold = halt * 0.7;
         ablation_row(format!("halt_threshold = {halt}"), &config)
@@ -1082,14 +1080,16 @@ pub fn run_ablation() -> Ablation {
     // What persistent High-priority pairs cost to keep. At 1.0 (no
     // settling) priority-directed searches starve.
     let settle = [0.01, 0.25, 1.0].map(|settle| {
-        let mut config = exp_config();
+        let mut config = SearchConfig::default();
         config.collector.cost.settle_factor = settle;
         ablation_row(format!("settle_factor = {settle}"), &config)
     });
     // Trades diagnosis latency against stability.
     let window = [1u64, 2, 5].map(|secs| {
-        let mut config = exp_config();
-        config.window = SimDuration::from_secs(secs);
+        let config = SearchConfig {
+            window: SimDuration::from_secs(secs),
+            ..SearchConfig::default()
+        };
         ablation_row(format!("window = {secs} s"), &config)
     });
     Ablation {
@@ -1160,7 +1160,7 @@ pub fn fig1_hierarchies() -> String {
 pub fn fig2_shg_snapshot(until: SimTime) -> String {
     let config = SearchConfig {
         max_time: until - SimTime::ZERO,
-        ..exp_config()
+        ..SearchConfig::default()
     };
     let mut engine = PoissonWorkload::new(PoissonVersion::C).build_engine();
     let report = drive_diagnosis_faulted(&mut engine, &config, None).report;

@@ -23,7 +23,7 @@
 //! the soak is deterministic end to end (diagnosis times are simulated
 //! application times, not wall clock).
 
-use crate::{base_diagnosis, directed_diagnosis, exp_config, truth_of};
+use crate::{base_diagnosis, directed_diagnosis, truth_of};
 use histpc::consultant::{poison_directives, PoisonRates, PoisonSummary, SearchDirectives};
 use histpc::history::trust::{TrustLedger, FULL_SCORE};
 use histpc::history::{self, format::write_record, ExtractionOptions};
@@ -180,7 +180,7 @@ pub fn run_poison_version(version: PoissonVersion, rates: &PoisonRates) -> Poiso
     let (poisoned, summary) = poison_directives(&clean, rates, &truth, &poison_source, 7);
     let dir = scratch(&format!("v{label}"));
     let session = Session::with_store(&dir).expect("scratch store opens");
-    let mut config = exp_config().with_directives(poisoned);
+    let mut config = SearchConfig::default().with_directives(poisoned);
     config.audit_budget = AUDIT_BUDGET;
     let poisoned_run = session
         .diagnose(

@@ -32,7 +32,8 @@ use histpc_sim::{Engine, EngineStatus, ProcId, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::fmt;
 
-/// Configuration of one diagnosis session.
+/// Configuration of one diagnosis session. The default is the paper's
+/// search: 2 s windows, 250 ms sampling and a 900 s limit.
 #[derive(Debug, Clone)]
 pub struct SearchConfig {
     /// Search directives (empty = the unmodified Performance Consultant).
@@ -123,9 +124,9 @@ impl Default for SearchConfig {
     fn default() -> SearchConfig {
         SearchConfig {
             directives: SearchDirectives::none(),
-            window: SimDuration::from_secs(5),
-            sample: SimDuration::from_millis(500),
-            max_time: SimDuration::from_secs(3600),
+            window: SimDuration::from_secs(2),
+            sample: SimDuration::from_millis(250),
+            max_time: SimDuration::from_secs(900),
             run_full_program: false,
             collector: CollectorConfig::default(),
             faults: FaultPlan::none(),

@@ -2,18 +2,12 @@
 
 use histpc_consultant::{drive_diagnosis_faulted, SearchConfig};
 use histpc_sim::workloads::{PoissonVersion, PoissonWorkload, Workload};
-use histpc_sim::SimDuration;
 
 #[test]
 fn base_diagnosis_of_poisson_c_finds_sync_bottlenecks() {
     let wl = PoissonWorkload::new(PoissonVersion::C);
     let mut engine = wl.build_engine();
-    let config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        max_time: SimDuration::from_secs(900),
-        ..SearchConfig::default()
-    };
+    let config = SearchConfig::default();
     let t0 = std::time::Instant::now();
     let report = drive_diagnosis_faulted(&mut engine, &config, None).report;
     let wall = t0.elapsed();

@@ -120,6 +120,7 @@ use histpc::history;
 use histpc::prelude::*;
 use histpc::remote::{Client, Request};
 use histpc::supervise::SessionDriver;
+use histpc::RunSpec;
 use std::collections::HashMap;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -225,10 +226,13 @@ fn flag<T: std::str::FromStr>(flags: &HashMap<String, String>, name: &str) -> Op
     Some(value.parse().unwrap_or_else(|_| bad_flag(name, value, "")))
 }
 
-/// A `--window` that is not a number, or that rounds to no time at all
-/// (a remote run counts it in whole milliseconds): nothing could
-/// conclude in it.
-const NO_WINDOW: &str = ": need a positive number of seconds";
+/// The `--format` of a verb that prints text or JSON; see [`bad_flag`].
+fn format_flag(flags: &HashMap<String, String>) -> &str {
+    match flags.get("format").map_or("text", String::as_str) {
+        format @ ("text" | "json") => format,
+        other => bad_flag("format", other, ": want text or json"),
+    }
+}
 
 /// Flags that take no value; present means on.
 const BOOLEAN_FLAGS: &[&str] = &["supervised", "provenance", "deny-warnings"];
@@ -405,32 +409,43 @@ fn extraction_mode(mode: &str) -> ExtractionOptions {
 /// from "the run finished but don't fully trust it".
 const EXIT_DEGRADED: u8 = 3;
 
-/// The search config `run` and `supervise` start from: the paper's
-/// window, sampling and time limit, with `--window`, `--max-time`,
-/// `--faults` and `--admission` applied.
-fn search_config(flags: &HashMap<String, String>) -> Result<SearchConfig, String> {
-    let mut config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        max_time: SimDuration::from_secs(900),
-        ..SearchConfig::default()
+/// The spec `run`, `supervise` and `run --remote` diagnose `app` with:
+/// the paper's settings, with the flags applied. Each verb reads only
+/// its own flags, so the others' are absent here.
+fn run_spec(flags: &HashMap<String, String>, app: &str) -> Result<RunSpec, String> {
+    let mut spec = RunSpec::new(app, flags.get("label").map_or("run", String::as_str));
+    spec.seed = flag(flags, "seed");
+    // Seconds, rounded to the microsecond like every simulated duration,
+    // then truncated to the spec's whole milliseconds.
+    let millis = |secs: &str| {
+        let secs = secs.parse().ok()?;
+        Some(SimDuration::from_secs_f64(secs).as_micros() / 1000)
     };
     if let Some(w) = flags.get("window") {
-        let window = w
-            .parse()
-            .map_or(SimDuration::ZERO, SimDuration::from_secs_f64);
-        if window == SimDuration::ZERO {
-            bad_flag("window", w, NO_WINDOW);
-        }
-        config.window = window;
+        // Nothing could conclude in a window under a millisecond.
+        spec.window_ms = millis(w)
+            .filter(|&ms| ms > 0)
+            .unwrap_or_else(|| bad_flag("window", w, ": need a positive number of seconds"));
     }
-    if let Some(secs) = flag(flags, "max-time") {
-        config.max_time = SimDuration::from_secs_f64(secs);
+    if let Some(t) = flags.get("max-time") {
+        spec.max_time_ms = millis(t).unwrap_or_else(|| bad_flag("max-time", t, ""));
     }
     if let Some(path) = flags.get("faults") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        config.faults = FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        FaultPlan::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+        spec.faults = Some(text);
     }
+    spec.budget = flag(flags, "budget");
+    spec.harvest_from = flags.get("harvest-from").cloned();
+    spec.audit_budget = flag(flags, "audit-budget");
+    spec.check()?;
+    Ok(spec)
+}
+
+/// The search config of a local run of `spec`: the spec's, with
+/// `--admission` applied.
+fn local_config(flags: &HashMap<String, String>, spec: &RunSpec) -> Result<SearchConfig, String> {
+    let mut config = spec.search_config()?;
     if let Some(knobs) = flags.get("admission") {
         config.collector.admission = AdmissionConfig::parse_knobs(knobs)
             .unwrap_or_else(|e| bad_flag("admission", knobs, &format!(": {e}")));
@@ -496,13 +511,12 @@ fn report_supervision(report: &SupervisionReport) -> ExitCode {
 }
 
 fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
-    let app = require(&flags, "app");
-    let workload = build_workload(app, flag(&flags, "seed"));
-
-    let mut config = search_config(&flags)?;
-    if let Some(b) = flag(&flags, "audit-budget") {
-        config.audit_budget = b;
-    }
+    let spec = run_spec(&flags, require(&flags, "app"))?;
+    let workload = build_workload(&spec.app, spec.seed);
+    let mut config = local_config(&flags, &spec)?;
+    let sup = flags
+        .contains_key("supervised")
+        .then(|| supervision_flags(&flags, &mut config));
     let mut linted_files = false;
     if let Some(path) = flags.get("directives") {
         let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
@@ -549,20 +563,19 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         Some(dir) => Session::with_store(dir).map_err(|e| e.to_string())?,
         None => Session::new(),
     };
-    let label = flags.get("label").cloned().unwrap_or_else(|| "run".into());
-    if flags.contains_key("supervised") {
+    let label = &spec.label;
+    if let Some(sup) = sup {
         if resume.is_some() {
             return Err("--resume does not combine with --supervised; \
                         the supervisor manages resumes itself"
                 .into());
         }
-        let sup = supervision_flags(&flags, &mut config);
-        let driver = WorkloadSession::new(&session, workload.as_ref(), config, &label);
+        let driver = WorkloadSession::new(&session, workload.as_ref(), config, label);
         let report = Supervisor::new(sup).run(&[&driver as &dyn SessionDriver]);
         return Ok(report_supervision(&report));
     }
     let dd = session
-        .diagnose_faulted(workload.as_ref(), &config, &label, resume.as_ref())
+        .diagnose_faulted(workload.as_ref(), &config, label, resume.as_ref())
         .map_err(|e| e.to_string())?;
     if !config.faults.is_disabled() || resume.is_some() {
         errln!(
@@ -717,40 +730,13 @@ fn cmd_run(flags: HashMap<String, String>) -> Result<ExitCode, String> {
 /// double-run a session.
 fn cmd_run_remote(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     let sock = require(&flags, "remote");
-    let app = require(&flags, "app");
-    let label = flags.get("label").cloned().unwrap_or_else(|| "run".into());
-    let tenant = flags.get("tenant").cloned().unwrap_or_else(|| "cli".into());
-
-    let mut req = Request::new("start").arg("app", app).arg("label", &label);
-    if let Some(seed) = flag::<u64>(&flags, "seed") {
-        req = req.arg("seed", seed);
-    }
-    if let Some(w) = flags.get("window") {
-        let ms = w.parse().map_or(0, |secs: f64| (secs * 1000.0) as u64);
-        if ms == 0 {
-            bad_flag("window", w, NO_WINDOW);
-        }
-        req = req.arg("window-ms", ms);
-    }
-    if let Some(secs) = flag::<f64>(&flags, "max-time") {
-        req = req.arg("max-time-ms", (secs * 1000.0) as u64);
-    }
-    if let Some(path) = flags.get("faults") {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-        req = req.arg("faults", text);
-    }
-    if let Some(b) = flag::<u64>(&flags, "budget") {
-        req = req.arg("budget", b);
-    }
-    if let Some(from) = flags.get("harvest-from") {
-        req = req.arg("harvest-from", from);
-    }
-    if let Some(b) = flag::<u32>(&flags, "audit-budget") {
-        req = req.arg("audit-budget", b);
-    }
-
-    let mut client = Client::new(sock, &tenant);
-    let started = client.expect_ok(&req).map_err(|e| e.to_string())?;
+    let spec = run_spec(&flags, require(&flags, "app"))?;
+    let tenant = flags.get("tenant").map_or("cli", String::as_str);
+    let label = &spec.label;
+    let mut client = Client::new(sock, tenant);
+    let started = client
+        .expect_ok(&spec.to_request())
+        .map_err(|e| e.to_string())?;
     errln!(
         "{sock}: session {} {}",
         started.get("id").unwrap_or("?"),
@@ -763,7 +749,7 @@ fn cmd_run_remote(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     let done = client
         .expect_ok(
             &Request::new("attach")
-                .arg("label", &label)
+                .arg("label", label)
                 .arg("wait-ms", 600_000u64),
         )
         .map_err(|e| e.to_string())?;
@@ -774,7 +760,7 @@ fn cmd_run_remote(flags: HashMap<String, String>) -> Result<ExitCode, String> {
         ));
     }
     let report = client
-        .expect_ok(&Request::new("report").arg("label", &label))
+        .expect_ok(&Request::new("report").arg("label", label))
         .map_err(|e| e.to_string())?;
     for line in report.body() {
         outln!("{line}");
@@ -884,15 +870,18 @@ fn cmd_supervise(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     if apps.is_empty() {
         return Err("--apps wants a comma-separated application list".into());
     }
-    let seed = flag(&flags, "seed");
-
-    let mut config = search_config(&flags)?;
+    let mut specs = apps
+        .iter()
+        .map(|app| run_spec(&flags, app))
+        .collect::<Result<Vec<_>, _>>()?;
+    // The specs differ only in app and label, which a config holds
+    // neither of.
+    let mut config = local_config(&flags, &specs[0])?;
     let sup = supervision_flags(&flags, &mut config);
-
-    let session = Session::with_store(store_dir).map_err(|e| e.to_string())?;
-    let label = flags.get("label").cloned().unwrap_or_else(|| "run".into());
-    let workloads: Vec<Box<dyn Workload + Send + Sync>> =
-        apps.iter().map(|app| build_workload(app, seed)).collect();
+    let workloads: Vec<Box<dyn Workload + Send + Sync>> = specs
+        .iter()
+        .map(|spec| build_workload(&spec.app, spec.seed))
+        .collect();
     // Two specs can resolve to the same underlying application (e.g.
     // poisson-a and poisson-b are both "poisson"); those sessions must
     // not share a (app, label) record slot, so suffix their labels with
@@ -901,21 +890,16 @@ fn cmd_supervise(flags: HashMap<String, String>) -> Result<ExitCode, String> {
     for w in &workloads {
         *name_counts.entry(w.app_spec().name).or_insert(0) += 1;
     }
-    let labels: Vec<String> = workloads
-        .iter()
-        .zip(&apps)
-        .map(|(w, spec)| {
-            if name_counts[&w.app_spec().name] > 1 {
-                format!("{label}-{spec}")
-            } else {
-                label.clone()
-            }
-        })
-        .collect();
+    for (spec, w) in specs.iter_mut().zip(&workloads) {
+        if name_counts[&w.app_spec().name] > 1 {
+            spec.label = format!("{}-{}", spec.label, spec.app);
+        }
+    }
+    let session = Session::with_store(store_dir).map_err(|e| e.to_string())?;
     let drivers: Vec<WorkloadSession> = workloads
         .iter()
-        .zip(&labels)
-        .map(|(w, label)| WorkloadSession::new(&session, w.as_ref(), config.clone(), label))
+        .zip(&specs)
+        .map(|(w, spec)| WorkloadSession::new(&session, w.as_ref(), config.clone(), &spec.label))
         .collect();
     let refs: Vec<&dyn SessionDriver> = drivers.iter().map(|d| d as &dyn SessionDriver).collect();
     let report = Supervisor::new(sup).run(&refs);
@@ -1086,17 +1070,13 @@ fn cmd_lint(args: &[String]) -> Result<ExitCode, String> {
         parse_args("lint", args)
     };
     let deny_warnings = flags.contains_key("deny-warnings");
-    let format = flags.get("format").map_or("text", String::as_str);
-    if format != "text" && format != "json" {
-        return Err(format!("--format wants text or json, got {format:?}"));
-    }
+    let format = format_flag(&flags);
 
     if corpus_mode {
-        let last = match flags.get("last").map(|v| v.parse::<usize>()) {
-            None => None,
-            Some(Ok(n)) if n > 0 => Some(n),
-            Some(_) => return Err("--last wants a positive number of runs".into()),
-        };
+        let last = flags.get("last").map(|v| match v.parse() {
+            Ok(n) if n > 0 => n,
+            _ => bad_flag("last", v, ": need a positive number of runs"),
+        });
         let [store_dir] = files.as_slice() else {
             return Err("lint corpus wants exactly one store directory".into());
         };
@@ -1203,10 +1183,7 @@ fn cmd_store(args: &[String]) -> Result<ExitCode, String> {
     let flags = parse_flags(&format!("store {action}"), rest);
     let store_dir = require(&flags, "store");
     let deny_warnings = flags.contains_key("deny-warnings");
-    let format = flags.get("format").map_or("text", String::as_str);
-    if format != "text" && format != "json" {
-        return Err(format!("unknown --format {format:?}: want text or json"));
-    }
+    let format = format_flag(&flags);
 
     if matches!(action.as_str(), "repair" | "compact" | "migrate" | "trust") {
         existing_store(store_dir)?;

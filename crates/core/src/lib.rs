@@ -26,7 +26,9 @@
 //!   [`WorkloadSession`] driver that runs real workloads under it;
 //! * [`remote`] — the `histpcd/v1` wire protocol and retrying client
 //!   for `histpcd` (`crates/daemon`), the crash-tolerant
-//!   diagnosis-as-a-service daemon with lease-based session recovery.
+//!   diagnosis-as-a-service daemon with lease-based session recovery;
+//! * [`spec`] — [`RunSpec`], the one value every entry point (the CLI,
+//!   `--remote`, the daemon and its leases) builds a diagnosis from.
 //!
 //! # Quickstart
 //!
@@ -74,11 +76,13 @@ pub use histpc_sim as sim;
 pub mod apps;
 pub mod remote;
 pub mod session;
+pub mod spec;
 pub mod supervise;
 
 pub use apps::build_workload;
 pub use remote::{Client, RemoteError, Request, Response};
 pub use session::{DegradedDiagnosis, Diagnosis, Session, SessionError};
+pub use spec::RunSpec;
 pub use supervise::WorkloadSession;
 
 /// The most commonly used names, for glob import.

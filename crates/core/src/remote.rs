@@ -562,16 +562,6 @@ impl Client {
         self
     }
 
-    /// The tenant this client handshakes as.
-    pub fn tenant(&self) -> &str {
-        &self.tenant
-    }
-
-    /// Drops the current connection (the next request reconnects).
-    pub fn disconnect(&mut self) {
-        self.conn = None;
-    }
-
     fn connect(&mut self) -> Result<(), RemoteError> {
         if self.conn.is_some() {
             return Ok(());

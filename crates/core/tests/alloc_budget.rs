@@ -75,12 +75,7 @@ const BUDGET: u64 = 60_000;
 #[test]
 fn ocean_diagnosis_stays_within_its_allocation_budget() {
     let _serial = SERIAL.lock().expect("no test panics holding the lock");
-    let config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        max_time: SimDuration::from_secs(900),
-        ..SearchConfig::default()
-    };
+    let config = SearchConfig::default();
     let workload = OceanWorkload {
         seed: 1,
         ..OceanWorkload::new()

@@ -231,6 +231,9 @@ fn malformed_flag_values_are_usage_errors() {
         ("profile --app tester --for x", "for"),
         ("profile --app tester --seed x", "seed"),
         ("run --remote S --app tester --budget x", "budget"),
+        ("lint corpus S --last x", "last"),
+        ("lint --format bogus F", "format"),
+        ("store trust --store S --format bogus", "format"),
     ] {
         let out = bin().args(command.split(' ')).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{command} must exit 2");
@@ -247,14 +250,15 @@ fn malformed_flag_values_are_usage_errors() {
 }
 
 /// A window that rounds to no time is a usage error (exit 2) before
-/// anything runs, locally or remotely: a local run counts it in
-/// microseconds, a remote one in whole milliseconds.
+/// anything runs, locally or remotely: both count it in whole
+/// milliseconds.
 #[test]
 fn a_window_of_no_time_is_rejected() {
     for command in [
         "run --app tester --window 0",
         "run --app tester --window 0.0000001",
         "run --app tester --window soon",
+        "run --app tester --window 0.0005",
         "supervise --store S --apps tester --window 0",
         "run --remote S --app tester --window 0.0005",
     ] {

@@ -65,6 +65,7 @@ use histpc::history::lock;
 use histpc::prelude::*;
 use histpc::remote::{Request, Response, PROTOCOL};
 use histpc::supervise::Outcome as SupOutcome;
+use histpc::RunSpec;
 
 /// Retry hint (ms) returned with `busy` — how long a tenant should
 /// back off when its slot pool is full.
@@ -151,156 +152,24 @@ impl From<io::Error> for DaemonError {
 }
 
 // ---------------------------------------------------------------------------
-// Session specs
+// Session configs
 // ---------------------------------------------------------------------------
 
-/// The parameters of one `start` request — everything needed to run
-/// (or, after a daemon crash, *re-run*) the session. Round-trips
-/// through the lease's `spec` line so re-adoption rebuilds the exact
-/// workload and config.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionSpec {
-    /// Application spec (see [`histpc::apps`]).
-    pub app: String,
-    /// Store label for the session's artifacts.
-    pub label: String,
-    /// Workload seed.
-    pub seed: Option<u64>,
-    /// Sampling window, milliseconds.
-    pub window_ms: u64,
-    /// Sample period, milliseconds.
-    pub sample_ms: u64,
-    /// Search time bound, milliseconds of application time.
-    pub max_time_ms: u64,
-    /// Fault plan text (`histpc-faults v1`), if any; the session runs
-    /// under it. Transport faults are not part of a plan: a client
-    /// inflicts them on itself (`histpc::remote::WireInjector`).
-    pub faults: Option<String>,
-    /// Requested sample-budget slice; defaults to an equal share of
-    /// the tenant budget across its slots.
-    pub budget: Option<u64>,
-    /// Label of a prior run of the same application to harvest search
-    /// directives from, trust-weighted per tenant: the harvest runs
-    /// through [`Session::harvest_scoped`] with this tenant's scope, so
-    /// one tenant's poisoned history can never taint another's trust.
-    pub harvest_from: Option<String>,
-    /// Shadow-audit budget for harvested directives (0 = off).
-    pub audit_budget: Option<u32>,
-}
-
-impl SessionSpec {
-    /// Parses a `start` request's parameters.
-    pub fn from_request(req: &Request) -> Result<SessionSpec, String> {
-        let num = |key: &str, default: u64| -> Result<u64, String> {
-            match req.get(key) {
-                Some(v) => v.parse().map_err(|_| format!("bad {key}={v:?}")),
-                None => Ok(default),
-            }
-        };
-        let spec = SessionSpec {
-            app: req.get("app").ok_or("start needs app=")?.to_string(),
-            label: req.get("label").ok_or("start needs label=")?.to_string(),
-            seed: match req.get("seed") {
-                Some(v) => Some(v.parse().map_err(|_| format!("bad seed={v:?}"))?),
-                None => None,
-            },
-            window_ms: num("window-ms", 800)?,
-            sample_ms: num("sample-ms", 100)?,
-            max_time_ms: num("max-time-ms", 120_000)?,
-            faults: req.get("faults").map(str::to_string),
-            budget: match req.get("budget") {
-                Some(v) => Some(v.parse().map_err(|_| format!("bad budget={v:?}"))?),
-                None => None,
-            },
-            harvest_from: req.get("harvest-from").map(str::to_string),
-            audit_budget: match req.get("audit-budget") {
-                Some(v) => Some(v.parse().map_err(|_| format!("bad audit-budget={v:?}"))?),
-                None => None,
-            },
-        };
-        if spec.label.is_empty() || spec.label.contains('/') {
-            return Err(format!("bad label {:?}", spec.label));
-        }
-        // A zero window divides every evaluation by zero, and a zero
-        // sample never advances simulated time.
-        if spec.window_ms == 0 {
-            return Err("bad window-ms=0".into());
-        }
-        if spec.sample_ms == 0 {
-            return Err("bad sample-ms=0".into());
-        }
-        if let Some(from) = &spec.harvest_from {
-            if from.is_empty() || from.contains('/') {
-                return Err(format!("bad harvest-from {from:?}"));
-            }
-        }
-        if let Some(text) = &spec.faults {
-            FaultPlan::parse(text).map_err(|e| format!("bad fault plan: {e}"))?;
-        }
-        Ok(spec)
+/// The search config a session runs with: its spec's, with a 2 s
+/// in-loop stall. Per-tenant quotas map onto the admission controller
+/// only when the fault plan touches overload — a zero-fault session must
+/// stay bit-identical to an unsupervised `Session::diagnose`, and the
+/// admission layer is a total no-op only when disabled.
+fn session_config(spec: &RunSpec, budget_slice: u64, slots: usize) -> Result<SearchConfig, String> {
+    let mut config = spec.search_config()?;
+    config.stall = Some(SimDuration::from_secs(2));
+    if config.faults.touches_overload() {
+        let adm = &mut config.collector.admission;
+        adm.enabled = true;
+        adm.sample_budget = budget_slice.max(64);
+        adm.max_in_flight = (adm.max_in_flight / slots.max(1)).max(1);
     }
-
-    /// Serializes to the one-line form stored in the lease — the same
-    /// `key=value` tokens a `start` request carries.
-    pub fn to_spec_line(&self) -> String {
-        let mut req = Request::new("start")
-            .arg("app", &self.app)
-            .arg("label", &self.label)
-            .arg("window-ms", self.window_ms)
-            .arg("sample-ms", self.sample_ms)
-            .arg("max-time-ms", self.max_time_ms);
-        if let Some(seed) = self.seed {
-            req = req.arg("seed", seed);
-        }
-        if let Some(faults) = &self.faults {
-            req = req.arg("faults", faults);
-        }
-        if let Some(budget) = self.budget {
-            req = req.arg("budget", budget);
-        }
-        if let Some(from) = &self.harvest_from {
-            req = req.arg("harvest-from", from);
-        }
-        if let Some(b) = self.audit_budget {
-            req = req.arg("audit-budget", b);
-        }
-        // `app` and `label` are always there, so the verb is never alone.
-        let line = req.to_line();
-        line.split_once(' ')
-            .map_or_else(String::new, |(_, params)| params.to_string())
-    }
-
-    /// Parses a lease's `spec` line back into a spec.
-    pub fn from_spec_line(line: &str) -> Result<SessionSpec, String> {
-        let req = Request::parse(&format!("start {line}"))?;
-        SessionSpec::from_request(&req)
-    }
-
-    /// The search config this session runs with. Per-tenant quotas map
-    /// onto the admission controller only when the fault plan touches
-    /// overload — a zero-fault session must stay
-    /// bit-identical to an unsupervised `Session::diagnose`, and the
-    /// admission layer is a total no-op only when disabled.
-    fn search_config(&self, budget_slice: u64, slots: usize) -> Result<SearchConfig, String> {
-        let mut config = SearchConfig {
-            window: SimDuration::from_millis(self.window_ms),
-            sample: SimDuration::from_millis(self.sample_ms),
-            max_time: SimDuration::from_millis(self.max_time_ms),
-            stall: Some(SimDuration::from_secs(2)),
-            ..SearchConfig::default()
-        };
-        if let Some(text) = &self.faults {
-            let plan = FaultPlan::parse(text).map_err(|e| e.to_string())?;
-            if plan.touches_overload() {
-                let adm = &mut config.collector.admission;
-                adm.enabled = true;
-                adm.sample_budget = budget_slice.max(64);
-                adm.max_in_flight = (adm.max_in_flight / slots.max(1)).max(1);
-            }
-            config.faults = plan;
-        }
-        Ok(config)
-    }
+    Ok(config)
 }
 
 // ---------------------------------------------------------------------------
@@ -321,7 +190,10 @@ enum SessionState {
 #[derive(Debug)]
 struct SessionEntry {
     tenant: String,
-    spec: SessionSpec,
+    /// The application spec the session was started by (the lease's
+    /// store name when its spec line is unusable), and its label.
+    app: String,
+    label: String,
     /// The application name the store keys this session's record and
     /// artifacts under ([`AppSpec::name`], not the catalogue spec
     /// string a client starts it by).
@@ -391,7 +263,7 @@ impl Inner {
                 classification: classification.to_string(),
                 detail,
             };
-            let _ = lease::remove_lease(&self.cfg.store_root, &entry.tenant, &entry.spec.label);
+            let _ = lease::remove_lease(&self.cfg.store_root, &entry.tenant, &entry.label);
         }
         self.bell.notify_all();
     }
@@ -401,7 +273,7 @@ impl Inner {
     fn spawn_session(
         self: &Arc<Inner>,
         tenant: String,
-        spec: SessionSpec,
+        spec: RunSpec,
         cancel: Arc<AtomicBool>,
         budget: u64,
         adopt_ckpt: Option<SearchCheckpoint>,
@@ -409,15 +281,10 @@ impl Inner {
         let inner = Arc::clone(self);
         let handle = std::thread::spawn(move || {
             let key = Inner::key(&tenant, &spec.label);
-            let workload = match histpc::apps::build_workload(&spec.app, spec.seed) {
-                Ok(wl) => wl,
-                Err(e) => {
-                    inner.finish(&key, "abandoned", format!("abandoned: {e}"));
-                    return;
-                }
-            };
-            let mut config = match spec.search_config(budget, inner.cfg.tenant_slots) {
-                Ok(c) => c,
+            let built = histpc::apps::build_workload(&spec.app, spec.seed)
+                .and_then(|wl| Ok((wl, session_config(&spec, budget, inner.cfg.tenant_slots)?)));
+            let (workload, mut config) = match built {
+                Ok(built) => built,
                 Err(e) => {
                     inner.finish(&key, "abandoned", format!("abandoned: {e}"));
                     return;
@@ -437,10 +304,7 @@ impl Inner {
                     &histpc::history::ExtractionOptions::priorities_and_safe_prunes(),
                     Some(&tenant),
                 ) {
-                    Ok(directives) => {
-                        config.directives = directives;
-                        config.audit_budget = spec.audit_budget.unwrap_or(0);
-                    }
+                    Ok(directives) => config.directives = directives,
                     Err(e) => eprintln!(
                         "histpcd: harvest-from {app_name}/{from} failed for {key}: {e}; \
                          running without history"
@@ -569,7 +433,7 @@ impl Daemon {
                 }
             };
             let key = Inner::key(&lease.tenant, &lease.label);
-            let spec = SessionSpec::from_spec_line(&lease.spec);
+            let spec = RunSpec::from_spec_line(&lease.spec);
             let record_exists = store.load(&lease.app, &lease.label).is_ok();
             // A checkpoint that does not parse still re-adopts, fresh:
             // resume replays from t = 0 anyway, so only the digest
@@ -579,13 +443,12 @@ impl Daemon {
                 .ok()
                 .map(|text| SearchCheckpoint::parse(&text).ok());
             // Every recovered entry carries the lease's identity; only
-            // its spec, state, budget and cancel flag differ.
-            let entry = |spec: Result<SessionSpec, String>,
-                         state: SessionState,
-                         budget: u64,
-                         cancel: Arc<AtomicBool>| SessionEntry {
+            // its state, budget and cancel flag differ.
+            let app = spec.as_ref().map_or(&lease.app, |s| &s.app).clone();
+            let entry = |state: SessionState, budget: u64, cancel: Arc<AtomicBool>| SessionEntry {
                 tenant: lease.tenant.clone(),
-                spec: spec.unwrap_or_else(|_| placeholder_spec(&lease)),
+                app: app.clone(),
+                label: lease.label.clone(),
                 store_app: lease.app.clone(),
                 state,
                 cancel,
@@ -595,13 +458,13 @@ impl Daemon {
             let mut registry = locked(&inner.registry);
             match (record_exists, checkpoint, spec) {
                 // Crash landed after the record was saved: done.
-                (true, _, spec) => {
+                (true, _, _) => {
                     let _ = lease::remove_lease(root, &lease.tenant, &lease.label);
                     let done = SessionState::Done {
                         classification: "completed".into(),
                         detail: "completed before daemon crash".into(),
                     };
-                    registry.insert(key.clone(), entry(spec, done, 0, Arc::default()));
+                    registry.insert(key.clone(), entry(done, 0, Arc::default()));
                     report.completed.push(key);
                 }
                 // Checkpoint + usable spec: re-adopt under supervision.
@@ -619,12 +482,7 @@ impl Daemon {
                             ..lease.clone()
                         },
                     );
-                    let running = entry(
-                        Ok(spec.clone()),
-                        SessionState::Running,
-                        budget,
-                        Arc::clone(&cancel),
-                    );
+                    let running = entry(SessionState::Running, budget, Arc::clone(&cancel));
                     registry.insert(key.clone(), running);
                     drop(registry);
                     inner.spawn_session(lease.tenant.clone(), spec, cancel, budget, ckpt);
@@ -643,7 +501,7 @@ impl Daemon {
                         classification: "abandoned".into(),
                         detail: format!("abandoned: {why}"),
                     };
-                    registry.insert(key.clone(), entry(spec, done, 0, Arc::default()));
+                    registry.insert(key.clone(), entry(done, 0, Arc::default()));
                     report.abandoned.push(key);
                 }
             }
@@ -677,23 +535,6 @@ impl Daemon {
             let _ = w.join();
         }
         let _ = std::fs::remove_file(&self.inner.cfg.socket);
-    }
-}
-
-/// A spec for registry entries recovered from leases whose own spec
-/// line was unusable; carries just enough to answer `status`.
-fn placeholder_spec(lease: &Lease) -> SessionSpec {
-    SessionSpec {
-        app: lease.app.clone(),
-        label: lease.label.clone(),
-        seed: None,
-        window_ms: 0,
-        sample_ms: 0,
-        max_time_ms: 0,
-        faults: None,
-        budget: None,
-        harvest_from: None,
-        audit_budget: None,
     }
 }
 
@@ -843,7 +684,7 @@ fn verb_start(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
     if *locked(&inner.serving) != Serving::Accepting {
         return Response::err("draining", "daemon is draining; no new sessions");
     }
-    let spec = match SessionSpec::from_request(req) {
+    let spec = match RunSpec::from_request(req) {
         Ok(s) => s,
         Err(msg) => return Response::err("bad-request", msg),
     };
@@ -921,7 +762,8 @@ fn verb_start(inner: &Arc<Inner>, tenant: &str, req: &Request) -> Response {
         key.clone(),
         SessionEntry {
             tenant: tenant.to_string(),
-            spec: spec.clone(),
+            app: spec.app.clone(),
+            label: spec.label.clone(),
             store_app,
             state: SessionState::Running,
             cancel: Arc::clone(&cancel),
@@ -1006,7 +848,7 @@ fn verb_status(inner: &Arc<Inner>, tenant: &str) -> Response {
         };
         lines.push(format!(
             "{}/{} {state} budget={}",
-            entry.spec.app, entry.spec.label, entry.budget
+            entry.app, entry.label, entry.budget
         ));
     }
     lines.sort();
@@ -1123,60 +965,50 @@ fn verb_drain(inner: &Arc<Inner>) -> Response {
 mod tests {
     use super::*;
 
+    /// Leases and `start` lines keep their form and their defaults: a
+    /// spec line as the daemon wrote it before `RunSpec` existed
+    /// re-adopts to the config it ran with then, a spec round-trips
+    /// through that form, and a `start` naming only app and label runs
+    /// the service's short settings with a 2 s in-loop stall.
     #[test]
     fn spec_round_trips_through_the_lease_line() {
-        let spec = SessionSpec {
-            app: "poisson-b".into(),
-            label: "run 1".into(),
-            seed: Some(7),
-            window_ms: 800,
-            sample_ms: 100,
-            max_time_ms: 120_000,
-            faults: Some("histpc-faults v1\nseed 3\ndrop 0.2\n".into()),
-            budget: Some(512),
-            harvest_from: Some("run 0".into()),
-            audit_budget: Some(16),
-        };
-        let line = spec.to_spec_line();
-        assert!(!line.contains('\n'));
-        assert_eq!(SessionSpec::from_spec_line(&line).unwrap(), spec);
-    }
+        let old = "app=poisson-b label=run%201 window-ms=800 sample-ms=100 max-time-ms=120000 \
+                   seed=7 faults=histpc-faults%20v1%0Aseed%203%0Adrop%200.2%0A budget=512 \
+                   harvest-from=run%200 audit-budget=16";
+        let spec = RunSpec::from_spec_line(old).unwrap();
+        assert_eq!(spec.to_spec_line(), old);
+        assert_eq!(
+            spec,
+            RunSpec {
+                seed: Some(7),
+                window_ms: 800,
+                sample_ms: 100,
+                max_time_ms: 120_000,
+                faults: Some("histpc-faults v1\nseed 3\ndrop 0.2\n".into()),
+                budget: Some(512),
+                harvest_from: Some("run 0".into()),
+                audit_budget: Some(16),
+                ..RunSpec::new("poisson-b", "run 1")
+            }
+        );
+        let config = session_config(&spec, 512, 2).unwrap();
+        assert_eq!(config.window, SimDuration::from_millis(800));
+        assert_eq!(config.sample, SimDuration::from_millis(100));
+        assert_eq!(config.max_time, SimDuration::from_secs(120));
+        assert_eq!(config.stall, Some(SimDuration::from_secs(2)));
+        assert_eq!(config.faults.drop_rate, 0.2);
+        assert!(!config.collector.admission.enabled);
+        // Applied with the directives harvested from `run 0`; without
+        // directives an audit has nothing to probe.
+        assert_eq!(config.audit_budget, 16);
 
-    #[test]
-    fn spec_rejects_bad_harvest_from() {
-        let req = Request::new("start")
-            .arg("app", "tester")
-            .arg("label", "ok")
-            .arg("harvest-from", "a/b");
-        assert!(SessionSpec::from_request(&req).is_err());
-    }
-
-    #[test]
-    fn spec_rejects_a_zero_window_or_sample() {
-        for key in ["window-ms", "sample-ms"] {
-            let req = Request::new("start")
-                .arg("app", "tester")
-                .arg("label", "ok")
-                .arg(key, 0);
-            let err = SessionSpec::from_request(&req).unwrap_err();
-            assert_eq!(err, format!("bad {key}=0"));
-            // A lease that carries one is an unusable spec line.
-            let line = format!("app=tester label=ok {key}=0");
-            assert!(SessionSpec::from_spec_line(&line).is_err());
-        }
-    }
-
-    #[test]
-    fn spec_rejects_bad_labels_and_plans() {
-        let req = Request::new("start")
-            .arg("app", "tester")
-            .arg("label", "a/b");
-        assert!(SessionSpec::from_request(&req).is_err());
-        let req = Request::new("start")
-            .arg("app", "tester")
-            .arg("label", "ok")
-            .arg("faults", "not a plan");
-        assert!(SessionSpec::from_request(&req).is_err());
+        let bare = Request::new("start").arg("app", "tester").arg("label", "l");
+        let config = session_config(&RunSpec::from_request(&bare).unwrap(), 512, 2).unwrap();
+        assert_eq!(config.window, SimDuration::from_millis(800));
+        assert_eq!(config.sample, SimDuration::from_millis(100));
+        assert_eq!(config.max_time, SimDuration::from_secs(120));
+        assert_eq!(config.stall, Some(SimDuration::from_secs(2)));
+        assert!(config.faults.is_disabled());
     }
 
     /// A plan naming a store kind, which no run injects, is refused at
@@ -1235,7 +1067,7 @@ mod tests {
         {
             let registry = locked(&daemon.inner.registry);
             let entry = &registry["t/old"];
-            assert_eq!(entry.spec, placeholder_spec(&lease));
+            assert_eq!((&*entry.app, &*entry.label), ("Tester", "old"));
             let SessionState::Done { detail, .. } = &entry.state else {
                 panic!("re-adopted an unusable spec");
             };
@@ -1261,18 +1093,8 @@ mod tests {
             Inner::key(tenant, label),
             SessionEntry {
                 tenant: tenant.into(),
-                spec: SessionSpec {
-                    app: "tester".into(),
-                    label: label.into(),
-                    seed: None,
-                    window_ms: 800,
-                    sample_ms: 100,
-                    max_time_ms: 120_000,
-                    faults: None,
-                    budget: Some(budget),
-                    harvest_from: None,
-                    audit_budget: None,
-                },
+                app: "tester".into(),
+                label: label.into(),
                 store_app: "Tester".into(),
                 state: SessionState::Running,
                 cancel: Arc::new(AtomicBool::new(false)),
@@ -1428,29 +1250,21 @@ mod tests {
 
     #[test]
     fn overload_plans_map_quota_onto_admission() {
-        let mk = |faults: Option<&str>| SessionSpec {
-            app: "tester".into(),
-            label: "l".into(),
-            seed: None,
-            window_ms: 800,
-            sample_ms: 100,
-            max_time_ms: 120_000,
+        let mk = |faults: Option<&str>| RunSpec {
             faults: faults.map(str::to_string),
-            budget: None,
-            harvest_from: None,
-            audit_budget: None,
+            ..RunSpec::new("tester", "l")
         };
         // Zero-fault: admission stays untouched (bit-identity).
-        let cfg = mk(None).search_config(2048, 2).unwrap();
+        let cfg = session_config(&mk(None), 2048, 2).unwrap();
         assert!(!cfg.collector.admission.enabled);
         // Overload fault: the tenant slice lands in the admission knobs.
         let flood = "histpc-faults v1\nseed 1\nsample-flood 3.0\n";
-        let cfg = mk(Some(flood)).search_config(2048, 2).unwrap();
+        let cfg = session_config(&mk(Some(flood)), 2048, 2).unwrap();
         assert!(cfg.collector.admission.enabled);
         assert_eq!(cfg.collector.admission.sample_budget, 2048);
         // A plan without overload kinds runs its faults, admission off.
         let lossy = "histpc-faults v1\nseed 1\ndrop 0.5\n";
-        let cfg = mk(Some(lossy)).search_config(2048, 2).unwrap();
+        let cfg = session_config(&mk(Some(lossy)), 2048, 2).unwrap();
         assert!(!cfg.collector.admission.enabled);
         assert_eq!(cfg.faults.drop_rate, 0.5);
     }

@@ -13,7 +13,8 @@ use histpc::history::fsck::fsck;
 use histpc::history::lease::{self, Lease};
 use histpc::prelude::*;
 use histpc::remote::{Client, RemoteError, Request, Response, WireFaults, WireInjector};
-use histpc_daemon::{Daemon, DaemonConfig, SessionSpec};
+use histpc::RunSpec;
+use histpc_daemon::{Daemon, DaemonConfig};
 
 fn scratch(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("histpcd-e2e-{tag}-{}", std::process::id()));
@@ -184,17 +185,13 @@ fn stage_crashed_daemon(
     crashed: (&str, &str),
     hopeless: (&str, &str),
 ) {
-    let spec = SessionSpec {
-        app: "tester".into(),
-        label: crashed.1.into(),
+    let spec = RunSpec {
         seed,
         window_ms: 800,
         sample_ms: 100,
         max_time_ms: 120_000,
         faults: Some("histpc-faults v1\nseed 5\ncrash-tool 1000000\n".into()),
-        budget: None,
-        harvest_from: None,
-        audit_budget: None,
+        ..RunSpec::new("tester", crashed.1)
     };
     // Leases name the app the way the *store* keys it (the resolved
     // AppSpec name), which need not equal the catalogue spec string.
@@ -896,5 +893,46 @@ fn histpc_daemon_start_run_status_stop() {
     histpc_ok(&["daemon", "status", "--socket", socket_arg]);
     histpc_ok(&["daemon", "stop", "--socket", socket_arg]);
     assert!(await_path(&socket, false), "histpcd did not shut down");
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+/// The same `histpc run` command line diagnoses the same configuration
+/// with or without `--remote`: both build one `RunSpec` from the flags,
+/// and the remote one sends it with every setting written out, so the
+/// daemon's store holds the byte-identical record.
+#[test]
+fn local_and_remote_runs_store_the_same_record() {
+    let histpc = Path::new(env!("CARGO_BIN_EXE_histpcd")).with_file_name("histpc");
+    assert!(
+        histpc.exists(),
+        "{}: histpc binary not built",
+        histpc.display()
+    );
+    let root = scratch("samerecord");
+    let (local, remote, socket) = (root.join("a"), root.join("b"), root.join("d.sock"));
+    let daemon = Daemon::start(DaemonConfig::new(&remote, &socket)).unwrap();
+    let run = |extra: [&Path; 2]| {
+        let out = Command::new(&histpc)
+            .args(["run", "--app", "tester", "--seed", "7", "--label", "r"])
+            .args(extra)
+            .output()
+            .expect("histpc runs");
+        assert!(
+            out.status.success(),
+            "histpc run {extra:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    };
+    run([Path::new("--store"), &local]);
+    run([Path::new("--remote"), &socket]);
+    let record = |store: &Path| std::fs::read(store.join("Tester/r.record")).unwrap();
+    assert!(
+        record(&local) == record(&remote),
+        "local and remote records differ"
+    );
+    Client::new(&socket, "t")
+        .expect_ok(&Request::new("shutdown"))
+        .unwrap();
+    daemon.join();
     let _ = std::fs::remove_dir_all(&root);
 }

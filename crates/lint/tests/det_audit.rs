@@ -56,6 +56,7 @@ const NO_EXPECT_PATHS: &[(&str, &str)] = &[
     ("consultant", "search.rs"),
     ("instr", "faults.rs"),
     ("core", "supervise.rs"),
+    ("core", "spec.rs"),
     ("daemon", ""),
 ];
 

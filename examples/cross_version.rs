@@ -16,11 +16,7 @@ use histpc::instr::Binder;
 use histpc::prelude::*;
 
 fn main() {
-    let config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        ..SearchConfig::default()
-    };
+    let config = SearchConfig::default();
     let session = Session::new();
 
     // Base run of version A.

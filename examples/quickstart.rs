@@ -12,11 +12,7 @@ fn main() {
     // The paper's primary application: the 2-D Poisson decomposition
     // (version C), simulated on a 4-node SP/2-like machine.
     let workload = PoissonWorkload::new(PoissonVersion::C);
-    let config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        ..SearchConfig::default()
-    };
+    let config = SearchConfig::default();
     let session = Session::new();
 
     // 1. The single-button Performance Consultant, no prior knowledge.

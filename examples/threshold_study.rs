@@ -14,11 +14,7 @@ use histpc::history;
 use histpc::prelude::*;
 
 fn study(name: &str, workload: &dyn Workload) {
-    let config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        ..SearchConfig::default()
-    };
+    let config = SearchConfig::default();
     let session = Session::new();
     println!("== {name} ==");
 

@@ -20,11 +20,7 @@ fn main() {
         PoissonVersion::C,
         PoissonVersion::D,
     ];
-    let config = SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        ..SearchConfig::default()
-    };
+    let config = SearchConfig::default();
     let store_dir = std::env::temp_dir().join("histpc-tuning-cycle");
     let _ = std::fs::remove_dir_all(&store_dir);
     let session = Session::with_store(&store_dir).expect("store opens");

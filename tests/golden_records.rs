@@ -18,24 +18,14 @@ use histpc::history::format::write_record;
 use histpc::prelude::*;
 use std::path::PathBuf;
 
-/// The CLI's `histpc run` defaults: the configuration the paper-shape
-/// experiments and the benchmark use.
-fn full_config() -> SearchConfig {
-    SearchConfig {
-        window: SimDuration::from_secs(2),
-        sample: SimDuration::from_millis(250),
-        max_time: SimDuration::from_secs(900),
-        ..SearchConfig::default()
-    }
-}
-
-/// Same sampling, cut off after 30 s of application time so a debug
+/// The paper's configuration (`SearchConfig::default`, which `histpc
+/// run` uses), cut off after 30 s of application time so a debug
 /// build finishes in seconds. Long enough for top-level verdicts and the
 /// first refinements, where most pairs are live at once.
 fn short_config() -> SearchConfig {
     SearchConfig {
         max_time: SimDuration::from_secs(30),
-        ..full_config()
+        ..SearchConfig::default()
     }
 }
 
@@ -88,7 +78,7 @@ macro_rules! golden {
         #[test]
         #[ignore = "full-length diagnosis: run in release mode"]
         fn $full() {
-            check($app, &full_config(), concat!($app, ".full"));
+            check($app, &SearchConfig::default(), concat!($app, ".full"));
         }
     };
 }
