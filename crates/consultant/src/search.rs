@@ -947,15 +947,10 @@ impl Consultant {
 
     /// Evaluates a node's current fraction-of-execution-time value.
     fn evaluate(&self, id: ShgNodeId, now: SimTime, collector: &Collector) -> f64 {
-        let node = self.shg.node(id);
-        let Some(pid) = node.pair else { return 0.0 };
-        let pair = collector.pair(pid);
-        let procs = pair.compiled.procs().len();
-        if procs == 0 {
-            return 0.0;
-        }
-        let value = collector.value(pid, window_start(now, self.window), now);
-        value / (self.window.as_secs_f64() * procs as f64)
+        self.shg
+            .node(id)
+            .pair
+            .map_or(0.0, |pid| collector.window_fraction(pid, now))
     }
 
     fn threshold_of(&self, hyp: HypothesisId) -> f64 {
@@ -1330,7 +1325,7 @@ fn step(
     mut faults: Option<&mut FaultInjector>,
     now: SimTime,
 ) {
-    collector.step(now);
+    collector.step(now, consultant.window);
     for &decision in consultant.conclude(now, collector, faults.is_some()) {
         match decision {
             Decision::Release(pid) => collector.release(pid, now),
@@ -2219,29 +2214,36 @@ mod tests {
         assert!(audited.audits.is_empty());
     }
 
-    /// The engine-free tests' sampling step.
+    /// The engine-free tests' sampling step, on [`fast_config`]'s clock.
     const STEP: SimDuration = SimDuration::from_millis(100);
 
-    /// A consultant over a bare collector for `wl`'s application, ticked
-    /// once at t = 0: no engine is built, and every sample is made by
-    /// hand.
+    /// A consultant reading `window`s over a bare collector for `wl`'s
+    /// application, ticked once at t = 0: no engine is built, and every
+    /// sample is made by hand.
     fn engine_free(
         wl: &SyntheticWorkload,
         config: CollectorConfig,
         directives: SearchDirectives,
+        window: SimDuration,
     ) -> (Consultant, Collector) {
         let mut collector = Collector::new(wl.app_spec(), config);
         let tree = HypothesisTree::standard();
-        let mut c = Consultant::new(tree, directives, fast_config().window, &collector);
+        let mut c = Consultant::new(tree, directives, window, &collector);
         step(&mut c, &mut collector, None, SimTime::ZERO);
         (c, collector)
     }
 
-    /// Advances `now` by one [`STEP`] in which every process in `procs`
+    /// Advances `now` by one `sample` in which every process in `procs`
     /// computes in function f1 throughout, and steps the search.
-    fn cpu_step(c: &mut Consultant, collector: &mut Collector, now: &mut SimTime, procs: &[u16]) {
+    fn cpu_step(
+        c: &mut Consultant,
+        collector: &mut Collector,
+        now: &mut SimTime,
+        procs: &[u16],
+        sample: SimDuration,
+    ) {
         let start = *now;
-        *now += STEP;
+        *now += sample;
         let intervals = procs
             .iter()
             .map(|&p| histpc_sim::Interval {
@@ -2269,24 +2271,24 @@ mod tests {
     #[test]
     fn engine_free_hotspot_concludes_true_after_one_window_and_refines() {
         let wl = hotspot_workload();
-        let (mut c, mut collector) =
-            engine_free(&wl, CollectorConfig::default(), SearchDirectives::none());
+        let (mut c, mut collector) = engine_free(
+            &wl,
+            CollectorConfig::default(),
+            SearchDirectives::none(),
+            fast_config().window,
+        );
         let cpu = base_node(&c, &collector, "CPUbound");
         // Active from the 80 ms insertion delay, so the first step with
         // a full 800 ms window behind it is the one at 900 ms.
         let mut now = SimTime::ZERO;
         while now < SimTime::from_millis(900) {
             assert_eq!(c.shg.node(cpu).state, NodeState::Testing, "at {now}");
-            cpu_step(&mut c, &mut collector, &mut now, &[0, 1]);
+            cpu_step(&mut c, &mut collector, &mut now, &[0, 1], STEP);
         }
         let node = c.shg.node(cpu);
         assert_eq!(node.state, NodeState::True);
         assert_eq!(node.concluded_at, Some(now));
-        assert!(
-            node.last_value > 0.8,
-            "f1 burns both CPUs: {}",
-            node.last_value
-        );
+        assert_eq!(node.last_value, 1.0, "f1 burns both CPUs");
         let refined = |hierarchy: &str| {
             node.children.iter().any(|&k| {
                 let f = &c.shg.node(k).focus;
@@ -2296,6 +2298,45 @@ mod tests {
         assert!(refined("Code") && refined("Process"), "not refined");
         let sync = base_node(&c, &collector, "ExcessiveSyncWaitingTime");
         assert_eq!(c.shg.node(sync).state, NodeState::False);
+    }
+
+    #[test]
+    fn engine_free_fully_busy_focus_reads_one_after_its_first_window() {
+        let wl = hotspot_workload();
+        let ms = SimDuration::from_millis;
+        for (window, sample) in [(ms(2000), ms(250)), (ms(800), ms(100))] {
+            for delay in [0, 80, 400] {
+                // High priority keeps the CPUbound pair in place, read
+                // every step once it has concluded.
+                let mut directives = SearchDirectives::none();
+                directives.add_priority(PriorityDirective {
+                    hypothesis: "CPUbound".into(),
+                    focus: Collector::new(wl.app_spec(), CollectorConfig::default())
+                        .space()
+                        .whole_program(),
+                    level: PriorityLevel::High,
+                });
+                let config = CollectorConfig {
+                    insertion_delay: ms(delay),
+                    ..CollectorConfig::default()
+                };
+                let (mut c, mut collector) = engine_free(&wl, config, directives, window);
+                let cpu = base_node(&c, &collector, "CPUbound");
+                let full = SimTime::ZERO + ms(delay) + window;
+                let mut now = SimTime::ZERO;
+                while now < full + window + window {
+                    cpu_step(&mut c, &mut collector, &mut now, &[0, 1], sample);
+                    let node = c.shg.node(cpu);
+                    if now < full {
+                        assert_eq!(node.state, NodeState::Testing, "at {now}");
+                        continue;
+                    }
+                    let clock = format!("{window}/{sample}, delay {delay} ms, at {now}");
+                    assert_eq!(node.state, NodeState::True, "{clock}");
+                    assert_eq!(node.last_value, 1.0, "{clock}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -2310,13 +2351,18 @@ mod tests {
                 .whole_program(),
             level: PriorityLevel::High,
         });
-        let (mut c, mut collector) = engine_free(&wl, CollectorConfig::default(), directives);
+        let (mut c, mut collector) = engine_free(
+            &wl,
+            CollectorConfig::default(),
+            directives,
+            fast_config().window,
+        );
         let cpu = base_node(&c, &collector, "CPUbound");
         assert!(c.shg.node(cpu).persistent);
         let mut now = SimTime::ZERO;
         while c.shg.node(cpu).concluded_at.is_none() {
             assert!(c.decisions.is_empty(), "nothing concluded by {now}");
-            cpu_step(&mut c, &mut collector, &mut now, &[0, 1]);
+            cpu_step(&mut c, &mut collector, &mut now, &[0, 1], STEP);
         }
         let concluded: Vec<ShgNodeId> = c
             .shg
@@ -2344,16 +2390,20 @@ mod tests {
     #[test]
     fn engine_free_dead_processes_strand_their_experiments() {
         let wl = hotspot_workload();
-        let (mut c, mut collector) =
-            engine_free(&wl, CollectorConfig::default(), SearchDirectives::none());
+        let (mut c, mut collector) = engine_free(
+            &wl,
+            CollectorConfig::default(),
+            SearchDirectives::none(),
+            fast_config().window,
+        );
         let mut now = SimTime::ZERO;
         // Conclude and refine the whole program, then instrument the
         // refinements.
         while now < SimTime::from_millis(1000) {
-            cpu_step(&mut c, &mut collector, &mut now, &[0, 1]);
+            cpu_step(&mut c, &mut collector, &mut now, &[0, 1], STEP);
         }
         c.note_dead(&[ProcId(0)], vec![n("/Process/synth:1")]);
-        cpu_step(&mut c, &mut collector, &mut now, &[1]);
+        cpu_step(&mut c, &mut collector, &mut now, &[1], STEP);
         let unreachable = c.shg.in_state(NodeState::Unreachable);
         let on_proc_0 = |id: ShgNodeId| {
             let procs = collector
@@ -2390,7 +2440,12 @@ mod tests {
         let mut config = CollectorConfig::default();
         config.cost.halt_threshold = 0.0;
         config.cost.resume_threshold = 0.0;
-        let (mut c, collector) = engine_free(&hotspot_workload(), config, SearchDirectives::none());
+        let (mut c, collector) = engine_free(
+            &hotspot_workload(),
+            config,
+            SearchDirectives::none(),
+            fast_config().window,
+        );
         assert_eq!(collector.pairs_requested(), 0);
         assert!(c.halted && !c.pending.is_empty());
         // Halted, the expansion ranks nothing at all.

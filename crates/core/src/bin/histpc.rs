@@ -422,10 +422,15 @@ fn run_spec(flags: &HashMap<String, String>, app: &str) -> Result<RunSpec, Strin
         Some(SimDuration::from_secs_f64(secs).as_micros() / 1000)
     };
     if let Some(w) = flags.get("window") {
-        // Nothing could conclude in a window under a millisecond.
+        // Nothing could conclude in a window under a millisecond, and a
+        // window is read in whole samples.
+        let sample = spec.sample_ms;
         spec.window_ms = millis(w)
-            .filter(|&ms| ms > 0)
-            .unwrap_or_else(|| bad_flag("window", w, ": need a positive number of seconds"));
+            .filter(|&ms| ms > 0 && ms.is_multiple_of(sample))
+            .unwrap_or_else(|| {
+                let why = format!(": need a positive multiple of the {sample} ms sample");
+                bad_flag("window", w, &why)
+            });
     }
     if let Some(t) = flags.get("max-time") {
         spec.max_time_ms = millis(t).unwrap_or_else(|| bad_flag("max-time", t, ""));

@@ -8,8 +8,8 @@
 //!   applications (the stand-in for MPI programs on an IBM SP/2),
 //!   including the paper's Poisson decomposition workload in versions A–D;
 //! * [`instr`] — a dynamic-instrumentation layer with metric-focus pairs,
-//!   insertion latency, Paradyn-style time histograms and a perturbation
-//!   cost model;
+//!   insertion latency, exact last-window reads and a perturbation cost
+//!   model;
 //! * [`resources`] — resource hierarchies, foci and refinement;
 //! * [`consultant`] — the Performance Consultant: online bottleneck search
 //!   over the Search History Graph, extended with search directives;

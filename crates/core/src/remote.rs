@@ -587,6 +587,9 @@ impl Client {
     /// One send/receive exchange on an established connection, with
     /// wire-fault injection applied to the outgoing line.
     fn exchange(&mut self, line: &str) -> io::Result<Response> {
+        let Some(conn) = self.conn.as_mut() else {
+            return Err(io::ErrorKind::NotConnected.into());
+        };
         if let Some(inj) = &mut self.injector {
             if let Some(delay) = inj.slow_client_delay() {
                 std::thread::sleep(delay);
@@ -597,7 +600,6 @@ impl Client {
                     // Write a torn prefix and kill the connection: the
                     // server must treat the partial line as garbage.
                     let torn = inj.tear_line(line);
-                    let conn = self.conn.as_mut().expect("connected");
                     let _ = conn.writer.write_all(torn.as_bytes());
                     let _ = conn.writer.flush();
                     self.conn = None;
@@ -615,7 +617,6 @@ impl Client {
                 }
             }
         }
-        let conn = self.conn.as_mut().expect("connected");
         conn.send_line(line)?;
         let header = conn.read_line()?;
         let (mut resp, body_lines) = Response::parse_header(&header)

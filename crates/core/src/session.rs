@@ -181,12 +181,13 @@ impl Session {
         label: &str,
     ) -> Result<Diagnosis, SessionError> {
         let run = self.diagnose_faulted(workload, config, label, None)?;
-        if let Some(reason) = run.halted {
-            return Err(SessionError::Interrupted(reason));
+        match (run.diagnosis, run.halted) {
+            (Some(diagnosis), None) => Ok(diagnosis),
+            (_, Some(reason)) => Err(SessionError::Interrupted(reason)),
+            // Not built by `diagnose_faulted`: a run that did not halt
+            // carries its diagnosis.
+            (None, None) => Err(SessionError::Interrupted(HaltReason::Crash)),
         }
-        Ok(run
-            .diagnosis
-            .expect("a run that did not halt carries its diagnosis"))
     }
 
     /// Runs one diagnosis like [`Session::diagnose`], optionally resuming

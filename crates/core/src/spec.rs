@@ -97,6 +97,14 @@ impl RunSpec {
         if self.sample_ms == 0 {
             return Err("bad sample-ms=0".into());
         }
+        // Pair data is kept in slots of the sample, so a window must
+        // span whole samples to be read exactly.
+        if !self.window_ms.is_multiple_of(self.sample_ms) {
+            return Err(format!(
+                "bad window-ms={}: not a multiple of sample-ms={}",
+                self.window_ms, self.sample_ms
+            ));
+        }
         if let Some(from) = &self.harvest_from {
             if from.is_empty() || from.contains('/') {
                 return Err(format!("bad harvest-from {from:?}"));
@@ -202,6 +210,22 @@ mod tests {
             // A lease that carries one is an unusable spec line.
             let line = format!("app=tester label=ok {key}=0");
             assert!(RunSpec::from_spec_line(&line).is_err());
+        }
+    }
+
+    #[test]
+    fn spec_rejects_a_window_of_part_samples() {
+        let req = start("ok").arg("window-ms", 300).arg("sample-ms", 250);
+        let err = RunSpec::from_request(&req).unwrap_err();
+        assert_eq!(err, "bad window-ms=300: not a multiple of sample-ms=250");
+        let line = "app=tester label=ok window-ms=300 sample-ms=250";
+        assert!(RunSpec::from_spec_line(line).is_err());
+        // Whole samples are fine, the paper's and the service's alike.
+        for (window, sample) in [(2000, 250), (800, 100), (250, 250)] {
+            let req = start("ok")
+                .arg("window-ms", window)
+                .arg("sample-ms", sample);
+            assert!(RunSpec::from_request(&req).is_ok(), "{window}/{sample}");
         }
     }
 

@@ -14,6 +14,9 @@ use histpc::instr::{AdmitOutcome, Collector, PairId, RequestClass, SampleBatch};
 use histpc::prelude::*;
 use proptest::prelude::*;
 
+/// The window the collector-level tests step with.
+const WINDOW: SimDuration = SimDuration::from_millis(800);
+
 /// A healthy backing-class request at t = 0, which must be granted.
 fn request(c: &mut Collector, metric: Metric, focus: Focus) -> PairId {
     let fate = RequestFault::Deliver;
@@ -120,7 +123,7 @@ proptest! {
     /// Batched delivery, zero pressure, at the collector level: the same
     /// per-tick [`SampleBatch`] stream fed to an admission-enabled
     /// collector (bounds never hit) and an admission-disabled one lands
-    /// in every pair's histogram bit-for-bit identically.
+    /// in every pair's data bit-for-bit identically.
     #[test]
     fn zero_pressure_batches_land_bit_identically(
         procs in 1usize..4,
@@ -146,10 +149,13 @@ proptest! {
             ids.push((a, b));
         }
         for step in 1..=ticks {
-            engine.run_until(SimTime::from_millis(50 * step));
+            let now = SimTime::from_millis(50 * step);
+            engine.run_until(now);
             let batch = SampleBatch::drain(&mut engine);
-            plain.ingest(&batch);
-            admitted.ingest(&batch);
+            for c in [&mut plain, &mut admitted] {
+                c.ingest(&batch);
+                c.step(now, WINDOW);
+            }
         }
         for (a, b) in ids {
             prop_assert_eq!(
@@ -163,7 +169,7 @@ proptest! {
 
     /// Whole-group shedding is deterministic and rank-ordered: under a
     /// budget that cannot fit every process's group, replaying the same
-    /// batches yields identical histograms and stats, and the data that
+    /// batches yields identical pair data and stats, and the data that
     /// does land always comes from a prefix of the process ranks.
     #[test]
     fn group_shedding_is_deterministic_and_rank_ordered(
@@ -186,10 +192,12 @@ proptest! {
             let wp = c.space().whole_program();
             let id = request(&mut c, Metric::CpuTime, wp);
             for step in 1..=6u64 {
-                engine.run_until(SimTime::from_millis(100 * step));
+                let now = SimTime::from_millis(100 * step);
+                engine.run_until(now);
                 let batch = SampleBatch::drain(&mut engine);
                 c.admission_mut().note_phantom_samples(1_000);
                 c.ingest(&batch);
+                c.step(now, WINDOW);
             }
             let freshness: Vec<SimTime> =
                 (0..procs).map(|p| c.last_data_at(histpc::sim::ProcId(p as u16))).collect();

@@ -261,6 +261,10 @@ fn a_window_of_no_time_is_rejected() {
         "run --app tester --window 0.0005",
         "supervise --store S --apps tester --window 0",
         "run --remote S --app tester --window 0.0005",
+        // Not a whole number of 250 ms samples.
+        "run --app tester --window 0.3",
+        "supervise --store S --apps tester --window 0.3",
+        "run --remote S --app tester --window 0.3",
     ] {
         let out = bin().args(command.split(' ')).output().unwrap();
         assert_eq!(out.status.code(), Some(2), "{command} must exit 2");

@@ -3,7 +3,8 @@
 //!
 //! The collector is the boundary between the Performance Consultant and
 //! the application: the PC requests and releases (metric, focus) pairs;
-//! the driver feeds each tick's engine output into [`Collector::ingest`];
+//! the driver feeds each tick's engine output into [`Collector::ingest`],
+//! which [`Collector::step`] hands on to the pairs on the sample clock;
 //! the cost model's slowdown factors are pushed back into the engine so
 //! instrumentation perturbation is physically real in the simulation.
 
@@ -13,9 +14,8 @@ use crate::binder::{Binder, CompiledFocus};
 use crate::cost::{CostConfig, CostModel};
 use crate::delta::{sort_by_key, Delta, DeltaTable};
 use crate::faults::RequestFault;
-use crate::histogram::TimeHistogram;
 use crate::metric::Metric;
-use crate::pair::Pair;
+use crate::pair::{Pair, SlotClock};
 use histpc_resources::{Focus, FocusId, Interner, ResourceName, ResourceSpace};
 use histpc_sim::{AppSpec, Engine, Interval, ProcId, SimDuration, SimTime};
 
@@ -29,10 +29,6 @@ pub struct CollectorConfig {
     /// Time between an instrumentation request and the instrumentation
     /// actually being in place (paper §4.1).
     pub insertion_delay: SimDuration,
-    /// Histogram bucket count per pair.
-    pub hist_buckets: usize,
-    /// Initial histogram bucket width.
-    pub hist_width: SimDuration,
     /// Cost model parameters.
     pub cost: CostConfig,
     /// Overload admission control (disabled by default).
@@ -43,8 +39,6 @@ impl Default for CollectorConfig {
     fn default() -> CollectorConfig {
         CollectorConfig {
             insertion_delay: SimDuration::from_millis(80),
-            hist_buckets: 480,
-            hist_width: SimDuration::from_millis(200),
             cost: CostConfig::default(),
             admission: AdmissionConfig::default(),
         }
@@ -104,6 +98,12 @@ pub struct Collector {
     /// Aggregates raw interval batches (the engine's own aggregates
     /// arrive ready-made).
     table: DeltaTable,
+    /// Admitted deltas not yet handed to the pairs: ingested before the
+    /// step that knows their tick's end.
+    pending: Vec<Delta>,
+    /// The slots pair data is kept in, set by the first step after
+    /// t = 0 (see [`Collector::step`]).
+    clock: Option<SlotClock>,
 }
 
 impl Collector {
@@ -133,6 +133,8 @@ impl Collector {
             compiled_foci: Vec::new(),
             route: vec![Vec::new(); proc_count],
             table: DeltaTable::new(proc_count, func_count, tag_count),
+            pending: Vec::new(),
+            clock: None,
         }
     }
 
@@ -209,14 +211,13 @@ impl Collector {
         }
         let cost = self.cost.pair_cost(&compiled);
         self.cost.add(&compiled, cost);
-        let hist = TimeHistogram::new(self.config.hist_buckets, self.config.hist_width);
         let active_from = now + self.config.insertion_delay + extra;
         let idx = self.pairs.len() as u32;
         for &p in compiled.procs() {
             self.route[p.0 as usize].push(idx);
         }
         let procs = compiled.procs().to_vec();
-        let pair = Pair::new(metric, focus, fid, compiled, now, active_from, hist);
+        let pair = Pair::new(metric, focus, fid, compiled, now, active_from);
         self.pairs.push(pair);
         self.charged.push(cost);
         self.requested_total += 1;
@@ -236,12 +237,21 @@ impl Collector {
     }
 
     /// The collector's part of a driver tick at `now`, run before the
-    /// search reads it: admission housekeeping (activated in-flight
-    /// entries expire, cooled breakers half-open), the names of newly
-    /// saturated processes — and of their machine once every process it
-    /// hosts is blocked — and the backpressure hysteresis. With
-    /// admission disabled all of it is a no-op.
-    pub fn step(&mut self, now: SimTime) {
+    /// search reads its `window`: the ingested data goes to the pairs,
+    /// then admission housekeeping (activated in-flight entries expire,
+    /// cooled breakers half-open), the names of newly saturated
+    /// processes — and of their machine once every process it hosts is
+    /// blocked — and the backpressure hysteresis. With admission
+    /// disabled the housekeeping is a no-op.
+    ///
+    /// Drive loops step at t = 0 and then once per sample, so the first
+    /// step after t = 0 is one sample in: it fixes the slot clock for
+    /// `window`. Data ingested before then waits for it.
+    pub fn step(&mut self, now: SimTime, window: SimDuration) {
+        if self.clock.is_none() && now > SimTime::ZERO {
+            self.clock = Some(SlotClock::new(window, now - SimTime::ZERO));
+        }
+        self.deliver(now);
         self.admission.tick(now);
         for p in self.admission.drain_newly_saturated() {
             let app = self.binder.app();
@@ -319,23 +329,6 @@ impl Collector {
         }
     }
 
-    /// Feeds one engine interval to every pair and discovers new
-    /// SyncObject resources.
-    pub fn observe(&mut self, iv: &Interval) {
-        self.note_data(iv.proc, iv.end, iv.tag);
-        for pair in &mut self.pairs {
-            pair.observe(iv, &self.binder);
-        }
-    }
-
-    /// Feeds a batch of intervals one by one (exact but slow; prefer
-    /// [`Collector::ingest`] for driver loops).
-    pub fn observe_all(&mut self, ivs: &[Interval]) {
-        for iv in ivs {
-            self.observe(iv);
-        }
-    }
-
     /// Feeds a batch of raw intervals via per-key aggregation: tag
     /// discovery stays exact, metric values are spread uniformly over
     /// each key's span within the batch (see [`crate::delta`]).
@@ -348,7 +341,8 @@ impl Collector {
     /// Feeds one driver tick's [`SampleBatch`] — the canonical
     /// sim-to-collector handoff. A raw batch is aggregated here, through
     /// the same table the engine uses; from there on both kinds are the
-    /// same per-key deltas.
+    /// same per-key deltas. They reach the pairs at the next
+    /// [`Collector::step`].
     ///
     /// With admission enabled the batch first passes the per-batch
     /// sample budget, which works on the batch's per-process groups:
@@ -365,45 +359,43 @@ impl Collector {
 
     /// One tick's deltas, in first-touch order, standing for `per_proc`
     /// intervals of each process: through the admission budget, then
-    /// freshness and tag discovery, then on to the routed pairs.
+    /// freshness and tag discovery, then queued for the routed pairs.
     fn ingest_deltas(&mut self, deltas: &[Delta], per_proc: &[u64]) {
         let now = deltas.iter().map(|d| d.end).max().unwrap_or(SimTime::ZERO);
         let keep = self.admission.sample_quota(per_proc.iter().sum());
         // Processes of rank `cut` and above are shed.
         let cut = self.shed_groups(per_proc, keep.unwrap_or(u64::MAX), now);
-        let mut deltas: Vec<Delta> = deltas
-            .iter()
-            .filter(|d| (d.proc.0 as usize) < cut)
-            .copied()
-            .collect();
+        let queued = self.pending.len();
+        self.pending
+            .extend(deltas.iter().filter(|d| (d.proc.0 as usize) < cut));
         // First-touch order is the order tags first showed up in the
         // interval stream, so the resource space grows exactly as it
         // would fed interval by interval.
-        for d in &deltas {
+        for i in queued..self.pending.len() {
+            let d = self.pending[i];
             self.note_data(d.proc, d.end, d.tag);
         }
-        let Some(batch_start) = deltas.iter().map(|d| d.start).min() else {
+    }
+
+    /// Hands the queued deltas to the pairs routed to their processes,
+    /// delivered at `now`. Nothing moves before the slot clock is set.
+    fn deliver(&mut self, now: SimTime) {
+        let Some(clock) = self.clock else {
             return;
         };
+        let Some(batch_start) = self.pending.iter().map(|d| d.start).min() else {
+            return;
+        };
+        let mut deltas = std::mem::take(&mut self.pending);
         sort_by_key(&mut deltas);
         // Deltas sort leading with proc, so consecutive runs partition
         // the slice per process; each run is delivered only to the pairs
         // routed to that process. Per pair this replays the deltas in
         // exactly the every-pair-scans-everything order, because the run
         // order *is* the sorted order.
-        let pairs = &mut self.pairs;
-        let binder = &self.binder;
-        let route = &self.route;
-        let mut i = 0;
-        while i < deltas.len() {
-            let proc = deltas[i].proc;
-            let mut j = i + 1;
-            while j < deltas.len() && deltas[j].proc == proc {
-                j += 1;
-            }
-            let group = &deltas[i..j];
-            for &pi in &route[proc.0 as usize] {
-                let pair = &mut pairs[pi as usize];
+        for group in deltas.chunk_by(|a, b| a.proc == b.proc) {
+            for &pi in &self.route[group[0].proc.0 as usize] {
+                let pair = &mut self.pairs[pi as usize];
                 // Pairs deleted before this batch can never observe it.
                 // (Not pruned from the route: a wait that started before
                 // the deletion may still complete — and arrive — later.)
@@ -411,11 +403,12 @@ impl Collector {
                     continue;
                 }
                 for d in group {
-                    pair.observe_delta(d, binder);
+                    pair.observe_delta(d, &self.binder, clock, now);
                 }
             }
-            i = j;
         }
+        deltas.clear();
+        self.pending = deltas;
     }
 
     /// Decides what a batch loses to its `keep` sample quota, in whole
@@ -470,9 +463,13 @@ impl Collector {
         }
     }
 
-    /// The pair's accumulated metric value over `[from, to)`.
-    pub fn value(&self, id: PairId, from: SimTime, to: SimTime) -> f64 {
-        self.pairs[id.0 as usize].value(from, to)
+    /// The pair's share of its focus over the window that ends at `now`
+    /// (see [`Pair::window_fraction`]); zero before the slot clock is
+    /// set.
+    pub fn window_fraction(&self, id: PairId, now: SimTime) -> f64 {
+        self.clock.map_or(0.0, |clock| {
+            self.pairs[id.0 as usize].window_fraction(clock, now)
+        })
     }
 
     /// Read access to a pair.
@@ -503,14 +500,20 @@ mod tests {
         }
     }
 
-    fn drive(engine: &mut Engine, collector: &mut Collector, until_ms: u64, step_ms: u64) {
-        let mut t = 0;
+    /// The window the tests' steps read.
+    const WINDOW: SimDuration = SimDuration::from_secs(1);
+
+    /// Steps `engine` and `collector` every `step_ms` from `from_ms` up
+    /// to `until_ms`, as a drive loop does.
+    fn drive(engine: &mut Engine, c: &mut Collector, from_ms: u64, until_ms: u64, step_ms: u64) {
+        let mut t = from_ms;
         while t < until_ms {
             t += step_ms;
-            engine.run_until(SimTime::from_millis(t));
-            let ivs = engine.drain_intervals();
-            collector.observe_all(&ivs);
-            collector.apply_perturbation(engine);
+            let now = SimTime::from_millis(t);
+            engine.run_until(now);
+            c.ingest(&SampleBatch::drain(engine));
+            c.step(now, WINDOW);
+            c.apply_perturbation(engine);
         }
     }
 
@@ -521,8 +524,8 @@ mod tests {
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
         let focus = c.space().whole_program();
         let id = request_cpu(&mut c, focus);
-        drive(&mut engine, &mut c, 1000, 50);
-        let measured = c.value(id, SimTime::ZERO, SimTime::from_secs(1));
+        drive(&mut engine, &mut c, 0, 1000, 50);
+        let measured = c.pair(id).total();
         let truth = engine
             .totals()
             .total(histpc_sim::ActivityKind::Cpu)
@@ -541,9 +544,9 @@ mod tests {
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
         let wp = c.space().whole_program();
         let id = request_cpu(&mut c, wp);
-        drive(&mut engine, &mut c, 200, 10);
+        drive(&mut engine, &mut c, 0, 200, 10);
         // Active from 80ms: at most ~120ms of CPU observable.
-        let v = c.value(id, SimTime::ZERO, SimTime::from_secs(1));
+        let v = c.pair(id).total();
         assert!(v <= 0.125, "observed {v}");
         assert!(v >= 0.08, "observed {v}");
     }
@@ -555,11 +558,11 @@ mod tests {
         let mut c = Collector::new(wl.app_spec(), CollectorConfig::default());
         let wp = c.space().whole_program();
         let id = request_cpu(&mut c, wp);
-        drive(&mut engine, &mut c, 500, 50);
+        drive(&mut engine, &mut c, 0, 500, 50);
         c.release(id, SimTime::from_millis(500));
-        let at_release = c.value(id, SimTime::ZERO, SimTime::from_secs(5));
-        drive(&mut engine, &mut c, 1000, 50);
-        let after = c.value(id, SimTime::ZERO, SimTime::from_secs(5));
+        let at_release = c.pair(id).total();
+        drive(&mut engine, &mut c, 500, 1000, 50);
+        let after = c.pair(id).total();
         assert!((after - at_release).abs() < 1e-9);
         assert!(!c.pair(id).is_live());
         assert_eq!(c.pairs_requested(), 1);
@@ -603,7 +606,7 @@ mod tests {
         let tag_res = ResourceName::parse("/SyncObject/Message/3_0")
             .expect("literal tag resource name is valid");
         assert!(!c.space().contains(&tag_res));
-        drive(&mut engine, &mut c, 200, 20);
+        drive(&mut engine, &mut c, 0, 200, 20);
         assert!(c.space().contains(&tag_res));
         assert!(c.space().contains(
             &ResourceName::parse("/SyncObject/Message/3_-1")
@@ -638,11 +641,8 @@ mod tests {
                 .map(|n| n.to_string())
                 .collect::<Vec<_>>()
         };
-        let mut one_by_one = Collector::new(wl.app_spec(), CollectorConfig::default());
-        one_by_one.observe_all(&ivs);
         let mut batched = Collector::new(wl.app_spec(), CollectorConfig::default());
         batched.observe_batch(&ivs);
-        assert_eq!(tags(&batched), tags(&one_by_one));
         assert_eq!(
             tags(&batched)[2..],
             [
@@ -676,8 +676,8 @@ mod tests {
             panic!("a deferred request still yields a pair");
         };
         assert_eq!(c.pair(id).active_from, SimTime::from_millis(280));
-        drive(&mut engine, &mut c, 500, 10);
-        let v = c.value(id, SimTime::ZERO, SimTime::from_secs(1));
+        drive(&mut engine, &mut c, 0, 500, 10);
+        let v = c.pair(id).total();
         // 500ms of CPU, observable only after 280ms.
         assert!(v <= 0.225, "observed {v}");
         assert!(v >= 0.15, "observed {v}");
@@ -710,7 +710,7 @@ mod tests {
         let wp = c.space().whole_program();
         let id = request_cpu(&mut c, wp);
         assert_eq!(c.pair(id).observations, 0);
-        drive(&mut engine, &mut c, 500, 50);
+        drive(&mut engine, &mut c, 0, 500, 50);
         assert!(c.pair(id).observations > 0);
     }
 
@@ -727,12 +727,13 @@ mod tests {
         );
         let id1 = request_cpu(&mut c, f1);
         let id2 = request_cpu(&mut c, f2);
-        drive(&mut engine, &mut c, 1000, 50);
-        let v1 = c.value(id1, SimTime::ZERO, SimTime::from_secs(1));
-        let v2 = c.value(id2, SimTime::ZERO, SimTime::from_secs(1));
+        drive(&mut engine, &mut c, 0, 1000, 50);
+        let now = SimTime::from_secs(1);
+        let v1 = c.window_fraction(id1, now);
+        let v2 = c.window_fraction(id2, now);
         // Both run flat out (compute only), so CPU time is similar, but
         // they are distinct measurements; with the hotspot on proc 0 both
-        // should be near 100% of wall.
+        // should be near 100% of the window after the insertion delay.
         assert!(v1 > 0.8 && v2 > 0.8, "v1={v1} v2={v2}");
         assert_eq!(c.pair(id1).compiled.procs(), [ProcId(0)]);
     }

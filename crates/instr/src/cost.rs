@@ -31,8 +31,7 @@ pub struct CostConfig {
     /// (a SyncObject-constrained focus).
     pub message_factor: f64,
     /// Residual cost fraction of a *settled* pair: once a pair has run a
-    /// full observation window its sampling rate is reduced (as Paradyn's
-    /// time-histogram folding halves sampling frequency over time), so
+    /// full observation window its sampling rate is reduced, so
     /// long-lived persistent pairs are much cheaper to keep than to place.
     pub settle_factor: f64,
     /// The critical cost threshold at which the Performance Consultant

@@ -28,7 +28,7 @@ pub fn aggregate(intervals: &[Interval]) -> Vec<Delta> {
 }
 
 /// Sorts deltas by attribution key: the order pairs consume them in, so
-/// histograms are reproducible.
+/// pair data is reproducible.
 pub fn sort_by_key(deltas: &mut [Delta]) {
     deltas.sort_by_key(|d| (d.proc, d.func, d.kind, d.tag, d.start));
 }

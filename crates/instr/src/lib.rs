@@ -16,9 +16,9 @@
 //!
 //! This crate reproduces those mechanics over the `histpc-sim` engine:
 //! [`Collector`] manages metric-focus pairs, clips observed intervals to
-//! their enablement windows, folds values into Paradyn-style time
-//! histograms, models perturbation cost, and exposes per-process slowdown
-//! factors that the drive loop feeds back into the engine. [`faults`]
+//! their enablement windows, keeps each pair's last window of values on
+//! the sample clock, models perturbation cost, and exposes per-process
+//! slowdown factors that the drive loop feeds back into the engine. [`faults`]
 //! injects the daemons' failures into that mechanism: lossy sample
 //! streams, failed insertions, dying processes and tool crashes.
 
@@ -32,7 +32,6 @@ pub mod collector;
 pub mod cost;
 pub mod delta;
 pub mod faults;
-pub mod histogram;
 pub mod metric;
 pub mod pair;
 pub mod postmortem;
@@ -44,6 +43,5 @@ pub use batch::SampleBatch;
 pub use binder::Binder;
 pub use collector::{AdmitOutcome, Collector, CollectorConfig, PairId};
 pub use cost::{CostConfig, CostModel};
-pub use histogram::TimeHistogram;
 pub use metric::Metric;
 pub use postmortem::PostmortemData;

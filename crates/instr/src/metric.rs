@@ -5,7 +5,8 @@
 //! Time metrics accumulate seconds of an activity; event metrics count
 //! occurrences or bytes.
 
-use histpc_sim::{ActivityKind, Interval};
+use crate::delta::Delta;
+use histpc_sim::ActivityKind;
 use std::fmt;
 
 /// A measurable quantity.
@@ -74,44 +75,18 @@ impl Metric {
         )
     }
 
-    /// The value this metric extracts from one interval: seconds for time
-    /// metrics, a count or byte total for event metrics.
-    pub fn extract(self, iv: &Interval) -> f64 {
+    /// The value this metric extracts from one aggregated delta: seconds
+    /// for time metrics, a message count or byte total for event metrics.
+    pub fn extract(self, d: &Delta) -> f64 {
+        let seconds = |kind: bool| if kind { d.seconds } else { 0.0 };
         match self {
-            Metric::CpuTime => match iv.kind {
-                ActivityKind::Cpu => iv.duration().as_secs_f64(),
-                _ => 0.0,
-            },
-            Metric::SyncWaitTime => match iv.kind {
-                ActivityKind::SyncWait => iv.duration().as_secs_f64(),
-                _ => 0.0,
-            },
-            Metric::MsgWaitTime => match iv.kind {
-                ActivityKind::SyncWait if iv.tag.is_some() => iv.duration().as_secs_f64(),
-                _ => 0.0,
-            },
-            Metric::BarrierWaitTime => match iv.kind {
-                ActivityKind::SyncWait if iv.tag.is_none() => iv.duration().as_secs_f64(),
-                _ => 0.0,
-            },
-            Metric::IoWaitTime => match iv.kind {
-                ActivityKind::IoWait => iv.duration().as_secs_f64(),
-                _ => 0.0,
-            },
-            Metric::MsgCount => {
-                if iv.tag.is_some() && iv.bytes > 0 {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Metric::MsgBytes => {
-                if iv.tag.is_some() {
-                    iv.bytes as f64
-                } else {
-                    0.0
-                }
-            }
+            Metric::CpuTime => seconds(d.kind == ActivityKind::Cpu),
+            Metric::SyncWaitTime => seconds(d.kind == ActivityKind::SyncWait),
+            Metric::MsgWaitTime => seconds(d.kind == ActivityKind::SyncWait && d.tag.is_some()),
+            Metric::BarrierWaitTime => seconds(d.kind == ActivityKind::SyncWait && d.tag.is_none()),
+            Metric::IoWaitTime => seconds(d.kind == ActivityKind::IoWait),
+            Metric::MsgCount => d.msgs as f64,
+            Metric::MsgBytes => d.bytes as f64,
         }
     }
 }
@@ -125,10 +100,11 @@ impl fmt::Display for Metric {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use histpc_sim::{FuncId, ProcId, SimTime, TagId};
+    use histpc_sim::{FuncId, Interval, ProcId, SimTime, TagId};
 
-    fn iv(kind: ActivityKind, tag: Option<u16>, dur_us: u64, bytes: u64) -> Interval {
-        Interval {
+    /// The delta of one interval.
+    fn iv(kind: ActivityKind, tag: Option<u16>, dur_us: u64, bytes: u64) -> Delta {
+        let iv = Interval {
             proc: ProcId(0),
             func: FuncId(0),
             kind,
@@ -136,7 +112,10 @@ mod tests {
             start: SimTime(1000),
             end: SimTime(1000 + dur_us),
             bytes,
-        }
+        };
+        let mut d = Delta::opening(&iv);
+        d.fold(&iv);
+        d
     }
 
     #[test]

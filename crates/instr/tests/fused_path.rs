@@ -239,6 +239,7 @@ proptest! {
         };
         let ids = request(&mut c_raw);
         prop_assert_eq!(&request(&mut c_fused), &ids);
+        let window = SimDuration::from_millis(500);
         let mut now = SimTime::ZERO;
         for (k, ms) in plan.steps_ms.iter().enumerate() {
             now += SimDuration::from_millis(*ms);
@@ -255,15 +256,18 @@ proptest! {
             ] {
                 c.admission_mut().note_phantom_samples(seed % 50);
                 c.ingest(batch);
+                c.step(now, window);
                 c.apply_perturbation(engine);
             }
+            for &id in &ids {
+                prop_assert_eq!(
+                    c_raw.window_fraction(id, now).to_bits(),
+                    c_fused.window_fraction(id, now).to_bits()
+                );
+            }
         }
-        let far = SimTime::from_secs(3600);
         for &id in &ids {
-            prop_assert_eq!(
-                c_raw.value(id, SimTime::ZERO, far).to_bits(),
-                c_fused.value(id, SimTime::ZERO, far).to_bits()
-            );
+            prop_assert_eq!(c_raw.pair(id).total().to_bits(), c_fused.pair(id).total().to_bits());
             prop_assert_eq!(c_raw.pair(id).observations, c_fused.pair(id).observations);
         }
         prop_assert_eq!(c_raw.admission().stats(), c_fused.admission().stats());
@@ -354,6 +358,7 @@ fn undeclared_tags_survive_fused_emission() {
     assert_eq!(strays.len(), 2, "one key per process");
     assert!(strays.iter().all(|d| d.msgs == 1 && d.bytes == 64));
     collector.ingest(&batch);
+    collector.step(SimTime::from_secs(1), SimDuration::from_secs(1));
     // The stray tag has no resource to discover, but its data counts.
     assert_eq!(collector.space().len(), resources);
     assert!(collector.last_data_at(ProcId(1)) > SimTime::ZERO);

@@ -17,8 +17,10 @@
 //!   a tool crash; use `expect` with an invariant message or handle the
 //!   error. In the files that have been made panic-free
 //!   (`crates/consultant/src/search.rs`, `crates/instr/src/faults.rs`,
-//!   `crates/core/src/supervise.rs` and all of `crates/daemon/src`),
-//!   `.expect(` is flagged too, so they stay that way.
+//!   `crates/instr/src/pair.rs`, `crates/core/src/supervise.rs`,
+//!   `spec.rs`, `remote.rs` and `session.rs`, and all of
+//!   `crates/daemon/src`), `.expect(` is flagged too, so they stay that
+//!   way.
 //! * **DA003 — `HashMap` in record-serialization modules**: iteration
 //!   order would leak into persisted bytes; use `BTreeMap` or sort.
 //! * **DA004 — panicking lock acquisition** in the long-lived service
@@ -55,8 +57,11 @@ const NO_UNWRAP_PATHS: &[(&str, &str)] = &[("instr", ""), ("consultant", "search
 const NO_EXPECT_PATHS: &[(&str, &str)] = &[
     ("consultant", "search.rs"),
     ("instr", "faults.rs"),
+    ("instr", "pair.rs"),
     ("core", "supervise.rs"),
     ("core", "spec.rs"),
+    ("core", "remote.rs"),
+    ("core", "session.rs"),
     ("daemon", ""),
 ];
 

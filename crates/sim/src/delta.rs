@@ -17,7 +17,7 @@
 //! come out in *first-touch* order (the order SyncObject resources are
 //! discovered in), and each key's `seconds` is the f64 sum of its
 //! intervals' durations *in arrival order* — f64 addition does not
-//! associate, so any other order changes histogram bits and, through
+//! associate, so any other order changes pair data bits and, through
 //! them, verdict values in stored records.
 
 use crate::program::{FuncId, ProcId, TagId};
